@@ -12,7 +12,7 @@ from .errors import (
     RegulaError,
     UnknownGroupName,
 )
-from .perm_core import PermGroup, Permutation, StructureFlags, compose
+from .perm_core import PermGroup, Permutation
 
 __all__ = [
     "CapExceeded",
@@ -24,8 +24,6 @@ __all__ = [
     "PermGroup",
     "Permutation",
     "RegulaError",
-    "StructureFlags",
     "UnknownGroupName",
-    "compose",
     "__version__",
 ]

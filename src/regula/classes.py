@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import perm_core
 from .errors import CapExceeded, NotNormal, RegulaError
-from .numtheory import is_prime
+from .numtheory import is_p_power, is_prime
 from .perm_core import PermGroup, Permutation, _conj, _encode, _order_of
 
 
@@ -63,11 +63,7 @@ class ClassTable:
         """Classes of elements whose order is a power of p (identity included)."""
         if not is_prime(p):
             raise RegulaError(f"{p} is not prime")
-        def is_ppower(n):
-            while n % p == 0:
-                n //= p
-            return n == 1
-        return sum(1 for c in self.classes if is_ppower(c.element_order))
+        return sum(1 for c in self.classes if is_p_power(c.element_order, p))
 
     def to_json_dict(self, descriptor: str = "") -> dict:
         return {
@@ -121,12 +117,13 @@ def _partition_into_orbits(elements, gen_pairs, degree):
 
 def conjugacy_classes(G: PermGroup, cap: Optional[int] = None) -> ClassTable:
     """Exact class table of G, cached on the group instance."""
-    cached = G._cache.get("class_table")
-    if cached is not None:
-        return cached
     cap = perm_core.ELEMENT_CAP if cap is None else cap
     if G.order > cap:
         raise CapExceeded(f"order {G.order} exceeds the element cap {cap}")
+    return G._cached("class_table", lambda: _class_table(G, cap))
+
+
+def _class_table(G: PermGroup, cap: int) -> ClassTable:
     elements = list(G._raw_elements(cap))
     orbits = _partition_into_orbits(elements, G._gen_pairs, G.degree)
     infos = []
@@ -137,9 +134,7 @@ def conjugacy_classes(G: PermGroup, cap: Optional[int] = None) -> ClassTable:
     if sum(c.class_size for c in infos) != G.order:
         raise RegulaError("class equation failed")
     infos.sort(key=lambda c: (c.element_order, c.class_size, c.representative.cycle_string()))
-    table = ClassTable(group_order=G.order, classes=tuple(infos))
-    G._cache["class_table"] = table
-    return table
+    return ClassTable(group_order=G.order, classes=tuple(infos))
 
 
 def class_counts(G: PermGroup, p: int) -> ClassCounts:
@@ -149,20 +144,18 @@ def class_counts(G: PermGroup, p: int) -> ClassCounts:
 
 def _fused_orbit_orders(G: PermGroup, N: PermGroup, cap: Optional[int]):
     """Element orders of G-orbit representatives on N; cached per (G, N)."""
-    key = ("fused", N._gen_tuples)
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
-    if not N.is_normal_in(G):
-        raise NotNormal("fused counts need a normal subgroup")
     cap = perm_core.ELEMENT_CAP if cap is None else cap
     if N.order > cap:
         raise CapExceeded(f"order {N.order} exceeds the element cap {cap}")
-    elements = list(N._raw_elements(cap))
-    orbits = _partition_into_orbits(elements, G._gen_pairs, G.degree)
-    orders = tuple(_order_of(rep) for rep, _ in orbits)
-    G._cache[key] = orders
-    return orders
+
+    def orbit_orders():
+        if not N.is_normal_in(G):
+            raise NotNormal("fused counts need a normal subgroup")
+        elements = list(N._raw_elements(cap))
+        orbits = _partition_into_orbits(elements, G._gen_pairs, G.degree)
+        return tuple(_order_of(rep) for rep, _ in orbits)
+
+    return G._cached(("fused", N._gen_tuples), orbit_orders)
 
 
 def fused_counts(G: PermGroup, N: PermGroup, p: int,

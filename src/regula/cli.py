@@ -7,8 +7,8 @@
     regula numtheory scan-psl2 --bound B
     regula numtheory primes --kind K --bound B
 
-The environment variable REGULA_ELEMENT_CAP overrides the enumeration
-cap for one invocation.
+The environment variable REGULA_ELEMENT_CAP, a positive integer,
+overrides the enumeration cap for one invocation.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .suites import SUITE_NAMES, run_suite
 def _apply_cap_env():
     cap = os.environ.get("REGULA_ELEMENT_CAP")
     if cap:
+        if not (cap.isascii() and cap.isdigit() and int(cap) > 0):
+            raise RegulaError(f"REGULA_ELEMENT_CAP must be a positive integer, got {cap!r}")
         perm_core.ELEMENT_CAP = int(cap)
 
 
@@ -134,9 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_cap_env()
     args = build_parser().parse_args(argv)
     try:
+        _apply_cap_env()
         return args.func(args)
     except RegulaError as exc:
         print(f"error: {exc}", file=sys.stderr)

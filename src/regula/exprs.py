@@ -190,11 +190,17 @@ def _evaluate(expr: GroupExpr):
         return C.base_group(kind, n)
     if head in ("AGL1", "AGammaL1"):
         q = _single_int(expr)
-        (p, k), = factorize(q).items()
+        factors = factorize(q) if q > 0 else {}
+        if len(factors) != 1:
+            raise ExprParseError(f"{head} needs a prime power, got {q}", 0)
+        (p, k), = factors.items()
         return C.affine_semilinear(p, k, include_galois=(head == "AGammaL1"))
     if head == "GLQ":
         kw = expr.keyed()
         if kw:
+            missing = sorted({"l", "q"} - set(kw))
+            if missing:
+                raise ExprParseError(f"GLQ needs l= and q=, missing {', '.join(missing)}", 0)
             return C.glq_family(kw["l"], kw["q"])
         l, q = _single_int(expr, 2)
         return C.glq_family(l, q)

@@ -252,17 +252,3 @@ def make_field(p: int, k: int) -> FieldDesc:
             return FieldDesc(p=p, k=k, modulus=m)
     raise RegulaError("no irreducible polynomial found")  # unreachable
 
-
-def arith(op: str, x: FieldElement, y: FieldElement | int | None = None) -> FieldElement:
-    """Dispatch helper for the CLI: add, mul, inv, pow, frobenius."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inverse()
-    if op == "pow":
-        return x ** int(y)
-    if op == "frobenius":
-        return x.frobenius()
-    raise RegulaError(f"unknown field operation {op!r}")

@@ -36,6 +36,16 @@ def prime_factors(n: int) -> list:
     return sorted(factorize(n)) if n > 1 else []
 
 
+def is_p_power(n: int, p: int) -> bool:
+    """Whether the positive integer n is a power of p (1 included).
+
+    p is not checked: callers pass a prime they have already validated.
+    """
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def part_split(n: int, p: int) -> tuple[int, int]:
     """(n_p, n_p'): the p-part and p'-part of n."""
     if n < 1:

@@ -12,10 +12,8 @@ Composition is left-to-right: ``(a * b)(x) == b(a(x))``.
 
 from __future__ import annotations
 
-import random
 import re
 from array import array
-from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -216,25 +214,13 @@ class Permutation:
         return hash(self.images)
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Apply ``a`` first, then ``b``."""
-    return a * b
-
-
-@dataclass(frozen=True)
-class StructureFlags:
-    solvable: bool
-    nilpotent: bool
-    is_p_group: bool
-
-
 class _Level:
     __slots__ = ("point", "ident", "gens", "transversal")
 
     def __init__(self, point, ident):
         self.point = point
         self.ident = ident
-        self.gens = []            # [(g, ginv)] fixing all shallower base points
+        self.gens = []            # strong generators fixing all shallower base points
         self.transversal = {point: (ident, ident)}  # orbit pt -> (u, uinv), u[point] = pt
 
     def rebuild_orbit(self):
@@ -245,7 +231,7 @@ class _Level:
         while queue:
             a = queue.pop(0)
             u, _ = trans[a]
-            for g, _ginv in self.gens:
+            for g in self.gens:
                 c = g[a]
                 if c not in trans:
                     v = _mult(u, g)
@@ -279,9 +265,8 @@ def _schreier_sims(degree, gen_tuples, base_hint=()):
         # h fixes base[0..upto-1]; it belongs to every level <= upto
         if upto == len(levels):
             levels.append(_Level(_first_moved(h), ident))
-        hpair = (h, _inv(h))
         for j in range(upto + 1):
-            levels[j].gens.append(hpair)
+            levels[j].gens.append(h)
         for j in range(upto + 1):
             levels[j].rebuild_orbit()
 
@@ -299,7 +284,7 @@ def _schreier_sims(degree, gen_tuples, base_hint=()):
         failed_at = None
         for beta in sorted(lvl.transversal):
             u, _uinv = lvl.transversal[beta]
-            for s, _sinv in lvl.gens:
+            for s in lvl.gens:
                 target = s[beta]
                 sg = _mult(_mult(u, s), lvl.transversal[target][1])
                 if sg == ident:
@@ -321,8 +306,10 @@ def _schreier_sims(degree, gen_tuples, base_hint=()):
 class PermGroup:
     """A permutation group with a verified base and strong generating set.
 
-    Instances are immutable once constructed and safe to share between
-    threads; every operation below is a pure function of its inputs.
+    The generators and the chain are fixed at construction.  Derived
+    results (class tables, cores, closures) are computed on first use and
+    memoised on the instance through ``_cached``, so no thread-safety is
+    promised.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None,
@@ -358,7 +345,7 @@ class PermGroup:
     def strong_generators(self) -> tuple:
         seen = {}
         for lvl in self._levels:
-            for g, _ in lvl.gens:
+            for g in lvl.gens:
                 seen.setdefault(g, None)
         return tuple(Permutation(g) for g in seen)
 
@@ -374,6 +361,14 @@ class PermGroup:
 
     def __repr__(self):
         return f"<PermGroup degree={self.degree} order={self.order} gens={len(self.generators)}>"
+
+    def _cached(self, key, compute):
+        """The memoised value under ``key``, computing it on the first call."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = compute()
+            return value
 
     # -- membership ------------------------------------------------------
 
@@ -438,15 +433,6 @@ class PermGroup:
         for t in self._raw_elements(cap):
             yield Permutation(t)
 
-    def random_element(self, rng: Optional[random.Random] = None) -> Permutation:
-        """Uniformly random element: one transversal representative per level."""
-        rng = rng or random
-        t = _id_tuple(self.degree)
-        for lvl in reversed(self._levels):
-            beta = rng.choice(sorted(lvl.transversal))
-            t = _mult(t, lvl.transversal[beta][0])
-        return Permutation(t)
-
     # -- subgroup constructions ------------------------------------------
 
     def _extended_with(self, extra_tuples):
@@ -474,7 +460,7 @@ class PermGroup:
         levels = _schreier_sims(self.degree, self._gen_tuples, base_hint=(point,))
         gens = {}
         for lvl in levels[1:]:
-            for g, _ in lvl.gens:
+            for g in lvl.gens:
                 gens.setdefault(g, None)
         return PermGroup([Permutation(g) for g in gens] or [], degree=self.degree)
 
@@ -496,75 +482,47 @@ class PermGroup:
             if H.order == before:
                 return H
 
-    def commutator_subgroup(self) -> "PermGroup":
-        """Normal closure of the pairwise generator commutators."""
+    def _commutator_closure(self, H: "PermGroup") -> "PermGroup":
+        """Normal closure of the commutators [a, b] of the generators a of
+        this group with the generators b of H."""
         ident = _id_tuple(self.degree)
         comms = {}
         for a in self._gen_tuples:
             ainv = _inv(a)
-            for b in self._gen_tuples:
-                binv = _inv(b)
-                c = _mult(_mult(ainv, binv), _mult(a, b))
+            for b in H._gen_tuples:
+                c = _mult(_mult(ainv, _inv(b)), _mult(a, b))
                 if c != ident:
                     comms.setdefault(c, None)
         return self.normal_closure([Permutation(c) for c in comms])
 
+    def commutator_subgroup(self) -> "PermGroup":
+        """Normal closure of the pairwise generator commutators."""
+        return self._commutator_closure(self)
+
+    def _series(self, step) -> list["PermGroup"]:
+        # apply step until the term is trivial or its order stops falling
+        series = [self]
+        while not series[-1].is_trivial:
+            series.append(step(series[-1]))
+            if series[-1].order == series[-2].order:
+                break
+        return series
+
     def derived_series(self) -> list["PermGroup"]:
         """G >= G' >= G'' >= ... down to the trivial group, or with the
         stable term repeated once when the series stops above it."""
-        if self.is_trivial:
-            return [self]
-        series = [self]
-        while True:
-            nxt = series[-1].commutator_subgroup()
-            series.append(nxt)
-            if nxt.is_trivial or nxt.order == series[-2].order:
-                break
-        return series
+        return self._series(PermGroup.commutator_subgroup)
 
     def lower_central_series(self) -> list["PermGroup"]:
         """G >= [G,G] >= [G,[G,G]] >= ... down to the trivial group, or
         with the stable term repeated once."""
-        if self.is_trivial:
-            return [self]
-        series = [self]
-        ident = _id_tuple(self.degree)
-        while True:
-            cur = series[-1]
-            comms = {}
-            for a in self._gen_tuples:
-                ainv = _inv(a)
-                for b in cur._gen_tuples:
-                    binv = _inv(b)
-                    c = _mult(_mult(ainv, binv), _mult(a, b))
-                    if c != ident:
-                        comms.setdefault(c, None)
-            nxt = self.normal_closure([Permutation(c) for c in comms])
-            series.append(nxt)
-            if nxt.is_trivial or nxt.order == cur.order:
-                break
-        return series
+        return self._series(self._commutator_closure)
 
     def derived_length(self) -> Optional[int]:
         series = self.derived_series()
         if not series[-1].is_trivial:
             return None
         return len(series) - 1
-
-    def structure_flags(self, p: int) -> StructureFlags:
-        from .numtheory import is_prime
-
-        if not is_prime(p):
-            raise RegulaError(f"{p} is not prime")
-        key = ("flags", p)
-        if key not in self._cache:
-            solvable = self.derived_series()[-1].is_trivial
-            nilpotent = self.lower_central_series()[-1].is_trivial if solvable else False
-            n = self.order
-            while n % p == 0:
-                n //= p
-            self._cache[key] = StructureFlags(solvable, nilpotent, n == 1)
-        return self._cache[key]
 
     # -- quotients ---------------------------------------------------------
 
@@ -586,17 +544,19 @@ class PermGroup:
                 t = _mult(lvl.transversal[o][0], t)
         return t
 
-    def quotient(self, N: "PermGroup", index_cap: int = 100_000) -> "PermGroup":
-        """Faithful image of G/N as the coset action, for normal N <= G."""
+    def _coset_walk(self, N: "PermGroup", index_cap: int):
+        """Breadth-first walk over the cosets of normal N <= G.
+
+        Returns the canonical coset representatives, identity coset first,
+        and for each generator the list of coset numbers it sends the
+        representatives to.
+        """
         if not N.is_normal_in(self):
             raise NotNormal("subgroup is not normal")
-        if N.order == self.order:
-            return PermGroup([], degree=1)
         index = self.order // N.order
         if index > index_cap:
             raise CapExceeded(f"index {index} exceeds cap {index_cap}")
-        ident = _id_tuple(self.degree)
-        start = N._coset_canonical(ident)
+        start = N._coset_canonical(_id_tuple(self.degree))
         reps = [start]
         number = {start: 0}
         images = [[] for _ in self._gen_tuples]
@@ -612,6 +572,12 @@ class PermGroup:
                     reps.append(c)
                 images[gi].append(j)
             i += 1
+        return reps, images
+
+    def quotient(self, N: "PermGroup", index_cap: int = 100_000) -> "PermGroup":
+        """Faithful image of G/N as the coset action, for normal N <= G."""
+        reps, images = self._coset_walk(N, index_cap)
+        index = self.order // N.order
         if len(reps) != index:
             raise RegulaError("coset enumeration disagrees with the index")
         Q = PermGroup([Permutation(img) for img in images] or [], degree=index)
@@ -621,23 +587,7 @@ class PermGroup:
 
     def coset_representatives(self, N: "PermGroup", index_cap: int = 100_000):
         """Canonical coset representatives of normal N in G, identity coset first."""
-        if not N.is_normal_in(self):
-            raise NotNormal("subgroup is not normal")
-        index = self.order // N.order
-        if index > index_cap:
-            raise CapExceeded(f"index {index} exceeds cap {index_cap}")
-        start = N._coset_canonical(_id_tuple(self.degree))
-        reps = [start]
-        seen = {start}
-        i = 0
-        while i < len(reps):
-            r = reps[i]
-            for g in self._gen_tuples:
-                c = N._coset_canonical(_mult(r, g))
-                if c not in seen:
-                    seen.add(c)
-                    reps.append(c)
-            i += 1
+        reps, _ = self._coset_walk(N, index_cap)
         return [Permutation(r) for r in reps]
 
     def intermediate_index2(self, N: "PermGroup") -> list["PermGroup"]:

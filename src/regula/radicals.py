@@ -13,48 +13,31 @@ from typing import Optional
 
 from .classes import conjugacy_classes
 from .errors import RegulaError
-from .numtheory import is_prime, prime_factors
+from .numtheory import is_p_power, is_prime, prime_factors
 from .perm_core import PermGroup
 
 CORE_KINDS = ("p-core", "p-prime-core", "solvable-radical")
 
 
 def _closure_of_rep(G: PermGroup, rep) -> PermGroup:
-    cache = G._cache.setdefault("rep_closures", {})
-    key = rep.images
-    if key not in cache:
-        cache[key] = G.normal_closure([rep])
-    return cache[key]
-
-
-def _is_p_group_order(order: int, p: int) -> bool:
-    while order % p == 0:
-        order //= p
-    return order == 1
-
-
-def _qualifies(N: PermGroup, kind: str, p: Optional[int]) -> bool:
-    if kind == "p-core":
-        return _is_p_group_order(N.order, p)
-    if kind == "p-prime-core":
-        return N.order % p != 0
-    if kind == "solvable-radical":
-        if N.is_trivial:
-            return True
-        flags = N._cache.get("solvable")
-        if flags is None:
-            flags = N.derived_series()[-1].is_trivial
-            N._cache["solvable"] = flags
-        return flags
-    raise RegulaError(f"unknown core kind {kind!r}; one of {CORE_KINDS}")
+    return G._cached(("closure", rep.images), lambda: G.normal_closure([rep]))
 
 
 def _order_admissible(order: int, kind: str, p: Optional[int]) -> bool:
     if kind == "p-core":
-        return _is_p_group_order(order, p)
+        return is_p_power(order, p)
     if kind == "p-prime-core":
         return order % p != 0
     return True
+
+
+def _qualifies(N: PermGroup, kind: str, p: Optional[int]) -> bool:
+    if kind in ("p-core", "p-prime-core"):
+        return _order_admissible(N.order, kind, p)
+    if kind == "solvable-radical":
+        return N.is_trivial or N._cached(
+            "solvable", lambda: N.derived_series()[-1].is_trivial)
+    raise RegulaError(f"unknown core kind {kind!r}; one of {CORE_KINDS}")
 
 
 def _rep_admissible(G: PermGroup, rep, kind: str, p: Optional[int]) -> bool:
@@ -92,13 +75,10 @@ def core(G: PermGroup, kind: str, p: Optional[int] = None,
             raise RegulaError(f"kind {kind!r} needs a prime p")
     elif kind != "solvable-radical":
         raise RegulaError(f"unknown core kind {kind!r}; one of {CORE_KINDS}")
-    key = ("core", kind, p)
-    if key in G._cache:
-        result = G._cache[key]
-    else:
-        table = conjugacy_classes(G)
+
+    def join_of_closures():
         join = PermGroup([], degree=G.degree)
-        for cls in table.classes:
+        for cls in conjugacy_classes(G).classes:
             if join.order == G.order:
                 break
             if cls.element_order == 1:
@@ -111,8 +91,9 @@ def core(G: PermGroup, kind: str, p: Optional[int] = None,
             N = _closure_of_rep(G, cls.representative)
             if _qualifies(N, kind, p):
                 join = join._grown_by(N._gen_tuples)
-        result = join
-        G._cache[key] = result
+        return join
+
+    result = G._cached(("core", kind, p), join_of_closures)
     if certify:
         certify_core(G, result, kind, p)
     return result
@@ -136,15 +117,14 @@ def certify_core(G: PermGroup, N: PermGroup, kind: str, p: Optional[int] = None)
 
 def fitting(G: PermGroup, certify: bool = False) -> PermGroup:
     """Largest normal nilpotent subgroup: the join of the p-cores."""
-    key = ("fitting",)
-    if key in G._cache:
-        F = G._cache[key]
-    else:
+
+    def join_of_p_cores():
         gens = []
-        for p in prime_factors(G.order) or []:
+        for p in prime_factors(G.order):
             gens.extend(core(G, "p-core", p).generators)
-        F = PermGroup(gens, degree=G.degree)
-        G._cache[key] = F
+        return PermGroup(gens, degree=G.degree)
+
+    F = G._cached("fitting", join_of_p_cores)
     if certify:
         if not F.is_normal_in(G):
             raise RegulaError("Fitting subgroup is not normal")

@@ -110,6 +110,12 @@ class VerificationReport:
     def add(self, check: ClaimCheck):
         self.checks.append(check)
 
+    def check(self, claim_id: str, statement: str, ok: bool,
+              expected=None, computed=None):
+        """Record a check whose status is ``pass`` exactly when ``ok``."""
+        self.add(ClaimCheck(claim_id, statement, "pass" if ok else "fail",
+                            expected=expected, computed=computed))
+
     def summary(self) -> dict:
         out = {"pass": 0, "fail": 0, "out_of_scope": 0, "flagged": 0}
         for c in self.checks:
@@ -150,13 +156,14 @@ def _registry() -> dict:
         return json.load(fh)
 
 
-def _value_check(claim: dict) -> ClaimCheck:
+def _value_check(report: VerificationReport, claim: dict):
     kind = claim["kind"]
     cid = claim["id"]
     statement = claim.get("statement", "")
     if kind == "out_of_scope":
-        return ClaimCheck(cid, claim.get("reason", statement), "out_of_scope",
-                          detail=claim.get("group", ""))
+        report.add(ClaimCheck(cid, claim.get("reason", statement), "out_of_scope",
+                              detail=claim.get("group", "")))
+        return
     G = group_from_text(claim["expr"])
     p = claim["p"]
     if kind == "k_regular":
@@ -167,20 +174,20 @@ def _value_check(claim: dict) -> ClaimCheck:
         computed = conjugacy_classes(G).p_power_class_count(p)
     elif kind == "singular_elements_flagged":
         computed = singular_element_count(G, p)
-        return ClaimCheck(cid, statement, "flagged",
-                          expected=claim["stated"], computed=computed,
-                          detail="recorded discrepancy; neither value adopted")
+        report.add(ClaimCheck(cid, statement, "flagged",
+                              expected=claim["stated"], computed=computed,
+                              detail="recorded discrepancy; neither value adopted"))
+        return
     else:
         raise RegulaError(f"unknown claim kind {kind!r}")
     expected = claim["expected"]
-    status = "pass" if computed == expected else "fail"
-    return ClaimCheck(cid, statement, status, expected=expected, computed=computed)
+    report.check(cid, statement, computed == expected, expected, computed)
 
 
 def _run_registry_suite(name: str, spec: dict) -> VerificationReport:
     report = VerificationReport(suite=name, description=spec["description"])
     for claim in spec["claims"]:
-        report.add(_value_check(claim))
+        _value_check(report, claim)
     if name == "theorem-b":
         _converse_scan(report)
     return report
@@ -204,14 +211,13 @@ def _converse_scan(report: VerificationReport):
         for p in prime_factors(G.order):
             if class_counts(G, p).k_regular == 4:
                 fp = (G.order, conjugacy_classes(G).class_size_multiset(), p)
-                ok = fp in listed
-                report.add(ClaimCheck(
+                report.check(
                     f"converse.{expr}.p{p}",
                     "corpus-limited converse: a corpus group with trivial solvable "
                     "radical and four p-regular classes must match a listed "
                     "positive by order and class-size fingerprint",
-                    "pass" if ok else "fail",
-                    expected="fingerprint listed", computed=f"{expr} at p={p}"))
+                    fp in listed,
+                    expected="fingerprint listed", computed=f"{expr} at p={p}")
 
 
 # -- bounds suite ------------------------------------------------------------
@@ -235,34 +241,34 @@ def _run_bounds() -> VerificationReport:
         for p in prime_factors(G.order):
             ev = regular_class_lower_bound(series, params).compare(
                 class_counts(G, p).k_regular)
-            report.add(ClaimCheck(
+            report.check(
                 f"bound.kreg.{expr}.p{p}",
                 f"exact count of p-regular classes exceeds q^(n-1)/(6n^3) for {expr}",
-                "pass" if ev.satisfied else "fail",
-                expected=ev.bound_value, computed=ev.compared_quantity))
+                ev.satisfied,
+                expected=ev.bound_value, computed=ev.compared_quantity)
             if n == 2:
                 ev2 = regular_class_lower_bound(
                     "psl2", {"q": q, "f": f}).compare(class_counts(G, p).k_regular)
-                report.add(ClaimCheck(
+                report.check(
                     f"bound.kreg2.{expr}.p{p}",
                     f"exact count of p-regular classes exceeds the rank-1 bound for {expr}",
-                    "pass" if ev2.satisfied else "fail",
-                    expected=ev2.bound_value, computed=ev2.compared_quantity))
+                    ev2.satisfied,
+                    expected=ev2.bound_value, computed=ev2.compared_quantity)
         mc = min_centralizer_lower_bound(series, params).compare(
             table.min_centralizer_order())
-        report.add(ClaimCheck(
+        report.check(
             f"bound.cent.{expr}",
             f"smallest centralizer order in {expr} exceeds the classical-group bound",
-            "pass" if mc.satisfied else "fail",
-            expected=mc.bound_value, computed=mc.compared_quantity))
+            mc.satisfied,
+            expected=mc.bound_value, computed=mc.compared_quantity)
         if n == 2:
             mc2 = min_centralizer_lower_bound("psl2", {"q": q}).compare(
                 table.min_centralizer_order())
-            report.add(ClaimCheck(
+            report.check(
                 f"bound.cent2.{expr}",
                 f"smallest centralizer order in {expr} exceeds the rank-1 bound",
-                "pass" if mc2.satisfied else "fail",
-                expected=mc2.bound_value, computed=mc2.compared_quantity))
+                mc2.satisfied,
+                expected=mc2.bound_value, computed=mc2.compared_quantity)
         h = coxeter_number("A", n - 1)
         for p in prime_factors(G.order):
             exact = Fraction(table.singular_element_total(p), G.order)
@@ -271,20 +277,20 @@ def _run_bounds() -> VerificationReport:
             else:
                 ev = singular_proportion_lower_bound("cross", {"h": h}, p)
             ev.compare(exact)
-            report.add(ClaimCheck(
+            report.check(
                 f"bound.sing.{expr}.p{p}",
                 f"proportion of p-singular elements of {expr} meets its lower bound",
-                "pass" if ev.satisfied else "fail",
-                expected=ev.bound_value, computed=exact))
+                ev.satisfied,
+                expected=ev.bound_value, computed=exact)
             # regular-element proportion bounds hold for every prime
             exact_reg = 1 - exact
             series_reg = "psl2" if n == 2 else "classical"
             rv = regular_proportion_lower_bound(series_reg, {"m": n}).compare(exact_reg)
-            report.add(ClaimCheck(
+            report.check(
                 f"bound.regprop.{expr}.p{p}",
                 f"proportion of p-regular elements of {expr} meets its lower bound",
-                "pass" if rv.satisfied else "fail",
-                expected=rv.bound_value, computed=exact_reg))
+                rv.satisfied,
+                expected=rv.bound_value, computed=exact_reg)
     return report
 
 
@@ -298,9 +304,7 @@ def _run_numtheory() -> VerificationReport:
                     "and the rank-1 candidate scan.")
 
     def check(cid, statement, expected, computed):
-        report.add(ClaimCheck(cid, statement,
-                              "pass" if expected == computed else "fail",
-                              expected=expected, computed=computed))
+        report.check(cid, statement, expected == computed, expected, computed)
 
     check("nt.landau.2.4.3", "growth quantity at (2, 4, 3)",
           Fraction(5, 4), landau_quantity(2, 4, 3))
@@ -378,11 +382,11 @@ def _run_properties() -> VerificationReport:
                       for c in table.classes)
               and sum(1 for c in table.classes
                       if c.element_order == 1 and c.class_size == 1) == 1)
-        report.add(ClaimCheck(
+        report.check(
             f"prop.classeq.{expr}",
             "class sizes sum to the order, each size times its centralizer "
             "order is the order, and the identity class is unique",
-            "pass" if ok else "fail", expected=True, computed=ok))
+            ok, expected=True, computed=ok)
 
     for gexpr, ndesc, G, N in normal_pairs():
         primes = prime_factors(G.order)
@@ -393,43 +397,43 @@ def _run_properties() -> VerificationReport:
             nc = class_counts(N, p)
             index = G.order // N.order
             ok_q = qc.k_regular <= gc.k_regular and qc.k_singular <= gc.k_singular
-            report.add(ClaimCheck(
+            report.check(
                 f"prop.quotient-ineq.{gexpr}|{ndesc}.p{p}",
                 "regular and singular class counts never grow when passing "
                 "to a quotient",
-                "pass" if ok_q else "fail",
+                ok_q,
                 expected="quotient <= group",
                 computed=f"quotient ({qc.k_regular},{qc.k_singular}) "
-                         f"group ({gc.k_regular},{gc.k_singular})"))
+                         f"group ({gc.k_regular},{gc.k_singular})")
             ok_s = (nc.k_regular <= index * gc.k_regular
                     and nc.k_singular <= index * gc.k_singular)
-            report.add(ClaimCheck(
+            report.check(
                 f"prop.subgroup-ineq.{gexpr}|{ndesc}.p{p}",
                 "class counts of a normal subgroup are at most the index "
                 "times the counts of the group",
-                "pass" if ok_s else "fail",
+                ok_s,
                 expected="subgroup <= index * group",
                 computed=f"subgroup ({nc.k_regular},{nc.k_singular}) "
-                         f"index {index} group ({gc.k_regular},{gc.k_singular})"))
+                         f"index {index} group ({gc.k_regular},{gc.k_singular})")
             fc = fused_counts(G, N, p)
             ok_f = fc.k_regular <= nc.k_regular and fc.k_singular <= nc.k_singular
-            report.add(ClaimCheck(
+            report.check(
                 f"prop.fusion.{gexpr}|{ndesc}.p{p}",
                 "fusing under the larger group cannot increase orbit counts",
-                "pass" if ok_f else "fail",
+                ok_f,
                 expected="fused <= subgroup",
                 computed=f"fused ({fc.k_regular},{fc.k_singular}) "
-                         f"subgroup ({nc.k_regular},{nc.k_singular})"))
+                         f"subgroup ({nc.k_regular},{nc.k_singular})")
 
     for expr, kind, p in _RADICAL_HYPOTHESES:
         G = corpus_group(expr)
         N = core(G, kind, p)
         label = "solvable radical" if kind == "solvable-radical" else f"{p}-core"
-        report.add(ClaimCheck(
+        report.check(
             f"prop.radical.{expr}.{label.replace(' ', '-')}",
             f"the {label} of {expr} is trivial, as its classification row assumes",
-            "pass" if N.is_trivial else "fail",
-            expected=1, computed=N.order))
+            N.is_trivial,
+            expected=1, computed=N.order)
 
     report.add(ClaimCheck(
         "prop.boundedness-statements",

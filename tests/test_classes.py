@@ -60,6 +60,15 @@ class TestConjugacyClasses:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             conjugacy_classes(symmetric(8), cap=100)
+        # a memoised result never outranks a smaller cap
+        G = symmetric(5)
+        N = G.commutator_subgroup()
+        assert conjugacy_classes(G).k_total == 7
+        assert fused_counts(G, N, 2).k_total == 4
+        with pytest.raises(CapExceeded):
+            conjugacy_classes(G, cap=10)
+        with pytest.raises(CapExceeded):
+            fused_counts(G, N, 2, cap=10)
 
     def test_deterministic(self):
         a = conjugacy_classes(symmetric(5))

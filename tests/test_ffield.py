@@ -1,7 +1,7 @@
 import pytest
 
 from regula import RegulaError
-from regula.ffield import arith, make_field
+from regula.ffield import make_field
 
 
 class TestMakeField:
@@ -114,17 +114,6 @@ class TestInterfaces:
     def test_printing(self):
         F = make_field(3, 2)
         assert str(F.element((2, 1))) == "[2,1]"
-
-    def test_arith_dispatch(self):
-        F = make_field(3, 2)
-        g = F.primitive_element()
-        assert arith("add", g, F.one()) == g + F.one()
-        assert arith("mul", g, g) == g * g
-        assert arith("inv", g) == g.inverse()
-        assert arith("pow", g, 8) == F.one()
-        assert arith("frobenius", g) == g.frobenius()
-        with pytest.raises(RegulaError):
-            arith("log", g)
 
     def test_index_round_trip(self):
         F = make_field(3, 3)

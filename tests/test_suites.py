@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -87,11 +88,31 @@ class TestSuites:
         lines = rep.to_csv().strip().splitlines()
         assert len(lines) == len(rep.checks) + 1
 
+    def test_report_bytes_pinned(self, reports):
+        # a refactor must keep every report byte for byte
+        want = {
+            "theorem-b": "c3ea1d072beb0b295dfb3d4d8101ba7c19d59a8588e434aa4f8757ccaa56583f",
+            "ninomiya-3": "17a7b74fe0d23a05c1ff0cb44daee9637f666a1342792a6a6dfd886abf9f7ccd",
+            "five-classes": "06d97e2c9e61d33173a1845187d91017b820aa9bf86dacd213e787db4062537e",
+            "families": "bad0c58d489bdde3934faee4823e9a2228a10505a4726fded310dcbc184d322a",
+            "bounds": "d1113c71969d349c7a032a347e8142a7e15d0fed87258f24b92430a0d1148153",
+            "numtheory": "f59170a561bd12850413e78aa1d5904eca37332b4e25da6353f7a748e07556bb",
+            "properties": "5eee13ebf27ff6fb8ffe29d5a68fe47f753def323735d6d048b4da729e41800a",
+        }
+        got = {name: hashlib.sha256(rep.to_json().encode("utf-8")).hexdigest()
+               for name, rep in reports.items()}
+        assert got == want
+
 
 class TestCli:
     def run(self, *args, env=None):
         import os
+        import regula
+        # the child imports the same regula sources as this process
+        src = os.path.dirname(os.path.dirname(regula.__file__))
         full_env = dict(os.environ)
+        full_env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, full_env.get("PYTHONPATH"))))
         if env:
             full_env.update(env)
         return subprocess.run([sys.executable, "-m", "regula.cli", *args],
@@ -127,11 +148,21 @@ class TestCli:
         assert json.loads(out.stdout)["value"] == "1864135/72"
 
     def test_cap_env(self):
-        out = self.run("classes", "S(5)", env={"REGULA_ELEMENT_CAP": "50"})
-        assert out.returncode == 1
-        assert "cap" in out.stderr
+        for value, message in (("50", "exceeds the element cap 50"),
+                               ("abc", "positive integer"),
+                               ("-5", "positive integer"),
+                               ("0", "positive integer")):
+            out = self.run("classes", "S(5)", env={"REGULA_ELEMENT_CAP": value})
+            assert out.returncode == 1, value
+            assert out.stderr.startswith("error: ") and message in out.stderr, value
+            assert out.stderr.count("\n") == 1, value
 
     def test_parse_error(self):
-        out = self.run("classes", "Zoo(3)")
-        assert out.returncode == 1
-        assert "error" in out.stderr
+        for text, message in (("Zoo(3)", "got 'Zoo'"),
+                              ("AGL1(6)", "prime power, got 6"),
+                              ("AGL1(1)", "prime power, got 1"),
+                              ("GLQ(l=2)", "missing q")):
+            out = self.run("classes", text)
+            assert out.returncode == 1, text
+            assert out.stderr.startswith("error: ") and message in out.stderr, text
+            assert out.stderr.count("\n") == 1, text
