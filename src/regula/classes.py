@@ -1,13 +1,19 @@
 """Conjugacy classes and the regular/singular class-counting statistics.
 
-Classes are found exactly: enumerate every element (within the cap),
-then partition by breadth-first closure under conjugation by the group
-generators.  Representatives are the enumeration-first member of each
-class, so repeated runs produce identical tables.
+Classes are found exactly: every element (within the cap) is visited and
+the group is partitioned by breadth-first closure under conjugation by
+the group generators.  Representatives are the first member of each
+class in ``PermGroup.elements()`` order, so repeated runs produce
+identical tables.
 
-Memory: visited elements are tracked in a dense canonical encoding of
-one byte per point (two bytes beyond degree 256), so the budget is
-about degree bytes per group element plus the element list itself.
+Memory: an element is named by its rank in that order, which its base
+images determine.  With n0 points in the first basic orbit, element
+i0 + n0*t is the t-th element of the first point stabiliser followed by
+the i0-th level-0 coset representative.  The partition keeps one visited
+byte per element, the stabiliser as |G|/n0 image tuples with a dict from
+their base images to t, and per generator two tables of |G|/n0 short
+entries.  Only the class representatives are built in full, so the peak
+is |G| bytes plus a fixed multiple of 1/n0 of a full element list.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Optional
 from . import perm_core
 from .errors import CapExceeded, NotNormal, RegulaError
 from .numtheory import is_p_power, is_prime
-from .perm_core import PermGroup, Permutation, _conj, _encode, _order_of
+from .perm_core import PermGroup, Permutation, _chain_elements, _id_tuple, _mult, _order_of
 
 
 @dataclass(frozen=True)
@@ -89,29 +95,59 @@ class ClassCounts:
     k_singular: int
 
 
-def _partition_into_orbits(elements, gen_pairs, degree):
-    """Split ``elements`` (image tuples, fixed order) into conjugation orbits.
+def _partition_into_orbits(N: PermGroup, gen_pairs):
+    """Split the elements of N into orbits under conjugation by ``gen_pairs``.
 
-    Returns (representative tuple, orbit size) pairs in first-seen order.
+    Returns (representative tuple, orbit size) pairs.  Each representative
+    is the first member of its orbit in ``N.elements()`` order, and the
+    pairs come in that order.  Elements are handled by their rank in that
+    order: rank i0 + n0*t is ``stab[t] * u0[i0]``, where u0 is the sorted
+    level-0 transversal (n0 entries) and ``stab`` lists the stabiliser of
+    the first base point.
     """
-    visited = set()
+    levels = N._levels
+    if not levels:
+        return [(_id_tuple(N.degree), 1)]
+    top = levels[0]
+    orbit0 = sorted(top.transversal)
+    n0 = len(orbit0)
+    u0 = [top.transversal[b][0] for b in orbit0]
+    sift0 = [None] * N.degree          # point -> (i0, u0[i0]^-1)
+    for i0, b in enumerate(orbit0):
+        sift0[b] = (i0, top.transversal[b][1])
+    base = [lvl.point for lvl in levels]
+    stab = list(_chain_elements(levels[1:], _id_tuple(N.degree)))
+    rank_of = {tuple(map(s.__getitem__, base[1:])): t for t, s in enumerate(stab)}
+    # per generator g: u0[i0] * g, and each stab[t] at g^-1(b0) and at g^-1(b1..)
+    moves = []
+    for g, ginv in gen_pairs:
+        p0 = ginv[base[0]]
+        pre = [ginv[b] for b in base[1:]]
+        moves.append(([_mult(u, g) for u in u0], [s[p0] for s in stab],
+                      [tuple(map(s.__getitem__, pre)) for s in stab]))
+    visited = bytearray(n0 * len(stab))
     out = []
-    for x in elements:
-        ex = _encode(x, degree)
-        if ex in visited:
+    for r in range(len(visited)):
+        if visited[r]:
             continue
-        orbit = {ex}
-        queue = [x]
+        visited[r] = 1
+        size = 1
+        queue = [r]
         while queue:
-            y = queue.pop()
-            for g, ginv in gen_pairs:
-                z = _conj(y, g, ginv)
-                ez = _encode(z, degree)
-                if ez not in orbit:
-                    orbit.add(ez)
-                    queue.append(z)
-        visited |= orbit
-        out.append((x, len(orbit)))
+            t, i0 = divmod(queue.pop(), n0)
+            for ug, first, rest in moves:
+                # z = g^-1 * y * g for y = stab[t] * u0[i0], read at the base
+                # points only and sifted: z = stab[t'] * u0[j0]
+                w = ug[i0]
+                j0, v = sift0[w[first[t]]]
+                key = tuple(map(v.__getitem__, map(w.__getitem__, rest[t])))
+                rz = j0 + n0 * rank_of[key]
+                if not visited[rz]:
+                    visited[rz] = 1
+                    size += 1
+                    queue.append(rz)
+        t, i0 = divmod(r, n0)
+        out.append((_mult(stab[t], u0[i0]), size))
     return out
 
 
@@ -120,12 +156,11 @@ def conjugacy_classes(G: PermGroup, cap: Optional[int] = None) -> ClassTable:
     cap = perm_core.ELEMENT_CAP if cap is None else cap
     if G.order > cap:
         raise CapExceeded(f"order {G.order} exceeds the element cap {cap}")
-    return G._cached("class_table", lambda: _class_table(G, cap))
+    return G._cached("class_table", lambda: _class_table(G))
 
 
-def _class_table(G: PermGroup, cap: int) -> ClassTable:
-    elements = list(G._raw_elements(cap))
-    orbits = _partition_into_orbits(elements, G._gen_pairs, G.degree)
+def _class_table(G: PermGroup) -> ClassTable:
+    orbits = _partition_into_orbits(G, G._gen_pairs)
     infos = []
     for rep, size in orbits:
         if G.order % size != 0:
@@ -151,8 +186,7 @@ def _fused_orbit_orders(G: PermGroup, N: PermGroup, cap: Optional[int]):
     def orbit_orders():
         if not N.is_normal_in(G):
             raise NotNormal("fused counts need a normal subgroup")
-        elements = list(N._raw_elements(cap))
-        orbits = _partition_into_orbits(elements, G._gen_pairs, G.degree)
+        orbits = _partition_into_orbits(N, G._gen_pairs)
         return tuple(_order_of(rep) for rep, _ in orbits)
 
     return G._cached(("fused", N._gen_tuples), orbit_orders)

@@ -8,7 +8,8 @@
     regula numtheory primes --kind K --bound B
 
 The environment variable REGULA_ELEMENT_CAP, a positive integer,
-overrides the enumeration cap for one invocation.
+overrides the element cap for one call of ``main``; the previous cap is
+restored when it returns.
 """
 
 from __future__ import annotations
@@ -137,12 +138,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cap = perm_core.ELEMENT_CAP
     try:
         _apply_cap_env()
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except RegulaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    finally:
+        perm_core.ELEMENT_CAP = cap
 
 
 if __name__ == "__main__":

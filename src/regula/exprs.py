@@ -170,6 +170,9 @@ def _single_int(expr, count=1):
 
 def _evaluate(expr: GroupExpr):
     head = expr.head
+    stray = sorted(set(expr.keyed()) - ({"l", "q"} if head == "GLQ" else set()))
+    if stray:
+        raise ExprParseError(f"{head} has no argument {', '.join(stray)}=", 0)
     if head in C.ATLAS_NAMES:
         return C.from_generator_data(head)
     if head == "M10":

@@ -13,7 +13,6 @@ Composition is left-to-right: ``(a * b)(x) == b(a(x))``.
 from __future__ import annotations
 
 import re
-from array import array
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -47,13 +46,6 @@ def _inv(a):
 def _conj(x, g, ginv):
     # g^-1 * x * g, left-to-right convention
     return tuple(map(g.__getitem__, map(x.__getitem__, ginv)))
-
-
-def _encode(t, degree):
-    """Dense canonical encoding for duplicate detection (degree bytes each)."""
-    if degree <= 256:
-        return bytes(t)
-    return array("H", t).tobytes()
 
 
 def _order_of(t):
@@ -303,6 +295,36 @@ def _schreier_sims(degree, gen_tuples, base_hint=()):
     return levels
 
 
+def _chain_elements(levels, ident):
+    """Every element of the group with the chain ``levels``, as image tuples.
+
+    An element is u_{k-1} * ... * u_1 * u_0 over transversal choices,
+    taken in sorted orbit order with the level-0 choice varying fastest,
+    so each step costs one product.  A slice ``levels[j:]`` enumerates
+    the stabiliser of the first j base points in the same order.
+    """
+    orbits = [sorted(lvl.transversal) for lvl in levels]
+    trans = [lvl.transversal for lvl in levels]
+    k = len(orbits)
+    idx = [0] * k
+    suffix = [ident] * (k + 1)  # suffix[j] = u_{k-1} * ... * u_j, current choices
+    for j in range(k - 1, -1, -1):
+        suffix[j] = _mult(suffix[j + 1], trans[j][orbits[j][0]][0])
+    while True:
+        yield suffix[0]
+        j = 0
+        while j < k:
+            idx[j] += 1
+            if idx[j] < len(orbits[j]):
+                break
+            idx[j] = 0
+            j += 1
+        if j == k:
+            return
+        for m in range(j, -1, -1):
+            suffix[m] = _mult(suffix[m + 1], trans[m][orbits[m][idx[m]]][0])
+
+
 class PermGroup:
     """A permutation group with a verified base and strong generating set.
 
@@ -401,32 +423,7 @@ class PermGroup:
         cap = ELEMENT_CAP if cap is None else cap
         if self.order > cap:
             raise CapExceeded(f"group order {self.order} exceeds enumeration cap {cap}")
-        ident = _id_tuple(self.degree)
-        if not self._levels:
-            yield ident
-            return
-        # element = u_k * ... * u_1 * u_0 over transversal choices; the
-        # level-0 choice varies fastest so each step costs one product.
-        orbits = [sorted(lvl.transversal) for lvl in self._levels]
-        trans = [lvl.transversal for lvl in self._levels]
-        k = len(orbits)
-        idx = [0] * k
-        suffix = [ident] * (k + 1)  # suffix[j] = product of choices at levels > j-1 ... seeded below
-        for j in range(k - 1, -1, -1):
-            suffix[j] = _mult(suffix[j + 1], trans[j][orbits[j][0]][0])
-        while True:
-            yield suffix[0]
-            j = 0
-            while j < k:
-                idx[j] += 1
-                if idx[j] < len(orbits[j]):
-                    break
-                idx[j] = 0
-                j += 1
-            if j == k:
-                return
-            for m in range(j, -1, -1):
-                suffix[m] = _mult(suffix[m + 1], trans[m][orbits[m][idx[m]]][0])
+        return _chain_elements(self._levels, _id_tuple(self.degree))
 
     def elements(self, cap: Optional[int] = None) -> Iterator[Permutation]:
         """Yield each element exactly once; raises CapExceeded if order > cap."""

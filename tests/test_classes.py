@@ -1,16 +1,20 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from regula import CapExceeded, NotNormal, PermGroup, Permutation, RegulaError
 from regula.classes import (
+    _partition_into_orbits,
     class_counts,
     conjugacy_classes,
     fused_counts,
     singular_element_count,
 )
 from regula.constructors import alternating, cyclic, projective_group, symmetric
+from regula.exprs import group_from_text
 
 
 def oracle_table(G):
@@ -75,6 +79,43 @@ class TestConjugacyClasses:
         b = conjugacy_classes(PermGroup(list(symmetric(5).generators)))
         assert [str(c.representative) for c in a.classes] == \
                [str(c.representative) for c in b.classes]
+
+
+class TestRepresentatives:
+    """Each orbit is represented by its first member in ``elements()`` order."""
+
+    @staticmethod
+    def check(G, N):
+        order = [e.images for e in N.elements()]
+        assert set(order) == (oracles.closure([h.images for h in N.generators])
+                              or {tuple(range(N.degree))})
+        rank = {x: i for i, x in enumerate(order)}
+        classes = oracles.conj_classes(order, [g.images for g in G.generators])
+        want = sorted(((min(c, key=rank.__getitem__), len(c)) for c in classes),
+                      key=lambda pair: rank[pair[0]])
+        assert _partition_into_orbits(N, G._gen_pairs) == want
+        if G is N:
+            got = conjugacy_classes(G).classes
+            assert sorted((c.representative.images, c.class_size) for c in got) == sorted(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.permutations(list(range(n))), min_size=1, max_size=3)))
+    def test_random_groups(self, images):
+        G = PermGroup([Permutation(t) for t in images])
+        self.check(G, G)
+
+    @pytest.mark.parametrize("text", ["x(x(S(3), S(3)), S(5))", "AGL1(17)"])
+    def test_named_groups(self, text):
+        G = group_from_text(text)
+        self.check(G, G)
+
+    def test_trivial_group(self):
+        G = PermGroup([], degree=3)
+        self.check(G, G)
+
+    def test_fused_s4_over_a4(self):
+        self.check(symmetric(4), alternating(4))
 
 
 class TestClassCounts:

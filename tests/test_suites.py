@@ -105,7 +105,7 @@ class TestSuites:
 
 
 class TestCli:
-    def run(self, *args, env=None):
+    def child_env(self, env=None):
         import os
         import regula
         # the child imports the same regula sources as this process
@@ -115,8 +115,11 @@ class TestCli:
             filter(None, (src, full_env.get("PYTHONPATH"))))
         if env:
             full_env.update(env)
+        return full_env
+
+    def run(self, *args, env=None):
         return subprocess.run([sys.executable, "-m", "regula.cli", *args],
-                              capture_output=True, text=True, env=full_env)
+                              capture_output=True, text=True, env=self.child_env(env))
 
     def test_classes_json(self):
         out = self.run("classes", "A(5)", "--p", "2", "--json")
@@ -157,11 +160,39 @@ class TestCli:
             assert out.stderr.startswith("error: ") and message in out.stderr, value
             assert out.stderr.count("\n") == 1, value
 
+    def test_cap_env_scoped(self, monkeypatch, capsys):
+        # the override holds for one call of main, not for the process
+        from regula import perm_core
+        from regula.cli import main
+        cap = perm_core.ELEMENT_CAP
+        monkeypatch.setenv("REGULA_ELEMENT_CAP", "50")
+        assert main(["classes", "C(3)"]) == 0
+        assert main(["classes", "S(5)"]) == 1
+        assert "exceeds the element cap 50" in capsys.readouterr().err
+        monkeypatch.delenv("REGULA_ELEMENT_CAP")
+        assert main(["classes", "S(5)"]) == 0
+        assert perm_core.ELEMENT_CAP == cap
+        assert capsys.readouterr().err == ""
+
+    def test_broken_pipe(self):
+        # the reader stops after one line of a 250 kB table
+        proc = subprocess.Popen([sys.executable, "-m", "regula.cli", "classes", "AGL1(257)"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, env=self.child_env())
+        assert proc.stdout.readline().startswith("AGL1(257): order 65792")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err and err == ""
+
     def test_parse_error(self):
         for text, message in (("Zoo(3)", "got 'Zoo'"),
                               ("AGL1(6)", "prime power, got 6"),
                               ("AGL1(1)", "prime power, got 1"),
-                              ("GLQ(l=2)", "missing q")):
+                              ("GLQ(l=2)", "missing q"),
+                              ("A(n=5)", "A has no argument n="),
+                              ("GLQ(l=2,q=3,z=9)", "GLQ has no argument z=")):
             out = self.run("classes", text)
             assert out.returncode == 1, text
             assert out.stderr.startswith("error: ") and message in out.stderr, text
