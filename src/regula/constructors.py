@@ -182,18 +182,18 @@ def glq_family(l: int, q: int) -> PermGroup:
     on the 2^l coordinates; the returned group is H acting on the vector
     group V = GF(q)^(2^l), i.e. the affine group H |x V on q^(2^l) points.
     """
-    m = 2 ** l
     if l < 1:
         raise RegulaError("need l >= 1")
-    fac = factorize(q)
-    if len(fac) != 1 or q % 2 == 0:
-        raise RegulaError(f"q = {q} must be an odd prime power")
+    P = sylow2_sym2l(l)         # caps l at 3, so 2^l stays small
+    m = 2 ** l
     npoints = q ** m
     if npoints > POINT_CAP:
         raise CapExceeded(f"{npoints} points exceeds the degree cap {POINT_CAP}")
+    fac = factorize(q)
+    if len(fac) != 1 or q % 2 == 0:
+        raise RegulaError(f"q = {q} must be an odd prime power")
     (p, k), = fac.items()
     F = make_field(p, k)
-    P = sylow2_sym2l(l)
 
     vectors = []
     def gen_vectors(prefix):
@@ -272,11 +272,11 @@ def projective_group(kind: str, q: int) -> PermGroup:
         return _psl3(q)
     if kind not in ("psl2", "pgl2", "pgammal2"):
         raise RegulaError(f"unknown projective kind {kind!r}")
+    if q > PSL2_Q_CAP:
+        raise CapExceeded(f"q = {q} exceeds the 2-dimensional cap {PSL2_Q_CAP}")
     fac = factorize(q)
     if len(fac) != 1:
         raise RegulaError(f"q = {q} is not a prime power")
-    if q > PSL2_Q_CAP:
-        raise CapExceeded(f"q = {q} exceeds the 2-dimensional cap {PSL2_Q_CAP}")
     (p, f), = fac.items()
     F = make_field(p, f)
     zero, one = F.zero(), F.one()

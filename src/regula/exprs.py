@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import constructors as C
-from .errors import ExprParseError, NotNormal
+from .errors import CapExceeded, ExprParseError, NotNormal
 from .numtheory import factorize
 
 _ATLAS_TOKENS = set(C.ATLAS_NAMES) | {"M10"}
@@ -170,9 +170,13 @@ def _single_int(expr, count=1):
 
 def _evaluate(expr: GroupExpr):
     head = expr.head
-    stray = sorted(set(expr.keyed()) - ({"l", "q"} if head == "GLQ" else set()))
+    keys = [a[0] for a in expr.args if isinstance(a, tuple)]
+    stray = sorted(set(keys) - ({"l", "q"} if head == "GLQ" else set()))
     if stray:
         raise ExprParseError(f"{head} has no argument {', '.join(stray)}=", 0)
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:
+        raise ExprParseError(f"{head} has argument {', '.join(repeated)}= more than once", 0)
     if head in C.ATLAS_NAMES:
         return C.from_generator_data(head)
     if head == "M10":
@@ -193,20 +197,26 @@ def _evaluate(expr: GroupExpr):
         return C.base_group(kind, n)
     if head in ("AGL1", "AGammaL1"):
         q = _single_int(expr)
+        if q > C.POINT_CAP:
+            raise CapExceeded(f"field size {q} is beyond desk scale")
         factors = factorize(q) if q > 0 else {}
         if len(factors) != 1:
             raise ExprParseError(f"{head} needs a prime power, got {q}", 0)
         (p, k), = factors.items()
         return C.affine_semilinear(p, k, include_galois=(head == "AGammaL1"))
     if head == "GLQ":
+        if not keys:
+            l, q = _single_int(expr, 2)
+            return C.glq_family(l, q)
+        extra = [str(a) for a in expr.args if not isinstance(a, tuple)]
+        if extra:
+            raise ExprParseError(f"GLQ takes keyed or positional arguments, not both; "
+                                 f"extra argument {', '.join(extra)}", 0)
+        missing = sorted({"l", "q"} - set(keys))
+        if missing:
+            raise ExprParseError(f"GLQ needs l= and q=, missing {', '.join(missing)}", 0)
         kw = expr.keyed()
-        if kw:
-            missing = sorted({"l", "q"} - set(kw))
-            if missing:
-                raise ExprParseError(f"GLQ needs l= and q=, missing {', '.join(missing)}", 0)
-            return C.glq_family(kw["l"], kw["q"])
-        l, q = _single_int(expr, 2)
-        return C.glq_family(l, q)
+        return C.glq_family(kw["l"], kw["q"])
     if head == "SYL2":
         return C.sylow2_sym2l(_single_int(expr))
     if head in ("PSL2", "PGL2", "PGammaL2", "PSL3"):

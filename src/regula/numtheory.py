@@ -5,6 +5,18 @@ arbitrary-precision integers) and double precision where a logarithm is
 unavoidable.  Comparisons of real-valued bounds against exact counts are
 made after lowering the bound by a slack of 1e-9, so an irrational bound
 that is attained exactly never fails spuriously.
+
+Primality and factorisation are exact in plain Python for every number
+the group-theory path meets.  ``is_prime`` is trial division by the
+primes below 2048 followed by Miller-Rabin with the thirteen prime bases
+2, ..., 41, which has no strong pseudoprime below
+3 317 044 064 679 887 385 961 981 (Sorenson and Webster, 2015).
+``factorize`` trial-divides by the same primes, which finds every prime
+factor of a group order of degree at most 2000, and proves any cofactor
+prime with ``is_prime``.  sympy is imported only when a number is beyond
+that: ``is_prime`` of an integer at or above the Miller-Rabin bound, or
+``factorize`` of a number with two or more prime factors above 2048
+(a large ``zsigmondy_primes`` cofactor, say).
 """
 
 from __future__ import annotations
@@ -14,26 +26,99 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import sympy
-
 from .errors import CapExceeded, RegulaError
 
 BOUND_SLACK = 1e-9
 
 
+def _primes_below(n: int) -> list:
+    sieve = bytearray([1]) * n
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    return [p for p in range(2, n) if sieve[p]]
+
+
+_SMALL_PRIMES = _primes_below(2048)
+_MR_BASES = _SMALL_PRIMES[:13]          # 2, 3, 5, ..., 41
+_MR_BOUND = 3317044064679887385961981   # least strong pseudoprime to all of _MR_BASES
+
+
 def is_prime(n: int) -> bool:
-    return sympy.isprime(n)
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return n > 1
+        if n % p == 0:
+            return False
+    if n >= _MR_BOUND:
+        import sympy
+        return sympy.isprime(n)
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization as {prime: exponent}."""
+    """Prime factorization as {prime: exponent}, keys ascending."""
     if n < 1:
         raise RegulaError("factorize needs a positive integer")
-    return {int(p): int(e) for p, e in sympy.factorint(n).items()}
+    out = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    else:
+        # no prime factor of n is below 2048
+        if not is_prime(n):
+            import sympy
+            out.update(sorted((int(q), int(e)) for q, e in sympy.factorint(n).items()))
+            return out
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def prime_factors(n: int) -> list:
     return sorted(factorize(n)) if n > 1 else []
+
+
+def _iroot(n: int, e: int) -> int:
+    """The largest integer x with x**e <= n, for n >= 1."""
+    x = 1 << -(-n.bit_length() // e)    # x**e > n
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _is_prime_power(n: int) -> bool:
+    """Whether n = p^k for a prime p and some k >= 1."""
+    if is_prime(n):
+        return True
+    # n = p^k with k >= 2 is a perfect e-th power of p^(k/e) for a prime e | k
+    for e in _SMALL_PRIMES:
+        if e >= n.bit_length():
+            return False
+        b = _iroot(n, e)
+        if b ** e == n:
+            return _is_prime_power(b)
+    return False
 
 
 def is_p_power(n: int, p: int) -> bool:
@@ -147,11 +232,12 @@ def prime_family(kind: str, bound: int, cap: int = 10 ** 9) -> list:
                         found.add(cand)
                 else:
                     # prime powers of the form 4*r^n + 1
-                    pp = sympy.perfect_power(cand)
-                    if is_prime(cand) or (pp and is_prime(int(pp[0]))):
+                    if _is_prime_power(cand):
                         found.add(cand)
                 v *= r
-            r = int(sympy.nextprime(r))
+            r += 1
+            while not is_prime(r):
+                r += 1
     return sorted(found)
 
 

@@ -19,6 +19,8 @@ from regula.constructors import (
     wreath,
 )
 
+BIG_SEMIPRIME = 210000000000000000000000009007400000000000000000000014337989  # 60 digits
+
 
 class TestBaseGroups:
     def test_orders(self):
@@ -159,6 +161,12 @@ class TestGlqFamily:
         with pytest.raises(RegulaError):
             glq_family(1, 4)
 
+    def test_caps_before_factorising(self):
+        with pytest.raises(CapExceeded):
+            glq_family(1, BIG_SEMIPRIME)
+        with pytest.raises(CapExceeded):
+            glq_family(10 ** 20, 3)     # 2^l points per coordinate is never built
+
 
 class TestProjective:
     def test_psl2_orders(self):
@@ -209,6 +217,8 @@ class TestProjective:
             projective_group("psl3", 4)
         with pytest.raises(RegulaError):
             projective_group("psl2", 6)
+        with pytest.raises(CapExceeded):
+            projective_group("psl2", BIG_SEMIPRIME)
 
 
 class TestA6Extensions:

@@ -1,15 +1,20 @@
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from regula import CapExceeded, RegulaError
 from regula.numtheory import (
     BOUND_SLACK,
     coxeter_number,
+    factorize,
+    is_prime,
     landau_quantity,
     lewis_riedl_p_part,
     min_centralizer_lower_bound,
     part_split,
+    prime_factors,
     prime_family,
     psl2_candidate_scan,
     psl2_simple_order,
@@ -20,6 +25,50 @@ from regula.numtheory import (
 )
 
 KNOWN_SCAN_17 = (11, 13, 16, 19, 23, 25, 27, 31, 32, 37, 47, 49, 53, 73, 81, 97, 128)
+
+
+# the least strong pseudoprimes to all of the first 1, 4, 11, 12 and 13 prime bases
+STRONG_PSEUDOPRIMES = (2047, 3215031751, 3825123056546413051,
+                       318665857834031151167461, 3317044064679887385961981)
+
+
+class TestPrimesAgainstSympy:
+    def test_is_prime_range(self):
+        for n in range(-5, 200_000):
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_strong_pseudoprimes(self):
+        for n in STRONG_PSEUDOPRIMES:
+            assert not is_prime(n), n
+            assert not sympy.isprime(n), n
+
+    def test_above_miller_rabin_bound(self):
+        # at or above 3317044064679887385961981 the test is sympy's
+        big = (2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1, 10 ** 30 + 57,
+               2 ** 89 + 1, (2 ** 61 - 1) * (2 ** 31 - 1) * 2053 ** 2, 10 ** 30 + 1)
+        for n in big:
+            assert n >= STRONG_PSEUDOPRIMES[-1]
+            assert is_prime(n) == sympy.isprime(n), n
+        assert [is_prime(n) for n in big] == [True, True, True, True, False, False, False]
+
+    def test_factorize_range(self):
+        for n in range(1, 100_000):
+            assert list(factorize(n).items()) == list(sympy.factorint(n).items()), n
+
+    def test_factorize_large(self):
+        primes = [sympy.prevprime(10 ** 12), sympy.nextprime(10 ** 12),
+                  sympy.nextprime(10 ** 12 + 10 ** 6)]
+        cases = [math.factorial(2000), primes[0] * primes[1], primes[1] * primes[2],
+                 primes[0] ** 2 * primes[2], 2 ** 5 * 2039 * primes[0] * primes[1]]
+        for n in cases:
+            # sympy lists factors found by Pollard rho in the order found
+            assert list(factorize(n).items()) == sorted(sympy.factorint(n).items())
+        assert prime_factors(math.factorial(2000)) == list(sympy.primerange(2, 2001))
+
+    def test_factorize_rejects_nonpositive(self):
+        for n in (0, -12):
+            with pytest.raises(RegulaError):
+                factorize(n)
 
 
 class TestPartSplit:
@@ -121,6 +170,12 @@ class TestPrimeFamilies:
         assert 9 in vals         # 4*2 + 1 = 3^2, a prime power
         assert 13 in vals        # 4*3 + 1
         assert 125 in vals       # 4*31 + 1 = 5^3
+
+    def test_four_rn_against_sympy(self):
+        bound = 20_000
+        values = {4 * r ** n + 1 for r in sympy.primerange(2, bound) for n in range(1, 14)}
+        assert prime_family("four_rn_plus1", bound) == sorted(
+            v for v in values if v <= bound and len(sympy.factorint(v)) == 1)
 
     def test_unknown_kind(self):
         with pytest.raises(RegulaError):

@@ -9,6 +9,9 @@ from regula import RegulaError
 from regula.suites import SUITE_NAMES, run_suite
 
 
+BIG_SEMIPRIME = 210000000000000000000000009007400000000000000000000014337989
+
+
 @pytest.fixture(scope="module")
 def reports():
     return {name: run_suite(name) for name in SUITE_NAMES}
@@ -117,9 +120,10 @@ class TestCli:
             full_env.update(env)
         return full_env
 
-    def run(self, *args, env=None):
+    def run(self, *args, env=None, timeout=None):
         return subprocess.run([sys.executable, "-m", "regula.cli", *args],
-                              capture_output=True, text=True, env=self.child_env(env))
+                              capture_output=True, text=True, env=self.child_env(env),
+                              timeout=timeout)
 
     def test_classes_json(self):
         out = self.run("classes", "A(5)", "--p", "2", "--json")
@@ -192,8 +196,38 @@ class TestCli:
                               ("AGL1(1)", "prime power, got 1"),
                               ("GLQ(l=2)", "missing q"),
                               ("A(n=5)", "A has no argument n="),
-                              ("GLQ(l=2,q=3,z=9)", "GLQ has no argument z=")):
+                              ("GLQ(l=2,q=3,z=9)", "GLQ has no argument z="),
+                              ("GLQ(l=2,q=3,5)", "extra argument 5"),
+                              ("GLQ(l=2,l=3,q=3)", "argument l= more than once")):
             out = self.run("classes", text)
             assert out.returncode == 1, text
             assert out.stderr.startswith("error: ") and message in out.stderr, text
             assert out.stderr.count("\n") == 1, text
+
+    # a 60-digit semiprime: factorising it takes sympy more than 30 s
+    @pytest.mark.parametrize("text, message", [
+        (f"PSL2({BIG_SEMIPRIME})", "exceeds the 2-dimensional cap 17"),
+        (f"AGL1({BIG_SEMIPRIME})", "is beyond desk scale"),
+        (f"GLQ(l=1,q={BIG_SEMIPRIME})", "exceeds the degree cap 2000"),
+    ])
+    def test_cap_before_factorising(self, text, message):
+        out = self.run("classes", text, timeout=20)
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: ") and message in out.stderr
+        assert out.stderr.count("\n") == 1
+
+    def test_no_sympy_import(self):
+        # sympy is only for numbers beyond the exact range of numtheory
+        code = "\n".join([
+            "import sys",
+            "import regula.cli",
+            "from regula.cli import main",
+            "assert main(['verify', 'numtheory']) == 0",
+            "assert main(['classes', 'PSL2(7)', '--p', '2']) == 0",
+            "assert main(['structure', 'x(S(4), PSL2(7))']) == 0",
+            "print('sympy' in sys.modules)",
+        ])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=self.child_env())
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "False"
