@@ -225,12 +225,6 @@ def glq_family(l: int, q: int) -> PermGroup:
 
 # -- projective groups ------------------------------------------------------
 
-def _projective_line(F: FieldDesc):
-    """Points x in field order then the point at infinity; index map included."""
-    pts = [("f", x) for x in F.elements()] + [("inf",)]
-    return pts
-
-
 def _mobius_perm(F: FieldDesc, a, b, c, d) -> Permutation:
     """Action of [[a, b], [c, d]] on the projective line, x -> (ax+b)/(cx+d)."""
     q = F.size

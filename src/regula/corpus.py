@@ -7,6 +7,7 @@ per process no matter how many suites touch the same group.
 
 from __future__ import annotations
 
+from .errors import RegulaError
 from .exprs import group_from_text
 from .perm_core import PermGroup, Permutation
 
@@ -76,7 +77,7 @@ def _first_translation_closure(G: PermGroup) -> PermGroup:
         o = g.order()
         if o % 2 == 1 and o > 1:
             return G.normal_closure([g])
-    raise ValueError("no odd-order generator found")
+    raise RegulaError("no odd-order generator found")
 
 
 def _minimal_socle_closure(G: PermGroup) -> PermGroup:
@@ -93,7 +94,7 @@ def _minimal_socle_closure(G: PermGroup) -> PermGroup:
         if N.order < G.order and (best is None or N.order < best.order):
             best = N
     if best is None:
-        raise ValueError("group is simple; no proper closure")
+        raise RegulaError("group is simple; no proper closure")
     return best
 
 
@@ -128,6 +129,6 @@ def normal_pairs():
                 N = _left_factor(G, arg)
                 ndesc = f"{arg} x 1"
             else:
-                raise ValueError(f"unknown pair spec {kind!r}")
+                raise RegulaError(f"unknown pair spec {kind!r}")
         out.append((gexpr, ndesc, G, N))
     return out

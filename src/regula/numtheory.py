@@ -144,10 +144,15 @@ def part_split(n: int, p: int) -> tuple[int, int]:
     return np_, n
 
 
+_LANDAU_MAX_BITS = 4096
+
+
 def landau_quantity(r: int, a: int, p: int) -> Fraction:
-    """(r^a - 1)_{p'} / (a * a_p), exactly."""
+    """(r^a - 1)_{p'} / (a * a_p), exactly; r^a may have at most 4096 bits."""
     if r <= 1 or a < 1:
         raise RegulaError("need r > 1 and a >= 1")
+    if a * r.bit_length() > _LANDAU_MAX_BITS:
+        raise CapExceeded(f"r^a needs more than {_LANDAU_MAX_BITS} bits")
     _, num = part_split(r ** a - 1, p)
     ap, _ = part_split(a, p)
     return Fraction(num, a * ap)
@@ -195,12 +200,20 @@ def zsigmondy_primes(r: int, b: int, max_bits: int = 256) -> frozenset:
 
 
 _FAMILY_KINDS = ("fermat", "mersenne", "two_rn_plus1", "four_rn_plus1")
+# the r^n kinds test every prime r up to bound / 2, about 0.5 s at 10^6
+_PRIME_WALK_CAP = 10 ** 6
 
 
 def prime_family(kind: str, bound: int, cap: int = 10 ** 9) -> list:
-    """Enumerate a named family of primes (or prime powers) up to ``bound``."""
+    """Enumerate a named family of primes (or prime powers) up to ``bound``.
+
+    The kinds ``two_rn_plus1`` and ``four_rn_plus1`` walk the primes up to
+    the bound, so their cap is at most 10^6.
+    """
     if kind not in _FAMILY_KINDS:
         raise RegulaError(f"unknown family {kind!r}; one of {_FAMILY_KINDS}")
+    if kind in ("two_rn_plus1", "four_rn_plus1"):
+        cap = min(cap, _PRIME_WALK_CAP)
     if bound > cap:
         raise CapExceeded(f"bound {bound} exceeds cap {cap}")
     found = set()

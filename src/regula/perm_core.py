@@ -6,6 +6,12 @@ and a ``PermGroup`` carrying a verified base and strong generating set.
 The chain is built with a deterministic Schreier-Sims: base points are
 the first moved points, orbits are explored in FIFO order, and every
 Schreier generator is sifted, so orders and membership tests are exact.
+A group built from generators (every named group) gets its chain from
+scratch, so its transversals, and with them the enumeration order, do
+not depend on how the group was reached.  Normal closures, commutator
+subgroups and cores grow one generator at a time; each step extends a
+copy of the verified chain, keeping its transversal entries and sifting
+only the Schreier pairs it has not checked.
 
 Composition is left-to-right: ``(a * b)(x) == b(a(x))``.
 """
@@ -207,22 +213,49 @@ class Permutation:
 
 
 class _Level:
-    __slots__ = ("point", "ident", "gens", "transversal")
+    __slots__ = ("point", "ident", "gens", "transversal", "checked")
 
     def __init__(self, point, ident):
         self.point = point
         self.ident = ident
         self.gens = []            # strong generators fixing all shallower base points
         self.transversal = {point: (ident, ident)}  # orbit pt -> (u, uinv), u[point] = pt
+        self.checked = {}         # orbit pt -> how many leading gens its Schreier pairs passed
 
-    def rebuild_orbit(self):
-        b = self.point
-        trans = {b: (self.ident, self.ident)}
-        self.transversal = trans
-        queue = [b]
-        while queue:
-            a = queue.pop(0)
-            u, _ = trans[a]
+    def copy(self):
+        new = _Level(self.point, self.ident)
+        new.gens = list(self.gens)
+        new.transversal = dict(self.transversal)
+        new.checked = dict(self.checked)
+        return new
+
+    def add_gen(self, h, keep):
+        """Append the strong generator h and close the orbit under it.
+
+        With ``keep`` every transversal entry and checked pair stays: the
+        orbit grows from old points under h and from new points under all
+        generators.  Without it the orbit is rebuilt from the base point
+        and every pair is unchecked again.
+        """
+        self.gens.append(h)
+        trans = self.transversal
+        if keep:
+            queue = []
+            for a in list(trans):
+                c = h[a]
+                if c not in trans:
+                    v = _mult(trans[a][0], h)
+                    trans[c] = (v, _inv(v))
+                    queue.append(c)
+        else:
+            trans = self.transversal = {self.point: (self.ident, self.ident)}
+            self.checked = {}
+            queue = [self.point]
+        i = 0
+        while i < len(queue):
+            a = queue[i]
+            i += 1
+            u = trans[a][0]
             for g in self.gens:
                 c = g[a]
                 if c not in trans:
@@ -238,10 +271,18 @@ def _first_moved(t):
     return None
 
 
-def _schreier_sims(degree, gen_tuples, base_hint=()):
-    """Deterministic Schreier-Sims. Returns the verified list of levels."""
+def _schreier_sims(degree, gen_tuples, base_hint=(), chain=None):
+    """Deterministic Schreier-Sims. Returns the verified list of levels.
+
+    From scratch, each new strong generator rebuilds the orbits it joins.
+    Given the verified levels ``chain`` of a subgroup, it extends copies
+    of them by ``gen_tuples`` instead: transversal entries are kept, so a
+    Schreier pair that once sifted to the identity stays verified, and
+    only the pairs not yet checked are sifted.
+    """
     ident = _id_tuple(degree)
-    levels = [_Level(pt, ident) for pt in base_hint]
+    keep = chain is not None
+    levels = [lvl.copy() for lvl in chain] if keep else [_Level(pt, ident) for pt in base_hint]
 
     def strip(g, start=0):
         for i in range(start, len(levels)):
@@ -258,9 +299,7 @@ def _schreier_sims(degree, gen_tuples, base_hint=()):
         if upto == len(levels):
             levels.append(_Level(_first_moved(h), ident))
         for j in range(upto + 1):
-            levels[j].gens.append(h)
-        for j in range(upto + 1):
-            levels[j].rebuild_orbit()
+            levels[j].add_gen(h, keep)
 
     for g in gen_tuples:
         if g == ident:
@@ -269,24 +308,28 @@ def _schreier_sims(degree, gen_tuples, base_hint=()):
         if h != ident:
             add_strong_gen(h, lev)
 
-    # Bottom-up verification: sift every Schreier generator.
+    # Bottom-up verification: sift every unchecked Schreier generator.
     i = len(levels) - 1
     while i >= 0:
         lvl = levels[i]
+        gens = lvl.gens
         failed_at = None
         for beta in sorted(lvl.transversal):
-            u, _uinv = lvl.transversal[beta]
-            for s in lvl.gens:
-                target = s[beta]
-                sg = _mult(_mult(u, s), lvl.transversal[target][1])
-                if sg == ident:
-                    continue
-                h, lev = strip(sg, i + 1)
-                if h != ident:
-                    add_strong_gen(h, lev)
-                    failed_at = lev
-                    break
-            if failed_at is not None:
+            k = lvl.checked.get(beta, 0)
+            u = lvl.transversal[beta][0]
+            h = ident
+            while k < len(gens):
+                s = gens[k]
+                sg = _mult(_mult(u, s), lvl.transversal[s[beta]][1])
+                if sg != ident:
+                    h, lev = strip(sg, i + 1)
+                    if h != ident:
+                        break
+                k += 1
+            lvl.checked[beta] = k
+            if h != ident:
+                add_strong_gen(h, lev)
+                failed_at = lev
                 break
         if failed_at is not None:
             i = failed_at
@@ -346,11 +389,15 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise DegreeMismatch(f"generator degree {g.degree}, expected {degree}")
+        gens = tuple(g for g in gens if not g.is_identity)
+        self._setup(degree, gens, _schreier_sims(degree, [g.images for g in gens], base_hint))
+
+    def _setup(self, degree, generators, levels):
         self.degree = degree
-        self.generators = tuple(g for g in gens if not g.is_identity)
-        self._gen_tuples = tuple(g.images for g in self.generators)
+        self.generators = generators
+        self._gen_tuples = tuple(g.images for g in generators)
         self._gen_pairs = tuple((t, _inv(t)) for t in self._gen_tuples)
-        self._levels = _schreier_sims(degree, self._gen_tuples, base_hint)
+        self._levels = levels
         o = 1
         for lvl in self._levels:
             o *= len(lvl.transversal)
@@ -433,12 +480,16 @@ class PermGroup:
     # -- subgroup constructions ------------------------------------------
 
     def _extended_with(self, extra_tuples):
-        gens = [Permutation(t) for t in self._gen_tuples + tuple(extra_tuples)]
-        return PermGroup(gens, degree=self.degree)
+        """This group with more generators, its chain extending a copy of ours."""
+        extra = tuple(t for t in extra_tuples if t != _id_tuple(self.degree))
+        H = PermGroup.__new__(PermGroup)
+        H._setup(self.degree, self.generators + tuple(map(Permutation, extra)),
+                 _schreier_sims(self.degree, extra, chain=self._levels))
+        return H
 
     def _grown_by(self, tuples):
-        # add only non-members, so the generator list stays near-minimal
-        # and the number of chain rebuilds is bounded by log2 of the order
+        # add only non-members, so the generator list stays near-minimal;
+        # each one extends the verified chain and sifts only new pairs
         H = self
         for t in tuples:
             if not H._contains_tuple(t):
@@ -469,15 +520,16 @@ class PermGroup:
                 raise NotInGroup(f"seed {s} is not in the group")
         H = PermGroup([], degree=self.degree)
         H = H._grown_by(s.images for s in seed_perms if not s.is_identity)
-        while True:
-            before = H.order
-            for h in list(H._gen_tuples):
-                for g, ginv in self._gen_pairs:
-                    c = _conj(h, g, ginv)
-                    if not H._contains_tuple(c):
-                        H = H._grown_by([c])
-            if H.order == before:
-                return H
+        # generators are only appended, so each one's conjugates are tested once
+        i = 0
+        while i < len(H._gen_tuples):
+            h = H._gen_tuples[i]
+            i += 1
+            for g, ginv in self._gen_pairs:
+                c = _conj(h, g, ginv)
+                if not H._contains_tuple(c):
+                    H = H._extended_with([c])
+        return H
 
     def _commutator_closure(self, H: "PermGroup") -> "PermGroup":
         """Normal closure of the commutators [a, b] of the generators a of

@@ -4,7 +4,9 @@ Each core is the join of the normal closures of single elements whose
 closure has the defining property, and the defining property is constant
 on conjugacy classes, so only one representative per class is tested.
 Closures are cached per representative since every core of the same
-group reuses them.
+group reuses them.  For the solvable radical, a closure that contains a
+closure already found non-solvable is skipped without a derived series,
+since a group with a non-solvable subgroup is non-solvable.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ def core(G: PermGroup, kind: str, p: Optional[int] = None,
 
     def join_of_closures():
         join = PermGroup([], degree=G.degree)
+        nonsolvable = []  # closures found non-solvable so far
         for cls in conjugacy_classes(G).classes:
             if join.order == G.order:
                 break
@@ -89,8 +92,13 @@ def core(G: PermGroup, kind: str, p: Optional[int] = None,
             if not _rep_admissible(G, cls.representative, kind, p):
                 continue
             N = _closure_of_rep(G, cls.representative)
+            # a subgroup containing a non-solvable one is non-solvable
+            if any(N.contains_subgroup(B) for B in nonsolvable):
+                continue
             if _qualifies(N, kind, p):
                 join = join._grown_by(N._gen_tuples)
+            elif kind == "solvable-radical":
+                nonsolvable.append(N)
         return join
 
     result = G._cached(("core", kind, p), join_of_closures)

@@ -86,6 +86,19 @@ class TestMathieu:
             conjugacy_classes(from_generator_data("M12")).class_size_multiset()
 
 
+class TestCorpusPairErrors:
+    def test_errors_are_regula_errors(self, monkeypatch):
+        from regula import RegulaError, corpus
+        from regula.constructors import alternating, symmetric
+        with pytest.raises(RegulaError, match="no odd-order generator"):
+            corpus._first_translation_closure(symmetric(4))
+        with pytest.raises(RegulaError, match="group is simple"):
+            corpus._minimal_socle_closure(alternating(5))
+        monkeypatch.setattr(corpus, "NORMAL_PAIR_SPECS", (("S(4)", ("bogus", None)),))
+        with pytest.raises(RegulaError, match="unknown pair spec"):
+            corpus.normal_pairs()
+
+
 class TestLinearFamily:
     def test_l34_class_structure(self):
         t = conjugacy_classes(from_generator_data("L34"))

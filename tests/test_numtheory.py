@@ -105,6 +105,14 @@ class TestLandauQuantity:
             late = min(landau_quantity(r, a, p) for a in range(17, 25))
             assert late > early
 
+    def test_bit_cap(self):
+        # checked before r^a is built
+        assert landau_quantity(2, 2048, 3).denominator == 2048
+        with pytest.raises(CapExceeded):
+            landau_quantity(2, 10 ** 8, 3)
+        with pytest.raises(CapExceeded):
+            landau_quantity(2 ** 4096, 1, 3)
+
 
 class TestLewisRiedl:
     def test_examples(self):
@@ -176,6 +184,16 @@ class TestPrimeFamilies:
         values = {4 * r ** n + 1 for r in sympy.primerange(2, bound) for n in range(1, 14)}
         assert prime_family("four_rn_plus1", bound) == sorted(
             v for v in values if v <= bound and len(sympy.factorint(v)) == 1)
+
+    def test_walk_cap(self):
+        # the r^n kinds walk every prime below the bound; the others do not
+        for kind in ("two_rn_plus1", "four_rn_plus1"):
+            with pytest.raises(CapExceeded):
+                prime_family(kind, 10 ** 6 + 1)
+            with pytest.raises(CapExceeded):
+                prime_family(kind, 10 ** 9)
+        assert prime_family("fermat", 10 ** 9) == [3, 5, 17, 257, 65537]
+        assert prime_family("mersenne", 10 ** 9)[-1] == 2 ** 19 - 1
 
     def test_unknown_kind(self):
         with pytest.raises(RegulaError):

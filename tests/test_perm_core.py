@@ -182,6 +182,87 @@ class TestNormalClosure:
                     assert N.contains(h.conjugated_by(g))
 
 
+@st.composite
+def chain_extensions(draw):
+    """A start group, tuples to add one at a time, and membership probes."""
+    n = draw(st.integers(2, 12))
+    perm = st.permutations(list(range(n))).map(tuple)
+    start = draw(st.lists(perm, max_size=2))
+    extra = draw(st.lists(perm, min_size=1, max_size=4))
+    probes = draw(st.lists(perm, max_size=6))
+    words = draw(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=6), max_size=6))
+    return n, start, extra, probes, words
+
+
+def chain_snapshot(G):
+    return (G.base, G.order, [(lvl.point, list(lvl.gens), dict(lvl.transversal),
+                               dict(lvl.checked)) for lvl in G._levels])
+
+
+class TestChainExtension:
+    @settings(max_examples=200, deadline=None)
+    @given(chain_extensions())
+    def test_matches_build_from_scratch(self, case):
+        n, start, extra, probes, words = case
+        H = PermGroup([Permutation(t) for t in start], degree=n)
+        for t in extra:
+            H = H._extended_with([t])
+        ref = PermGroup([Permutation(t) for t in start + extra], degree=n)
+        assert H.generators == ref.generators
+        assert H.order == ref.order
+        gens = ref._gen_tuples or (tuple(range(n)),)
+        members = []
+        for word in words:
+            g = tuple(range(n))
+            for i in word:
+                g = oracles.mult(g, gens[i % len(gens)])
+            members.append(g)
+        for t in members:
+            assert H._contains_tuple(t)
+        for t in probes:
+            assert H._contains_tuple(t) == ref._contains_tuple(t)
+
+    def test_leaves_the_start_group_alone(self):
+        # cached groups share chains, so an extension must copy the levels
+        A5 = alternating(5)
+        closure = symmetric(5).normal_closure([P("(1,2,3)", 5)])
+        for G, order in ((A5, 120), (closure, 120), (PermGroup([], degree=5), 2)):
+            before = chain_snapshot(G)
+            H = G._extended_with([P("(1,2)", 5).images])
+            assert H.order == order
+            assert chain_snapshot(G) == before
+
+    def test_grown_by_adds_only_non_members(self):
+        C5 = cyclic(5)
+        H = C5._grown_by([C5.generators[0].images, P("(2,5)(3,4)", 5).images])
+        assert H.order == 10 and len(H.generators) == len(C5.generators) + 1
+
+
+class TestAgainstSympy:
+    """Normal-closure and series orders against sympy.combinatorics."""
+
+    @pytest.mark.parametrize("expr", ["S(5)", "AGL1(17)", "x(S(3), S(4))"])
+    def test_closures_and_series(self, expr):
+        from sympy.combinatorics import Permutation as SymPerm
+        from sympy.combinatorics import PermutationGroup as SymGroup
+        from regula.classes import conjugacy_classes
+        from regula.exprs import group_from_text
+
+        G = group_from_text(expr)
+        S = SymGroup([SymPerm(list(g.images)) for g in G.generators])
+        assert S.order() == G.order
+        for cls in conjugacy_classes(G).classes:
+            seed = cls.representative
+            want = S.normal_closure(SymPerm(list(seed.images))).order()
+            assert G.normal_closure([seed]).order == want, str(seed)
+        for ours, theirs in ((G.derived_series(), S.derived_series()),
+                             (G.lower_central_series(), S.lower_central_series())):
+            orders = [H.order for H in ours]
+            if len(orders) > 1 and orders[-1] == orders[-2]:
+                orders.pop()  # ours repeats a stable term once
+            assert orders == [H.order() for H in theirs]
+
+
 class TestSeries:
     def test_derived_series_s4(self):
         assert [H.order for H in symmetric(4).derived_series()] == [24, 12, 4, 1]

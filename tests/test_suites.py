@@ -204,6 +204,16 @@ class TestCli:
             assert out.stderr.startswith("error: ") and message in out.stderr, text
             assert out.stderr.count("\n") == 1, text
 
+    def test_numtheory_caps(self):
+        for args, message in ((("landau", "--r", "2", "--a", "100000000", "--p", "3"),
+                               "needs more than 4096 bits"),
+                              (("primes", "--kind", "two_rn_plus1", "--bound", "1000000000"),
+                               "exceeds cap 1000000")):
+            out = self.run("numtheory", *args, timeout=20)
+            assert out.returncode == 1, args
+            assert out.stderr.startswith("error: ") and message in out.stderr, args
+            assert out.stderr.count("\n") == 1, args
+
     # a 60-digit semiprime: factorising it takes sympy more than 30 s
     @pytest.mark.parametrize("text, message", [
         (f"PSL2({BIG_SEMIPRIME})", "exceeds the 2-dimensional cap 17"),
