@@ -4,7 +4,8 @@ Classes are found exactly: every element (within the cap) is visited and
 the group is partitioned by breadth-first closure under conjugation by
 the group generators.  Representatives are the first member of each
 class in ``PermGroup.elements()`` order, so repeated runs produce
-identical tables.
+identical tables.  The orbits of G on a normal subgroup N are the
+classes of G that lie in N, so fused counts are read off G's table.
 
 Memory: an element is named by its rank in that order, which its base
 images determine.  With n0 points in the first basic orbit, element
@@ -95,32 +96,32 @@ class ClassCounts:
     k_singular: int
 
 
-def _partition_into_orbits(N: PermGroup, gen_pairs):
-    """Split the elements of N into orbits under conjugation by ``gen_pairs``.
+def _partition_into_orbits(G: PermGroup):
+    """Split the elements of G into classes under conjugation by its generators.
 
-    Returns (representative tuple, orbit size) pairs.  Each representative
-    is the first member of its orbit in ``N.elements()`` order, and the
+    Returns (representative tuple, class size) pairs.  Each representative
+    is the first member of its class in ``G.elements()`` order, and the
     pairs come in that order.  Elements are handled by their rank in that
     order: rank i0 + n0*t is ``stab[t] * u0[i0]``, where u0 is the sorted
     level-0 transversal (n0 entries) and ``stab`` lists the stabiliser of
     the first base point.
     """
-    levels = N._levels
+    levels = G._levels
     if not levels:
-        return [(_id_tuple(N.degree), 1)]
+        return [(_id_tuple(G.degree), 1)]
     top = levels[0]
     orbit0 = sorted(top.transversal)
     n0 = len(orbit0)
     u0 = [top.transversal[b][0] for b in orbit0]
-    sift0 = [None] * N.degree          # point -> (i0, u0[i0]^-1)
+    sift0 = [None] * G.degree          # point -> (i0, u0[i0]^-1)
     for i0, b in enumerate(orbit0):
         sift0[b] = (i0, top.transversal[b][1])
     base = [lvl.point for lvl in levels]
-    stab = list(_chain_elements(levels[1:], _id_tuple(N.degree)))
+    stab = list(_chain_elements(levels[1:], _id_tuple(G.degree)))
     rank_of = {tuple(map(s.__getitem__, base[1:])): t for t, s in enumerate(stab)}
     # per generator g: u0[i0] * g, and each stab[t] at g^-1(b0) and at g^-1(b1..)
     moves = []
-    for g, ginv in gen_pairs:
+    for g, ginv in G._gen_pairs:
         p0 = ginv[base[0]]
         pre = [ginv[b] for b in base[1:]]
         moves.append(([_mult(u, g) for u in u0], [s[p0] for s in stab],
@@ -160,7 +161,7 @@ def conjugacy_classes(G: PermGroup, cap: Optional[int] = None) -> ClassTable:
 
 
 def _class_table(G: PermGroup) -> ClassTable:
-    orbits = _partition_into_orbits(G, G._gen_pairs)
+    orbits = _partition_into_orbits(G)
     infos = []
     for rep, size in orbits:
         if G.order % size != 0:
@@ -177,27 +178,19 @@ def class_counts(G: PermGroup, p: int) -> ClassCounts:
     return conjugacy_classes(G).counts(p)
 
 
-def _fused_orbit_orders(G: PermGroup, N: PermGroup, cap: Optional[int]):
-    """Element orders of G-orbit representatives on N; cached per (G, N)."""
-    cap = perm_core.ELEMENT_CAP if cap is None else cap
-    if N.order > cap:
-        raise CapExceeded(f"order {N.order} exceeds the element cap {cap}")
-
-    def orbit_orders():
-        if not N.is_normal_in(G):
-            raise NotNormal("fused counts need a normal subgroup")
-        orbits = _partition_into_orbits(N, G._gen_pairs)
-        return tuple(_order_of(rep) for rep, _ in orbits)
-
-    return G._cached(("fused", N._gen_tuples), orbit_orders)
-
-
 def fused_counts(G: PermGroup, N: PermGroup, p: int,
                  cap: Optional[int] = None) -> ClassCounts:
-    """Counts of G-conjugation orbits on the elements of normal N <= G."""
+    """Counts of G-conjugation orbits on the elements of normal N <= G.
+
+    These orbits are the classes of G that lie in N, read from G's class
+    table, so the cap bounds the order of G.
+    """
     if not is_prime(p):
         raise RegulaError(f"{p} is not prime")
-    orders = _fused_orbit_orders(G, N, cap)
+    if not N.is_normal_in(G):
+        raise NotNormal("fused counts need a normal subgroup")
+    orders = [c.element_order for c in conjugacy_classes(G, cap).classes
+              if N._contains_tuple(c.representative.images)]
     regular = sum(1 for o in orders if o % p != 0)
     return ClassCounts(p=p, k_total=len(orders), k_regular=regular,
                        k_singular=len(orders) - regular)

@@ -9,7 +9,9 @@
 
 The environment variable REGULA_ELEMENT_CAP, a positive integer,
 overrides the element cap for one call of ``main``; the previous cap is
-restored when it returns.
+restored when it returns.  Every error, a malformed command line
+included, is exit 1 with one ``error:`` line on stderr; a suite with a
+failed check is exit 2.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import perm_core
@@ -97,8 +100,15 @@ def _cmd_numtheory(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a RegulaError, with long echoed values clipped."""
+
+    def error(self, message):
+        raise RegulaError(re.sub(r"\S{40,}", lambda m: m[0][:32] + "...", message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regula",
         description="Exact conjugacy-class statistics, structural subgroups "
                     "and claim-verification suites for desk-scale groups.")
@@ -137,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     cap = perm_core.ELEMENT_CAP
     try:
+        args = build_parser().parse_args(argv)
         _apply_cap_env()
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit

@@ -295,17 +295,6 @@ class BoundEvaluation:
         self.satisfied = bool(exact > self.bound_value - BOUND_SLACK)
         return self
 
-    def to_json_dict(self) -> dict:
-        bv = self.bound_value
-        return {
-            "series": self.series,
-            "params": {k: str(v) for k, v in sorted(self.params.items())},
-            "bound_value": str(bv) if isinstance(bv, Fraction) else bv,
-            "compared_quantity": (None if self.compared_quantity is None
-                                  else str(self.compared_quantity)),
-            "satisfied": self.satisfied,
-        }
-
 
 def regular_class_lower_bound(series: str, params: dict) -> BoundEvaluation:
     """Lower bound for the number of p-regular classes of a simple group.

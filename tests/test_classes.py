@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from regula import CapExceeded, NotNormal, PermGroup, Permutation, RegulaError
 from regula.classes import (
+    ClassCounts,
     _partition_into_orbits,
     class_counts,
     conjugacy_classes,
@@ -14,7 +15,9 @@ from regula.classes import (
     singular_element_count,
 )
 from regula.constructors import alternating, cyclic, projective_group, symmetric
+from regula.corpus import normal_pairs
 from regula.exprs import group_from_text
+from regula.numtheory import prime_factors
 
 
 def oracle_table(G):
@@ -22,6 +25,15 @@ def oracle_table(G):
     elems = oracles.closure([g.images for g in G.generators]) or {tuple(range(G.degree))}
     classes = oracles.conj_classes(elems, [g.images for g in G.generators])
     return sorted((oracles.order_of(min(c)), len(c)) for c in classes)
+
+
+def oracle_fused_counts(G, N, p):
+    """Fused counts from a set-based partition of N under G's generators."""
+    elems = oracles.closure([h.images for h in N.generators]) or {tuple(range(N.degree))}
+    orbits = oracles.conj_classes(elems, [g.images for g in G.generators])
+    regular = sum(1 for c in orbits if oracles.order_of(min(c)) % p != 0)
+    return ClassCounts(p=p, k_total=len(orbits), k_regular=regular,
+                       k_singular=len(orbits) - regular)
 
 
 class TestConjugacyClasses:
@@ -73,6 +85,9 @@ class TestConjugacyClasses:
             conjugacy_classes(G, cap=10)
         with pytest.raises(CapExceeded):
             fused_counts(G, N, 2, cap=10)
+        # fused counts come from G's class table, so |N| within the cap is not enough
+        with pytest.raises(CapExceeded):
+            fused_counts(G, N, 2, cap=N.order)
 
     def test_deterministic(self):
         a = conjugacy_classes(symmetric(5))
@@ -85,37 +100,38 @@ class TestRepresentatives:
     """Each orbit is represented by its first member in ``elements()`` order."""
 
     @staticmethod
-    def check(G, N):
-        order = [e.images for e in N.elements()]
-        assert set(order) == (oracles.closure([h.images for h in N.generators])
-                              or {tuple(range(N.degree))})
+    def check(G):
+        order = [e.images for e in G.elements()]
+        assert set(order) == (oracles.closure([g.images for g in G.generators])
+                              or {tuple(range(G.degree))})
         rank = {x: i for i, x in enumerate(order)}
         classes = oracles.conj_classes(order, [g.images for g in G.generators])
         want = sorted(((min(c, key=rank.__getitem__), len(c)) for c in classes),
                       key=lambda pair: rank[pair[0]])
-        assert _partition_into_orbits(N, G._gen_pairs) == want
-        if G is N:
-            got = conjugacy_classes(G).classes
-            assert sorted((c.representative.images, c.class_size) for c in got) == sorted(want)
+        assert _partition_into_orbits(G) == want
+        got = conjugacy_classes(G).classes
+        assert sorted((c.representative.images, c.class_size) for c in got) == sorted(want)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 7).flatmap(
         lambda n: st.lists(st.permutations(list(range(n))), min_size=1, max_size=3)))
     def test_random_groups(self, images):
         G = PermGroup([Permutation(t) for t in images])
-        self.check(G, G)
+        self.check(G)
 
     @pytest.mark.parametrize("text", ["x(x(S(3), S(3)), S(5))", "AGL1(17)"])
     def test_named_groups(self, text):
         G = group_from_text(text)
-        self.check(G, G)
+        self.check(G)
 
     def test_trivial_group(self):
         G = PermGroup([], degree=3)
-        self.check(G, G)
+        self.check(G)
 
     def test_fused_s4_over_a4(self):
-        self.check(symmetric(4), alternating(4))
+        G, N = symmetric(4), alternating(4)
+        for p in (2, 3):
+            assert fused_counts(G, N, p) == oracle_fused_counts(G, N, p)
 
 
 class TestClassCounts:
@@ -166,6 +182,16 @@ class TestFusedCounts:
         regular = sum(1 for c in classes if oracles.order_of(min(c)) % 2 != 0)
         assert fused_counts(S5, A5, 2).k_regular == regular
         assert fused_counts(S5, A5, 2).k_total == len(classes)
+
+    def test_corpus_pairs_against_oracle(self):
+        checked = 0
+        for gexpr, ndesc, G, N in normal_pairs():
+            if N.order > 6048:
+                continue
+            for p in prime_factors(G.order):
+                assert fused_counts(G, N, p) == oracle_fused_counts(G, N, p), (gexpr, ndesc, p)
+            checked += 1
+        assert checked == 20
 
 
 class TestSingularElements:

@@ -204,6 +204,22 @@ class TestCli:
             assert out.stderr.startswith("error: ") and message in out.stderr, text
             assert out.stderr.count("\n") == 1, text
 
+    def test_usage_error(self):
+        # a malformed command line is exit 1 with one short error line, like any error
+        for args, message in ((("numtheory", "landau", "--r", "12x", "--a", "1", "--p", "3"),
+                               "invalid int value: '12x'"),
+                              (("numtheory", "landau", "--r", "7" * 5000, "--a", "1", "--p", "3"),
+                               "invalid int value: '777"),
+                              (("verify", "nosuch"), "invalid choice: 'nosuch'"),
+                              ((), "required: command")):
+            out = self.run(*args)
+            assert out.returncode == 1, args[:2]
+            assert out.stderr.startswith("error: ") and message in out.stderr, args[:2]
+            assert out.stderr.count("\n") == 1 and len(out.stderr) < 200, args[:2]
+            assert "usage:" not in out.stderr and out.stdout == "", args[:2]
+        out = self.run("--help")
+        assert out.returncode == 0 and out.stdout.startswith("usage: regula")
+
     def test_numtheory_caps(self):
         for args, message in ((("landau", "--r", "2", "--a", "100000000", "--p", "3"),
                                "needs more than 4096 bits"),
