@@ -74,8 +74,11 @@ def _cmd_verify(args) -> int:
     else:
         text = report.to_json()
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise RegulaError(f"cannot write report {args.report!r}: {exc.strerror}") from None
         summary = report.summary()
         print(f"{args.suite}: {summary} -> {args.report}")
     else:

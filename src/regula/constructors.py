@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import re
-from functools import lru_cache
 from math import gcd
 
 from .errors import CapExceeded, GroupDataError, RegulaError, UnknownGroupName
@@ -255,7 +254,6 @@ def _frobenius_line_perm(F: FieldDesc) -> Permutation:
 PSL2_Q_CAP = 17
 
 
-@lru_cache(maxsize=None)
 def projective_group(kind: str, q: int) -> PermGroup:
     """psl2 / pgl2 / pgammal2 on the q+1 projective points; psl3 on 13.
 
@@ -351,7 +349,6 @@ def _data_path(name: str) -> str:
     return os.path.join(_DATA_DIR, fname)
 
 
-@lru_cache(maxsize=None)
 def from_generator_data(name: str) -> PermGroup:
     """Group built from a bundled generator file, certified by its stored
     order and class-size multiset (hard failure on any mismatch)."""
@@ -398,34 +395,17 @@ def load_generator_file(path: str, expect_name: str | None = None) -> PermGroup:
 
 # -- derived named groups ----------------------------------------------------
 
-@lru_cache(maxsize=None)
-def a6_extensions() -> dict:
-    """The three index-2 groups between PSL2(9) and PGammaL2(9), labelled
-    by class fingerprints: 'A6.2_1' has two order-2 classes of size 15
-    (the symmetric group S6), 'A6.2_3' has three 2-regular classes (the
-    point stabilizer type), and 'A6.2_2' is the remaining one."""
-    from .classes import conjugacy_classes
-
-    big = projective_group("pgammal2", 9)
-    soc = projective_group("psl2", 9)
-    subs = big.intermediate_index2(soc)
-    labels = {}
-    for H in subs:
-        table = conjugacy_classes(H)
-        kreg = table.counts(2).k_regular
-        two15 = sum(1 for c in table.classes
-                    if c.element_order == 2 and c.class_size == 15)
-        if kreg == 3:
-            labels["A6.2_3"] = H
-        elif two15 == 2:
-            labels["A6.2_1"] = H
-        else:
-            labels["A6.2_2"] = H
-    if len(labels) != 3:
-        raise RegulaError("fingerprinting the three index-2 extensions failed")
-    return labels
-
-
 def m10() -> PermGroup:
-    """The index-2 extension of PSL2(9) with three 2-regular classes."""
-    return a6_extensions()["A6.2_3"]
+    """The index-2 extension of PSL2(9) with three 2-regular classes.
+
+    Of the three groups between PSL2(9) and PGammaL2(9), S6 and PGL2(9)
+    have four 2-regular classes and M10 has three.
+    """
+    from .classes import class_counts
+
+    subs = projective_group("pgammal2", 9).intermediate_index2(projective_group("psl2", 9))
+    found = [H for H in subs if class_counts(H, 2).k_regular == 3]
+    if len(found) != 1:
+        raise RegulaError(f"{len(found)} index-2 extensions of PSL2(9) have "
+                          "three 2-regular classes, expected one")
+    return found[0]

@@ -1,8 +1,10 @@
 """The fixed corpus of groups and normal pairs the suites run over.
 
 Groups are addressed by expression text and shared through the
-expression memo, so class tables and radical caches are computed once
-per process no matter how many suites touch the same group.
+expression memo (``exprs.evaluate``), so each group is built and
+certified once per process; its class table, cores and closures are
+memoised on the group itself (``PermGroup._cached``) and so are computed
+once no matter how many suites touch it.  Those are the only two memos.
 """
 
 from __future__ import annotations

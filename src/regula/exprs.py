@@ -9,7 +9,9 @@ Grammar:
 
 Examples: ``A(5)``, ``x(S(5), AGL1(5))``, ``GLQ(l=2,q=3)``, ``M12.2``.
 Parsed expressions round-trip through ``str`` and evaluate to PermGroup
-instances, memoised so repeated evaluations share class-table caches.
+instances.  ``evaluate`` keeps the one memo of named groups, keyed by
+the expression text: the constructors it calls build a new group each
+time, and data derived from a group is memoised on that group.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ _ATLAS_TOKENS = set(C.ATLAS_NAMES) | {"M10"}
 
 _CONSTRUCTOR_HEADS = ("C", "S", "A", "D", "AGL1", "AGammaL1", "GLQ", "SYL2",
                       "PSL2", "PGL2", "PGammaL2", "PSL3", "x", "wr", "q")
+
+# Deepest x/wr/q nesting accepted.  str(expr) and evaluate recurse about
+# twice per level, so this stays well below Python's recursion limit.
+_MAX_NESTING = 200
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_.^]*|\d+|[(),=])")
 
@@ -91,7 +97,7 @@ class _Parser:
         self.i += 1
         return tok, pos
 
-    def parse_expr(self) -> GroupExpr:
+    def parse_expr(self, depth: int = 0) -> GroupExpr:
         tok, pos = self.peek()
         if tok is None:
             raise ExprParseError("empty expression", pos, {"name"})
@@ -104,9 +110,11 @@ class _Parser:
         self.take()
         self.take("(")
         if tok in ("x", "wr", "q"):
-            left = self.parse_expr()
+            if depth == _MAX_NESTING:
+                raise ExprParseError(f"nesting deeper than {_MAX_NESTING} levels", pos)
+            left = self.parse_expr(depth + 1)
             self.take(",")
-            right = self.parse_expr()
+            right = self.parse_expr(depth + 1)
             self.take(")")
             return GroupExpr(tok, (left, right))
         args = []
@@ -127,16 +135,22 @@ class _Parser:
         if tok is None:
             raise ExprParseError("unexpected end of input", pos, {"integer", "key"})
         if tok.isdigit():
-            self.take()
-            return int(tok)
+            return self.parse_int()
         if re.fullmatch(r"[A-Za-z]+", tok):
             self.take()
             self.take("=")
-            val, vpos = self.take()
-            if not val.isdigit():
-                raise ExprParseError(f"got {val!r}", vpos, {"integer"})
-            return (tok, int(val))
+            return (tok, self.parse_int())
         raise ExprParseError(f"got {tok!r}", pos, {"integer", "key=value"})
+
+    def parse_int(self) -> int:
+        tok, pos = self.take()
+        if not tok.isdigit():
+            raise ExprParseError(f"got {tok!r}", pos, {"integer"})
+        try:
+            return int(tok)
+        except ValueError:  # past the interpreter's limit on int() of a string
+            raise ExprParseError(f"integer literal of {len(tok)} digits is too long",
+                                 pos) from None
 
 
 def parse_group_expr(text: str) -> GroupExpr:
@@ -224,9 +238,7 @@ def _evaluate(expr: GroupExpr):
         kind = {"PSL2": "psl2", "PGL2": "pgl2",
                 "PGammaL2": "pgammal2", "PSL3": "psl3"}[head]
         return C.projective_group(kind, q)
-    raise ExprParseError(f"unknown constructor {head!r}", 0,
-                         {"C", "S", "A", "D", "AGL1", "AGammaL1", "GLQ", "SYL2",
-                          "PSL2", "PGL2", "PGammaL2", "PSL3", "x", "wr", "q"})
+    raise ExprParseError(f"unknown constructor {head!r}", 0, set(_CONSTRUCTOR_HEADS))
 
 
 def group_from_text(text: str):

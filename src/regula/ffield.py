@@ -10,7 +10,6 @@ with no external tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import RegulaError
 from .numtheory import is_prime, prime_factors
@@ -234,7 +233,6 @@ class FieldElement:
         return f"FieldElement({self.field!r}, {self.coeffs})"
 
 
-@lru_cache(maxsize=None)
 def make_field(p: int, k: int) -> FieldDesc:
     """GF(p^k) with the lexicographically smallest monic irreducible modulus."""
     if not is_prime(p):

@@ -394,10 +394,6 @@ def regular_proportion_lower_bound(series: str, params: dict) -> BoundEvaluation
 
 # -- candidate scan for PSL2(q) with four-prime-divisor order --------------
 
-def psl2_simple_order(q: int) -> int:
-    return q * (q * q - 1) // math.gcd(2, q - 1)
-
-
 def psl2_candidate_scan(bound: int, cap: int = 10 ** 6) -> list:
     """Prime powers q <= bound such that |PSL2(q)| has exactly four distinct
     prime divisors and q / (4 e f (1 + log_q 3) gcd(2, q-1)^2) <= 5.

@@ -177,12 +177,6 @@ class Permutation:
     def __call__(self, point: int) -> int:
         return self.images[point]
 
-    def conjugated_by(self, g: "Permutation") -> "Permutation":
-        """g^-1 * self * g."""
-        if self.degree != g.degree:
-            raise DegreeMismatch(f"degree {self.degree} vs {g.degree}")
-        return Permutation(_conj(self.images, g.images, _inv(g.images)))
-
     @property
     def is_identity(self) -> bool:
         return self.images == _id_tuple(self.degree)
@@ -411,14 +405,6 @@ class PermGroup:
         return tuple(lvl.point for lvl in self._levels)
 
     @property
-    def strong_generators(self) -> tuple:
-        seen = {}
-        for lvl in self._levels:
-            for g in lvl.gens:
-                seen.setdefault(g, None)
-        return tuple(Permutation(g) for g in seen)
-
-    @property
     def is_trivial(self) -> bool:
         return self.order == 1
 
@@ -442,7 +428,6 @@ class PermGroup:
     # -- membership ------------------------------------------------------
 
     def _sift(self, t):
-        ident = _id_tuple(self.degree)
         for lvl in self._levels:
             entry = lvl.transversal.get(t[lvl.point])
             if entry is None:

@@ -7,6 +7,10 @@ Closures are cached per representative since every core of the same
 group reuses them.  For the solvable radical, a closure that contains a
 closure already found non-solvable is skipped without a derived series,
 since a group with a non-solvable subgroup is non-solvable.
+
+``certify_core`` and ``certify_fitting`` are the second checks: they
+test a result against its definition, independently of how the joins
+below found it.
 """
 
 from __future__ import annotations
@@ -62,15 +66,12 @@ def _rep_admissible(G: PermGroup, rep, kind: str, p: Optional[int]) -> bool:
     return True
 
 
-def core(G: PermGroup, kind: str, p: Optional[int] = None,
-         certify: bool = False) -> PermGroup:
+def core(G: PermGroup, kind: str, p: Optional[int] = None) -> PermGroup:
     """Largest normal subgroup of the given kind.
 
     kind 'p-core' is the largest normal p-subgroup, 'p-prime-core' the
     largest normal subgroup of order coprime to p, 'solvable-radical'
-    the largest normal solvable subgroup.  ``certify`` additionally
-    checks normality, the defining property, and that the corresponding
-    core of the quotient is trivial (doubling the cost).
+    the largest normal solvable subgroup.
     """
     if kind in ("p-core", "p-prime-core"):
         if p is None or not is_prime(p):
@@ -101,10 +102,7 @@ def core(G: PermGroup, kind: str, p: Optional[int] = None,
                 nonsolvable.append(N)
         return join
 
-    result = G._cached(("core", kind, p), join_of_closures)
-    if certify:
-        certify_core(G, result, kind, p)
-    return result
+    return G._cached(("core", kind, p), join_of_closures)
 
 
 def certify_core(G: PermGroup, N: PermGroup, kind: str, p: Optional[int] = None) -> None:
@@ -123,7 +121,7 @@ def certify_core(G: PermGroup, N: PermGroup, kind: str, p: Optional[int] = None)
         raise RegulaError("core is not maximal: the quotient has a nontrivial core")
 
 
-def fitting(G: PermGroup, certify: bool = False) -> PermGroup:
+def fitting(G: PermGroup) -> PermGroup:
     """Largest normal nilpotent subgroup: the join of the p-cores."""
 
     def join_of_p_cores():
@@ -132,16 +130,18 @@ def fitting(G: PermGroup, certify: bool = False) -> PermGroup:
             gens.extend(core(G, "p-core", p).generators)
         return PermGroup(gens, degree=G.degree)
 
-    F = G._cached("fitting", join_of_p_cores)
-    if certify:
-        if not F.is_normal_in(G):
-            raise RegulaError("Fitting subgroup is not normal")
-        if not F.is_trivial and not F.lower_central_series()[-1].is_trivial:
-            raise RegulaError("Fitting subgroup is not nilpotent")
-        for p in prime_factors(G.order):
-            if not F.contains_subgroup(core(G, "p-core", p)):
-                raise RegulaError("Fitting subgroup misses a p-core")
-    return F
+    return G._cached("fitting", join_of_p_cores)
+
+
+def certify_fitting(G: PermGroup, F: PermGroup) -> None:
+    """Raise unless F is normal, nilpotent, and contains every p-core."""
+    if not F.is_normal_in(G):
+        raise RegulaError("Fitting subgroup is not normal")
+    if not F.is_trivial and not F.lower_central_series()[-1].is_trivial:
+        raise RegulaError("Fitting subgroup is not nilpotent")
+    for p in prime_factors(G.order):
+        if not F.contains_subgroup(core(G, "p-core", p)):
+            raise RegulaError("Fitting subgroup misses a p-core")
 
 
 def structure_summary(G: PermGroup) -> dict:

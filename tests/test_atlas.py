@@ -6,6 +6,7 @@ import pytest
 from regula import CapExceeded, GroupDataError, UnknownGroupName
 from regula.classes import class_counts, conjugacy_classes
 from regula.constructors import ATLAS_NAMES, _data_path, from_generator_data, load_generator_file
+from regula.exprs import group_from_text
 
 
 class TestLoading:
@@ -20,7 +21,7 @@ class TestLoading:
                 "L34.2_3": 40320, "L34.2^2": 80640,
                 "U33": 6048, "U33.2": 12096, "Sz8": 29120}
         for name, order in want.items():
-            assert from_generator_data(name).order == order, name
+            assert group_from_text(name).order == order, name
 
     def test_unknown_name(self):
         with pytest.raises(UnknownGroupName):
@@ -52,20 +53,20 @@ class TestLoading:
 
 class TestMathieu:
     def test_m11_class_structure(self):
-        t = conjugacy_classes(from_generator_data("M11"))
+        t = conjugacy_classes(group_from_text("M11"))
         assert t.element_order_multiset() == (1, 2, 3, 4, 5, 6, 8, 8, 11, 11)
         assert t.class_size_multiset() == (1, 165, 440, 720, 720, 990, 990, 990, 1320, 1584)
 
     def test_m11_regular_classes(self):
-        assert class_counts(from_generator_data("M11"), 2).k_regular == 5
+        assert class_counts(group_from_text("M11"), 2).k_regular == 5
 
     def test_m12_sharply_five_transitive(self):
-        G = from_generator_data("M12")
+        G = group_from_text("M12")
         assert G.fundamental_orbit_lengths()[:5] == (12, 11, 10, 9, 8)
         assert G.order == 12 * 11 * 10 * 9 * 8
 
     def test_m12_2_contains_m12_shape(self):
-        G = from_generator_data("M12.2")
+        G = group_from_text("M12.2")
         assert G.degree == 24
         t = conjugacy_classes(G)
         assert t.k_total == 21
@@ -73,17 +74,17 @@ class TestMathieu:
 
     def test_m12_2_element_cap_example(self):
         with pytest.raises(CapExceeded):
-            list(from_generator_data("M12.2").elements(10 ** 3))
+            list(group_from_text("M12.2").elements(10 ** 3))
 
     def test_m12_2_socle_fingerprints_as_m12(self):
         from regula.corpus import _minimal_socle_closure
-        G = from_generator_data("M12.2")
+        G = group_from_text("M12.2")
         soc = _minimal_socle_closure(G)
         assert soc.order == 95040
         assert soc.is_normal_in(G)
         # abstract class data does not depend on the degree of the action
         assert conjugacy_classes(soc).class_size_multiset() == \
-            conjugacy_classes(from_generator_data("M12")).class_size_multiset()
+            conjugacy_classes(group_from_text("M12")).class_size_multiset()
 
 
 class TestCorpusPairErrors:
@@ -101,44 +102,44 @@ class TestCorpusPairErrors:
 
 class TestLinearFamily:
     def test_l34_class_structure(self):
-        t = conjugacy_classes(from_generator_data("L34"))
+        t = conjugacy_classes(group_from_text("L34"))
         assert t.k_total == 10
         assert t.element_order_multiset() == (1, 2, 3, 4, 4, 4, 5, 5, 7, 7)
 
     def test_extension_regular_counts(self):
-        assert class_counts(from_generator_data("L34.2_1"), 2).k_regular == 4
-        assert class_counts(from_generator_data("L34.2_2"), 2).k_regular == 5
-        assert class_counts(from_generator_data("L34.2_3"), 2).k_regular == 5
-        assert class_counts(from_generator_data("L34.2^2"), 2).k_regular == 4
+        assert class_counts(group_from_text("L34.2_1"), 2).k_regular == 4
+        assert class_counts(group_from_text("L34.2_2"), 2).k_regular == 5
+        assert class_counts(group_from_text("L34.2_3"), 2).k_regular == 5
+        assert class_counts(group_from_text("L34.2^2"), 2).k_regular == 4
 
     def test_extensions_distinct(self):
-        prints = {name: conjugacy_classes(from_generator_data(name)).class_size_multiset()
+        prints = {name: conjugacy_classes(group_from_text(name)).class_size_multiset()
                   for name in ("L34.2_1", "L34.2_2", "L34.2_3")}
         assert len(set(prints.values())) == 3
 
     def test_socle_inside_extensions(self):
-        soc = from_generator_data("L34")
+        soc = group_from_text("L34")
         for name in ("L34.2_1", "L34.2_2", "L34.2_3", "L34.2^2"):
-            assert from_generator_data(name).contains_subgroup(soc)
+            assert group_from_text(name).contains_subgroup(soc)
 
 
 class TestUnitaryAndSuzuki:
     def test_u33(self):
-        t = conjugacy_classes(from_generator_data("U33"))
+        t = conjugacy_classes(group_from_text("U33"))
         assert t.k_total == 14
-        assert class_counts(from_generator_data("U33"), 2).k_regular == 5
+        assert class_counts(group_from_text("U33"), 2).k_regular == 5
 
     def test_u33_2(self):
-        G = from_generator_data("U33.2")
-        assert from_generator_data("U33").is_normal_in(G)
+        G = group_from_text("U33.2")
+        assert group_from_text("U33").is_normal_in(G)
         assert class_counts(G, 2).k_regular == 4
 
     def test_sz8_class_structure(self):
-        t = conjugacy_classes(from_generator_data("Sz8"))
+        t = conjugacy_classes(group_from_text("Sz8"))
         assert t.element_order_multiset() == (1, 2, 4, 4, 5, 7, 7, 7, 13, 13, 13)
 
     def test_sz8_two_singular(self):
-        assert class_counts(from_generator_data("Sz8"), 2).k_singular == 3
+        assert class_counts(group_from_text("Sz8"), 2).k_singular == 3
 
     def test_sz8_order_coprime_to_three(self):
-        assert from_generator_data("Sz8").order % 3 != 0
+        assert group_from_text("Sz8").order % 3 != 0

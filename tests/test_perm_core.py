@@ -179,7 +179,7 @@ class TestNormalClosure:
             N = G.normal_closure([P(seed, G.degree)])
             for g in G.generators:
                 for h in N.generators:
-                    assert N.contains(h.conjugated_by(g))
+                    assert N.contains(g.inverse() * h * g)
 
 
 @st.composite
@@ -404,7 +404,3 @@ class TestCosetCanonical:
         forms = {N._coset_canonical(g.images) for g in G.elements(100)}
         assert len(forms) == G.order // N.order
 
-    def test_strong_generators_are_members(self):
-        G = alternating(6)
-        for s in G.strong_generators:
-            assert G.contains(s)

@@ -12,7 +12,7 @@ from regula.constructors import (
     wreath,
 )
 from regula.numtheory import prime_factors
-from regula.radicals import certify_core, core, fitting, structure_summary
+from regula.radicals import certify_core, certify_fitting, core, fitting, structure_summary
 
 
 def oracle_core(G, kind, p=None):
@@ -58,22 +58,34 @@ SMALL_CORPUS = [
 ]
 
 
+def certified_core(G, kind, p=None):
+    N = core(G, kind, p)
+    certify_core(G, N, kind, p)
+    return N
+
+
+def certified_fitting(G):
+    F = fitting(G)
+    certify_fitting(G, F)
+    return F
+
+
 class TestCoreExamples:
     def test_s4_two_core(self):
-        assert core(symmetric(4), "p-core", 2, certify=True).order == 4
+        assert certified_core(symmetric(4), "p-core", 2).order == 4
 
     def test_s5_radical_trivial(self):
-        assert core(symmetric(5), "solvable-radical", certify=True).is_trivial
+        assert certified_core(symmetric(5), "solvable-radical").is_trivial
 
     def test_agl15(self):
         G = affine_semilinear(5, 1, False)
-        assert core(G, "p-core", 5, certify=True).order == 5
-        assert core(G, "solvable-radical", certify=True).order == 20
+        assert certified_core(G, "p-core", 5).order == 5
+        assert certified_core(G, "solvable-radical").order == 20
 
     def test_p_prime_core(self):
         G = affine_semilinear(5, 1, False)
-        assert core(G, "p-prime-core", 2, certify=True).order == 5
-        assert core(symmetric(4), "p-prime-core", 3, certify=True).order == 4
+        assert certified_core(G, "p-prime-core", 2).order == 5
+        assert certified_core(symmetric(4), "p-prime-core", 3).order == 4
 
     def test_requires_prime(self):
         with pytest.raises(RegulaError):
@@ -86,13 +98,13 @@ class TestCoreExamples:
 
 class TestFittingExamples:
     def test_s4(self):
-        assert fitting(symmetric(4), certify=True).order == 4
+        assert certified_fitting(symmetric(4)).order == 4
 
     def test_a5_trivial(self):
-        assert fitting(alternating(5), certify=True).is_trivial
+        assert certified_fitting(alternating(5)).is_trivial
 
     def test_c12_whole(self):
-        assert fitting(cyclic(12), certify=True).order == 12
+        assert certified_fitting(cyclic(12)).order == 12
 
 
 class TestOracleEquivalence:
@@ -114,6 +126,23 @@ class TestMaximality:
         for p in prime_factors(G.order):
             certify_core(G, core(G, "p-core", p), "p-core", p)
         certify_core(G, core(G, "solvable-radical"), "solvable-radical")
+
+    def test_second_checks_reject_wrong_subgroups(self):
+        G = symmetric(4)
+        trivial = PermGroup([], degree=4)
+        transposition = PermGroup([Permutation.parse("(1,2)", 4)])
+        with pytest.raises(RegulaError, match="not normal"):
+            certify_core(G, transposition, "p-core", 2)
+        with pytest.raises(RegulaError, match="defining property"):
+            certify_core(G, alternating(4), "p-core", 2)
+        with pytest.raises(RegulaError, match="not maximal"):
+            certify_core(G, trivial, "p-core", 2)
+        with pytest.raises(RegulaError, match="not normal"):
+            certify_fitting(G, transposition)
+        with pytest.raises(RegulaError, match="not nilpotent"):
+            certify_fitting(G, G)
+        with pytest.raises(RegulaError, match="misses a p-core"):
+            certify_fitting(G, trivial)
 
     def test_fitting_contains_p_cores(self):
         for name, G in SMALL_CORPUS:

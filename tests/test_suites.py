@@ -150,6 +150,21 @@ class TestCli:
         doc = json.loads(path.read_text())
         assert doc["suite"] == "numtheory"
 
+    def test_report_unwritable(self, tmp_path):
+        for path, message in ((tmp_path / "nosuch" / "rep.json", "No such file or directory"),
+                              (tmp_path, "Is a directory")):
+            out = self.run("verify", "numtheory", "--report", str(path))
+            assert out.returncode == 1, path
+            assert out.stderr.startswith("error: cannot write report") and message in out.stderr
+            assert out.stderr.count("\n") == 1, path
+
+    def test_m10_table_pinned(self, capsys):
+        # M10 is built by fingerprinting the groups between PSL2(9) and PGammaL2(9)
+        from regula.cli import main
+        assert main(["classes", "M10", "--json"]) == 0
+        got = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert got == "2e1db7d367ecdf82bd5344c4b727467ec0faee0063719d631bad55d4100a162f"
+
     def test_numtheory_landau(self):
         out = self.run("numtheory", "landau", "--r", "2", "--a", "24", "--p", "3")
         assert json.loads(out.stdout)["value"] == "1864135/72"
@@ -198,7 +213,10 @@ class TestCli:
                               ("A(n=5)", "A has no argument n="),
                               ("GLQ(l=2,q=3,z=9)", "GLQ has no argument z="),
                               ("GLQ(l=2,q=3,5)", "extra argument 5"),
-                              ("GLQ(l=2,l=3,q=3)", "argument l= more than once")):
+                              ("GLQ(l=2,l=3,q=3)", "argument l= more than once"),
+                              ("C(" + "9" * 5000 + ")", "5000 digits is too long at position 2"),
+                              ("x(C(1), " * 1000 + "C(1)" + ")" * 1000,
+                               "nesting deeper than 200 levels")):
             out = self.run("classes", text)
             assert out.returncode == 1, text
             assert out.stderr.startswith("error: ") and message in out.stderr, text
