@@ -1,11 +1,14 @@
 """Conjugacy classes and the regular/singular class-counting statistics.
 
-Classes are found exactly: every element (within the cap) is visited and
-the group is partitioned by breadth-first closure under conjugation by
-the group generators.  Representatives are the first member of each
-class in ``PermGroup.elements()`` order, so repeated runs produce
-identical tables.  The orbits of G on a normal subgroup N are the
-classes of G that lie in N, so fused counts are read off G's table.
+Classes are found exactly: every element is visited and the group is
+partitioned by breadth-first closure under conjugation by the group
+generators.  Representatives are the first member of each class in
+``PermGroup.elements()`` order, so repeated runs produce identical
+tables.  The orbits of G on a normal subgroup N are the classes of G
+that lie in N, so fused counts are read off G's table.  A table is
+refused when |G| exceeds ``perm_core.ELEMENT_CAP`` as it stands at the
+call, before the memo is read, so a table computed under a larger cap
+is never returned under a smaller one.
 
 Memory: an element is named by its rank in that order, which its base
 images determine.  With n0 points in the first basic orbit, element
@@ -20,7 +23,6 @@ is |G| bytes plus a fixed multiple of 1/n0 of a full element list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import perm_core
 from .errors import CapExceeded, NotNormal, RegulaError
@@ -152,11 +154,10 @@ def _partition_into_orbits(G: PermGroup):
     return out
 
 
-def conjugacy_classes(G: PermGroup, cap: Optional[int] = None) -> ClassTable:
+def conjugacy_classes(G: PermGroup) -> ClassTable:
     """Exact class table of G, cached on the group instance."""
-    cap = perm_core.ELEMENT_CAP if cap is None else cap
-    if G.order > cap:
-        raise CapExceeded(f"order {G.order} exceeds the element cap {cap}")
+    if G.order > perm_core.ELEMENT_CAP:
+        raise CapExceeded(f"order {G.order} exceeds the element cap {perm_core.ELEMENT_CAP}")
     return G._cached("class_table", lambda: _class_table(G))
 
 
@@ -178,18 +179,17 @@ def class_counts(G: PermGroup, p: int) -> ClassCounts:
     return conjugacy_classes(G).counts(p)
 
 
-def fused_counts(G: PermGroup, N: PermGroup, p: int,
-                 cap: Optional[int] = None) -> ClassCounts:
+def fused_counts(G: PermGroup, N: PermGroup, p: int) -> ClassCounts:
     """Counts of G-conjugation orbits on the elements of normal N <= G.
 
     These orbits are the classes of G that lie in N, read from G's class
-    table, so the cap bounds the order of G.
+    table, so the element cap bounds the order of G.
     """
     if not is_prime(p):
         raise RegulaError(f"{p} is not prime")
     if not N.is_normal_in(G):
         raise NotNormal("fused counts need a normal subgroup")
-    orders = [c.element_order for c in conjugacy_classes(G, cap).classes
+    orders = [c.element_order for c in conjugacy_classes(G).classes
               if N._contains_tuple(c.representative.images)]
     regular = sum(1 for o in orders if o % p != 0)
     return ClassCounts(p=p, k_total=len(orders), k_regular=regular,

@@ -24,12 +24,11 @@ from .perm_core import DEGREE_CAP, PermGroup, Permutation
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 BASE_N_CAP = 12          # factorial growth; S12 is already 479M (order only)
-POINT_CAP = DEGREE_CAP
 
 
 def cyclic(n: int) -> PermGroup:
-    if n < 1 or n > POINT_CAP:
-        raise CapExceeded(f"cyclic degree {n} outside [1, {POINT_CAP}]")
+    if n < 1 or n > DEGREE_CAP:
+        raise CapExceeded(f"cyclic degree {n} outside [1, {DEGREE_CAP}]")
     if n == 1:
         return PermGroup([], degree=1)
     return PermGroup([Permutation.from_cycles(n, [list(range(n))])])
@@ -63,8 +62,8 @@ def alternating(n: int) -> PermGroup:
 
 def dihedral(n: int) -> PermGroup:
     """Symmetries of the regular n-gon, order 2n (n >= 3 natural action)."""
-    if n < 1 or n > POINT_CAP:
-        raise CapExceeded(f"dihedral parameter {n} outside [1, {POINT_CAP}]")
+    if n < 1 or n > DEGREE_CAP:
+        raise CapExceeded(f"dihedral parameter {n} outside [1, {DEGREE_CAP}]")
     if n == 1:
         return cyclic(2)
     if n == 2:
@@ -92,8 +91,8 @@ def _shift(perm: Permutation, offset: int, total: int) -> Permutation:
 def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
     """G x H acting on the disjoint union of the two domains."""
     total = G.degree + H.degree
-    if total > POINT_CAP:
-        raise CapExceeded(f"product degree {total} exceeds {POINT_CAP}")
+    if total > DEGREE_CAP:
+        raise CapExceeded(f"product degree {total} exceeds {DEGREE_CAP}")
     gens = [_shift(g, 0, total) for g in G.generators]
     gens += [_shift(h, G.degree, total) for h in H.generators]
     P = PermGroup(gens, degree=total)
@@ -110,8 +109,8 @@ def wreath(G: PermGroup, P: PermGroup) -> PermGroup:
     """
     d, m = G.degree, P.degree
     total = d * m
-    if total > POINT_CAP:
-        raise CapExceeded(f"wreath degree {total} exceeds {POINT_CAP}")
+    if total > DEGREE_CAP:
+        raise CapExceeded(f"wreath degree {total} exceeds {DEGREE_CAP}")
     expected = G.order ** m * P.order
     if expected > 10 ** 12:
         raise CapExceeded(f"wreath order {expected} is beyond desk scale")
@@ -154,7 +153,7 @@ def affine_semilinear(p: int, k: int, include_galois: bool) -> PermGroup:
     if not is_prime(p):
         raise RegulaError(f"{p} is not prime")
     q = p ** k
-    if q > POINT_CAP or q > 10 ** 4:
+    if q > DEGREE_CAP:
         raise CapExceeded(f"field size {q} is beyond desk scale")
     F = make_field(p, k)
     elems = list(F.elements())
@@ -186,8 +185,8 @@ def glq_family(l: int, q: int) -> PermGroup:
     P = sylow2_sym2l(l)         # caps l at 3, so 2^l stays small
     m = 2 ** l
     npoints = q ** m
-    if npoints > POINT_CAP:
-        raise CapExceeded(f"{npoints} points exceeds the degree cap {POINT_CAP}")
+    if npoints > DEGREE_CAP:
+        raise CapExceeded(f"{npoints} points exceeds the degree cap {DEGREE_CAP}")
     fac = factorize(q)
     if len(fac) != 1 or q % 2 == 0:
         raise RegulaError(f"q = {q} must be an odd prime power")

@@ -23,6 +23,7 @@ from typing import Optional
 from . import constructors as C
 from .errors import CapExceeded, ExprParseError, NotNormal
 from .numtheory import factorize
+from .perm_core import DEGREE_CAP
 
 _ATLAS_TOKENS = set(C.ATLAS_NAMES) | {"M10"}
 
@@ -211,7 +212,7 @@ def _evaluate(expr: GroupExpr):
         return C.base_group(kind, n)
     if head in ("AGL1", "AGammaL1"):
         q = _single_int(expr)
-        if q > C.POINT_CAP:
+        if q > DEGREE_CAP:
             raise CapExceeded(f"field size {q} is beyond desk scale")
         factors = factorize(q) if q > 0 else {}
         if len(factors) != 1:

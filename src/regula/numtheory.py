@@ -17,6 +17,10 @@ prime with ``is_prime``.  sympy is imported only when a number is beyond
 that: ``is_prime`` of an integer at or above the Miller-Rabin bound, or
 ``factorize`` of a number with two or more prime factors above 2048
 (a large ``zsigmondy_primes`` cofactor, say).
+
+Helpers whose cost grows with their input refuse a large one with
+``CapExceeded`` before any work, against the input bounds below; no
+call overrides them.
 """
 
 from __future__ import annotations
@@ -29,6 +33,15 @@ from typing import Optional, Union
 from .errors import CapExceeded, RegulaError
 
 BOUND_SLACK = 1e-9
+
+# input bounds
+_LANDAU_MAX_BITS = 4096          # bits of r^a
+_ZSIGMONDY_MAX_BITS = 256        # bits of r^b
+_PSL2_SCAN_CAP = 10 ** 6
+# largest bound per prime family; the r^n kinds test every prime r up to
+# bound / 2, about 0.5 s at 10^6
+_FAMILY_CAPS = {"fermat": 10 ** 9, "mersenne": 10 ** 9,
+                "two_rn_plus1": 10 ** 6, "four_rn_plus1": 10 ** 6}
 
 
 def _primes_below(n: int) -> list:
@@ -144,9 +157,6 @@ def part_split(n: int, p: int) -> tuple[int, int]:
     return np_, n
 
 
-_LANDAU_MAX_BITS = 4096
-
-
 def landau_quantity(r: int, a: int, p: int) -> Fraction:
     """(r^a - 1)_{p'} / (a * a_p), exactly; r^a may have at most 4096 bits."""
     if r <= 1 or a < 1:
@@ -178,12 +188,13 @@ def lewis_riedl_p_part(r: int, c: int, p: int) -> int:
     return p ** c * rp1_2
 
 
-def zsigmondy_primes(r: int, b: int, max_bits: int = 256) -> frozenset:
-    """Primes dividing r^b - 1 but no r^j - 1 with 1 <= j < b."""
+def zsigmondy_primes(r: int, b: int) -> frozenset:
+    """Primes dividing r^b - 1 but no r^j - 1 with 1 <= j < b; r^b may
+    have at most 256 bits."""
     if r <= 1 or b < 1:
         raise RegulaError("need r > 1 and b >= 1")
-    if b * r.bit_length() > max_bits:
-        raise CapExceeded(f"r^b needs more than {max_bits} bits")
+    if b * r.bit_length() > _ZSIGMONDY_MAX_BITS:
+        raise CapExceeded(f"r^b needs more than {_ZSIGMONDY_MAX_BITS} bits")
     m = r ** b - 1
     if m == 1:
         return frozenset()
@@ -199,21 +210,12 @@ def zsigmondy_primes(r: int, b: int, max_bits: int = 256) -> frozenset:
     return frozenset(factorize(m))
 
 
-_FAMILY_KINDS = ("fermat", "mersenne", "two_rn_plus1", "four_rn_plus1")
-# the r^n kinds test every prime r up to bound / 2, about 0.5 s at 10^6
-_PRIME_WALK_CAP = 10 ** 6
-
-
-def prime_family(kind: str, bound: int, cap: int = 10 ** 9) -> list:
-    """Enumerate a named family of primes (or prime powers) up to ``bound``.
-
-    The kinds ``two_rn_plus1`` and ``four_rn_plus1`` walk the primes up to
-    the bound, so their cap is at most 10^6.
-    """
-    if kind not in _FAMILY_KINDS:
-        raise RegulaError(f"unknown family {kind!r}; one of {_FAMILY_KINDS}")
-    if kind in ("two_rn_plus1", "four_rn_plus1"):
-        cap = min(cap, _PRIME_WALK_CAP)
+def prime_family(kind: str, bound: int) -> list:
+    """Enumerate a named family of primes (or prime powers) up to ``bound``,
+    which is at most 10^9, or 10^6 for the kinds that walk the primes."""
+    if kind not in _FAMILY_CAPS:
+        raise RegulaError(f"unknown family {kind!r}; one of {tuple(_FAMILY_CAPS)}")
+    cap = _FAMILY_CAPS[kind]
     if bound > cap:
         raise CapExceeded(f"bound {bound} exceeds cap {cap}")
     found = set()
@@ -394,14 +396,15 @@ def regular_proportion_lower_bound(series: str, params: dict) -> BoundEvaluation
 
 # -- candidate scan for PSL2(q) with four-prime-divisor order --------------
 
-def psl2_candidate_scan(bound: int, cap: int = 10 ** 6) -> list:
+def psl2_candidate_scan(bound: int) -> list:
     """Prime powers q <= bound such that |PSL2(q)| has exactly four distinct
-    prime divisors and q / (4 e f (1 + log_q 3) gcd(2, q-1)^2) <= 5.
+    prime divisors and q / (4 e f (1 + log_q 3) gcd(2, q-1)^2) <= 5; the
+    bound is at least 97 and at most 10^6.
     """
     if bound < 97:
         raise RegulaError("bound must be at least 97")
-    if bound > cap:
-        raise CapExceeded(f"bound {bound} exceeds cap {cap}")
+    if bound > _PSL2_SCAN_CAP:
+        raise CapExceeded(f"bound {bound} exceeds cap {_PSL2_SCAN_CAP}")
     # smallest-prime-factor sieve up to bound + 1 covers q - 1, q and q + 1
     top = bound + 2
     spf = list(range(top))

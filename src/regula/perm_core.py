@@ -13,6 +13,11 @@ subgroups and cores grow one generator at a time; each step extends a
 copy of the verified chain, keeping its transversal entries and sifting
 only the Schreier pairs it has not checked.
 
+Two module constants bound the work, and each call reads them when it
+runs: ``ELEMENT_CAP`` is the largest order a group may have to be
+enumerated, and ``DEGREE_CAP`` the largest degree of a group, so also
+the largest index of a coset walk, whose action has one point per coset.
+
 Composition is left-to-right: ``(a * b)(x) == b(a(x))``.
 """
 
@@ -451,15 +456,14 @@ class PermGroup:
 
     # -- enumeration -----------------------------------------------------
 
-    def _raw_elements(self, cap: Optional[int] = None) -> Iterator[tuple]:
-        cap = ELEMENT_CAP if cap is None else cap
-        if self.order > cap:
-            raise CapExceeded(f"group order {self.order} exceeds enumeration cap {cap}")
+    def _raw_elements(self) -> Iterator[tuple]:
+        if self.order > ELEMENT_CAP:
+            raise CapExceeded(f"group order {self.order} exceeds enumeration cap {ELEMENT_CAP}")
         return _chain_elements(self._levels, _id_tuple(self.degree))
 
-    def elements(self, cap: Optional[int] = None) -> Iterator[Permutation]:
-        """Yield each element exactly once; raises CapExceeded if order > cap."""
-        for t in self._raw_elements(cap):
+    def elements(self) -> Iterator[Permutation]:
+        """Yield each element exactly once; raises CapExceeded if order > ELEMENT_CAP."""
+        for t in self._raw_elements():
             yield Permutation(t)
 
     # -- subgroup constructions ------------------------------------------
@@ -578,18 +582,17 @@ class PermGroup:
                 t = _mult(lvl.transversal[o][0], t)
         return t
 
-    def _coset_walk(self, N: "PermGroup", index_cap: int):
-        """Breadth-first walk over the cosets of normal N <= G.
+    def _coset_walk(self, N: "PermGroup"):
+        """Breadth-first walk over the right cosets of a subgroup N <= G.
 
         Returns the canonical coset representatives, identity coset first,
         and for each generator the list of coset numbers it sends the
-        representatives to.
+        representatives to: the coset action, one point per coset, so an
+        index above ``DEGREE_CAP`` is refused before the walk.
         """
-        if not N.is_normal_in(self):
-            raise NotNormal("subgroup is not normal")
         index = self.order // N.order
-        if index > index_cap:
-            raise CapExceeded(f"index {index} exceeds cap {index_cap}")
+        if index > DEGREE_CAP:
+            raise CapExceeded(f"index {index} exceeds the degree cap {DEGREE_CAP}")
         start = N._coset_canonical(_id_tuple(self.degree))
         reps = [start]
         number = {start: 0}
@@ -608,9 +611,11 @@ class PermGroup:
             i += 1
         return reps, images
 
-    def quotient(self, N: "PermGroup", index_cap: int = 100_000) -> "PermGroup":
+    def quotient(self, N: "PermGroup") -> "PermGroup":
         """Faithful image of G/N as the coset action, for normal N <= G."""
-        reps, images = self._coset_walk(N, index_cap)
+        if not N.is_normal_in(self):
+            raise NotNormal("subgroup is not normal")
+        reps, images = self._coset_walk(N)
         index = self.order // N.order
         if len(reps) != index:
             raise RegulaError("coset enumeration disagrees with the index")
@@ -619,9 +624,11 @@ class PermGroup:
             raise RegulaError("quotient order check failed")
         return Q
 
-    def coset_representatives(self, N: "PermGroup", index_cap: int = 100_000):
+    def coset_representatives(self, N: "PermGroup"):
         """Canonical coset representatives of normal N in G, identity coset first."""
-        reps, _ = self._coset_walk(N, index_cap)
+        if not N.is_normal_in(self):
+            raise NotNormal("subgroup is not normal")
+        reps, _ = self._coset_walk(N)
         return [Permutation(r) for r in reps]
 
     def intermediate_index2(self, N: "PermGroup") -> list["PermGroup"]:

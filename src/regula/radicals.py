@@ -37,13 +37,19 @@ def _order_admissible(order: int, kind: str, p: Optional[int]) -> bool:
     return True
 
 
-def _qualifies(N: PermGroup, kind: str, p: Optional[int]) -> bool:
+def _check_kind(kind: str, p: Optional[int]) -> None:
     if kind in ("p-core", "p-prime-core"):
-        return _order_admissible(N.order, kind, p)
+        if p is None or not is_prime(p):
+            raise RegulaError(f"kind {kind!r} needs a prime p")
+    elif kind != "solvable-radical":
+        raise RegulaError(f"unknown core kind {kind!r}; one of {CORE_KINDS}")
+
+
+def _qualifies(N: PermGroup, kind: str, p: Optional[int]) -> bool:
     if kind == "solvable-radical":
         return N.is_trivial or N._cached(
             "solvable", lambda: N.derived_series()[-1].is_trivial)
-    raise RegulaError(f"unknown core kind {kind!r}; one of {CORE_KINDS}")
+    return _order_admissible(N.order, kind, p)
 
 
 def _rep_admissible(G: PermGroup, rep, kind: str, p: Optional[int]) -> bool:
@@ -73,11 +79,7 @@ def core(G: PermGroup, kind: str, p: Optional[int] = None) -> PermGroup:
     largest normal subgroup of order coprime to p, 'solvable-radical'
     the largest normal solvable subgroup.
     """
-    if kind in ("p-core", "p-prime-core"):
-        if p is None or not is_prime(p):
-            raise RegulaError(f"kind {kind!r} needs a prime p")
-    elif kind != "solvable-radical":
-        raise RegulaError(f"unknown core kind {kind!r}; one of {CORE_KINDS}")
+    _check_kind(kind, p)
 
     def join_of_closures():
         join = PermGroup([], degree=G.degree)
@@ -108,14 +110,12 @@ def core(G: PermGroup, kind: str, p: Optional[int] = None) -> PermGroup:
 def certify_core(G: PermGroup, N: PermGroup, kind: str, p: Optional[int] = None) -> None:
     """Raise unless N is normal, has the defining property, and is maximal
     with it (the same core of G/N is trivial)."""
+    _check_kind(kind, p)
     if not N.is_normal_in(G):
         raise RegulaError("core output is not normal")
     if not _qualifies(N, kind, p):
         raise RegulaError("core output lacks the defining property")
-    if N.is_trivial:
-        Q = G
-    else:
-        Q = G.quotient(N, index_cap=G.order)
+    Q = G if N.is_trivial else G.quotient(N)
     again = core(Q, kind, p)
     if not again.is_trivial:
         raise RegulaError("core is not maximal: the quotient has a nontrivial core")

@@ -40,36 +40,6 @@ SUITE_NAMES = ("theorem-b", "ninomiya-3", "five-classes", "families",
 
 _KNOWN_SCAN_17 = (11, 13, 16, 19, 23, 25, 27, 31, 32, 37, 47, 49, 53, 73, 81, 97, 128)
 
-# expressions and primes of the positive classification rows; used by the
-# corpus-limited converse scan in the theorem-b suite
-_FOUR_CLASS_ROWS = {("A(5)", 2), ("A(5)", 3), ("PSL2(7)", 7), ("PSL2(7)", 2),
-                    ("S(6)", 2), ("PGL2(9)", 2), ("U33.2", 2),
-                    ("L34.2_1", 2), ("L34.2^2", 2)}
-
-# groups whose stated hypothesis 'no nontrivial normal p-subgroup' /
-# 'trivial solvable radical' is itself a checkable claim
-_RADICAL_HYPOTHESES = (
-    ("A(5)", "solvable-radical", None),
-    ("PSL2(7)", "solvable-radical", None),
-    ("S(6)", "solvable-radical", None),
-    ("PGL2(9)", "solvable-radical", None),
-    ("U33.2", "solvable-radical", None),
-    ("L34.2_1", "solvable-radical", None),
-    ("L34.2^2", "solvable-radical", None),
-    ("S(5)", "p-core", 2),
-    ("PGL2(7)", "p-core", 2),
-    ("M10", "p-core", 2),
-    ("PGammaL2(9)", "p-core", 2),
-    ("PGammaL2(8)", "p-core", 3),
-    ("A(5)", "p-core", 5),
-    ("S(7)", "p-core", 2),
-    ("M11", "p-core", 2),
-    ("M12.2", "p-core", 2),
-    ("PGL2(11)", "p-core", 2),
-    ("L34.2_2", "p-core", 2),
-    ("L34.2_3", "p-core", 2),
-)
-
 
 @dataclass
 class ClaimCheck:
@@ -184,23 +154,28 @@ def _value_check(report: VerificationReport, claim: dict):
     report.check(cid, statement, computed == expected, expected, computed)
 
 
+def _k_regular_rows(spec: dict) -> list:
+    """(expr, p) of the k_regular claims of a registry suite, in file order."""
+    return [(c["expr"], c["p"]) for c in spec["claims"] if c["kind"] == "k_regular"]
+
+
 def _run_registry_suite(name: str, spec: dict) -> VerificationReport:
     report = VerificationReport(suite=name, description=spec["description"])
     for claim in spec["claims"]:
         _value_check(report, claim)
     if name == "theorem-b":
-        _converse_scan(report)
+        _converse_scan(report, _k_regular_rows(spec))
     return report
 
 
-def _converse_scan(report: VerificationReport):
+def _converse_scan(report: VerificationReport, positive_rows: list):
     """Corpus-limited converse: every corpus group with trivial solvable
     radical and exactly four p-regular classes matches a positive row.
 
     Groups are matched by (order, class-size multiset, p), the package's
     stand-in for isomorphism at desk scale."""
     listed = set()
-    for expr, p in _FOUR_CLASS_ROWS:
+    for expr, p in positive_rows:
         G = corpus_group(expr)
         listed.add((G.order, conjugacy_classes(G).class_size_multiset(), p))
     for expr, G in corpus_groups():
@@ -390,7 +365,7 @@ def _run_properties() -> VerificationReport:
 
     for gexpr, ndesc, G, N in normal_pairs():
         primes = prime_factors(G.order)
-        Q = G.quotient(N, index_cap=perm_core.ELEMENT_CAP)
+        Q = G.quotient(N)
         for p in primes:
             gc = class_counts(G, p)
             qc = class_counts(Q, p)
@@ -425,7 +400,14 @@ def _run_properties() -> VerificationReport:
                 computed=f"fused ({fc.k_regular},{fc.k_singular}) "
                          f"subgroup ({nc.k_regular},{nc.k_singular})")
 
-    for expr, kind, p in _RADICAL_HYPOTHESES:
+    # the classification rows assume a trivial solvable radical (theorem-b)
+    # or a trivial p-core (ninomiya-3, five-classes); each is a claim here
+    suites = _registry()["suites"]
+    hypotheses = [(expr, "solvable-radical", None)
+                  for expr, _ in _k_regular_rows(suites["theorem-b"])]
+    hypotheses += [(expr, "p-core", p) for name in ("ninomiya-3", "five-classes")
+                   for expr, p in _k_regular_rows(suites[name])]
+    for expr, kind, p in dict.fromkeys(hypotheses):
         G = corpus_group(expr)
         N = core(G, kind, p)
         label = "solvable radical" if kind == "solvable-radical" else f"{p}-core"

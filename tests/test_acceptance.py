@@ -203,10 +203,7 @@ def test_criterion_5_quotient_cores_trivial():
             continue
         for p in prime_factors(G.order):
             N = core(G, "p-core", p)
-            if N.is_trivial:
-                Q = G
-            else:
-                Q = G.quotient(N, index_cap=G.order)
+            Q = G if N.is_trivial else G.quotient(N)
             assert core(Q, "p-core", p).is_trivial, (expr, p)
             count += 1
     assert _line(5, f"p-core of the quotient by the p-core is trivial "
@@ -219,7 +216,7 @@ def test_criterion_5_radical_quotients_trivial():
         if G.order > perm_core.ELEMENT_CAP:
             continue
         N = core(G, "solvable-radical")
-        Q = G if N.is_trivial else G.quotient(N, index_cap=G.order)
+        Q = G if N.is_trivial else G.quotient(N)
         assert core(Q, "solvable-radical").is_trivial, expr
     assert _line(5, "solvable radical of the quotient by the radical is trivial", True)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from regula import CapExceeded, NotNormal, PermGroup, Permutation, RegulaError
+from regula import perm_core
 from regula.classes import (
     ClassCounts,
     _partition_into_orbits,
@@ -73,21 +74,24 @@ class TestConjugacyClasses:
             for g in G.generators:
                 assert (g.inverse() * c.representative * g).order() == c.element_order
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            conjugacy_classes(symmetric(8), cap=100)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(perm_core, "ELEMENT_CAP", 1000)
+        with pytest.raises(CapExceeded, match="exceeds the element cap 1000"):
+            conjugacy_classes(symmetric(8))
         # a memoised result never outranks a smaller cap
         G = symmetric(5)
         N = G.commutator_subgroup()
         assert conjugacy_classes(G).k_total == 7
         assert fused_counts(G, N, 2).k_total == 4
+        monkeypatch.setattr(perm_core, "ELEMENT_CAP", 10)
         with pytest.raises(CapExceeded):
-            conjugacy_classes(G, cap=10)
+            conjugacy_classes(G)
         with pytest.raises(CapExceeded):
-            fused_counts(G, N, 2, cap=10)
+            fused_counts(G, N, 2)
         # fused counts come from G's class table, so |N| within the cap is not enough
+        monkeypatch.setattr(perm_core, "ELEMENT_CAP", N.order)
         with pytest.raises(CapExceeded):
-            fused_counts(G, N, 2, cap=N.order)
+            fused_counts(G, N, 2)
 
     def test_deterministic(self):
         a = conjugacy_classes(symmetric(5))
@@ -206,7 +210,7 @@ class TestSingularElements:
 
     def test_matches_direct_enumeration(self):
         for G, p in ((symmetric(5), 2), (alternating(5), 3)):
-            direct = sum(1 for e in G.elements(1000) if e.order() % p == 0)
+            direct = sum(1 for e in G.elements() if e.order() % p == 0)
             assert singular_element_count(G, p) == direct
 
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import oracles
 from regula import CapExceeded, DegreeMismatch, NotInGroup, NotNormal, PermGroup, Permutation, RegulaError
+from regula import perm_core
 from regula.constructors import alternating, cyclic, dihedral, symmetric
 from regula.numtheory import is_p_power
 
@@ -136,18 +137,20 @@ class TestMembershipEnumeration:
         assert cyclic(6).order == 6
 
     def test_elements_s3(self):
-        els = list(symmetric(3).elements(10))
+        els = list(symmetric(3).elements())
         assert len(els) == len(set(els)) == 6
 
     def test_elements_a5_all_members(self):
         A5 = alternating(5)
-        els = list(A5.elements(100))
+        els = list(A5.elements())
         assert len(set(els)) == 60
         assert all(A5.contains(e) for e in els)
 
-    def test_elements_cap(self):
+    def test_elements_cap(self, monkeypatch):
+        monkeypatch.setattr(perm_core, "ELEMENT_CAP", 1000)
         with pytest.raises(CapExceeded):
-            list(symmetric(8).elements(1000))
+            list(symmetric(8).elements())
+        assert len(list(symmetric(6).elements())) == 720
 
 
 class TestNormalClosure:
@@ -345,11 +348,25 @@ class TestQuotient:
         H = PermGroup([P("(1,2)", 4)])
         with pytest.raises(NotNormal):
             S4.quotient(H)
+        with pytest.raises(NotNormal):
+            S4.coset_representatives(H)
 
     def test_index_cap(self):
-        S5 = symmetric(5)
+        # the coset action of index 5040 would exceed the degree cap
+        S7 = symmetric(7)
+        with pytest.raises(CapExceeded, match="index 5040 exceeds the degree cap 2000"):
+            S7.quotient(PermGroup([], degree=7))
         with pytest.raises(CapExceeded):
-            S5.quotient(PermGroup([], degree=5), index_cap=10)
+            S7.coset_representatives(PermGroup([], degree=7))
+
+    def test_coset_walk_of_a_subgroup(self):
+        # the walk itself needs no normality: S(4) on the cosets of S(3)
+        G = symmetric(4)
+        H = G.point_stabilizer(3)
+        reps, images = G._coset_walk(H)
+        assert len(reps) == 4 and reps[0] == tuple(range(4))
+        action = PermGroup([Permutation(img) for img in images], degree=4)
+        assert action.order == 24
 
 
 class TestIntermediateIndex2:
@@ -385,7 +402,7 @@ class TestPointStabilizer:
 
     def test_orbit_stabilizer_product(self):
         for G in (symmetric(5), alternating(6), dihedral(7)):
-            orbit = {g.images[0] for g in G.elements(1000)}
+            orbit = {g.images[0] for g in G.elements()}
             assert len(orbit) * G.point_stabilizer(0).order == G.order
 
 
@@ -393,14 +410,14 @@ class TestCosetCanonical:
     def test_same_coset_same_form(self):
         G = symmetric(5)
         N = alternating(5)
-        for g in list(G.elements(200))[:40]:
-            for n in list(N.elements(100))[:10]:
+        for g in list(G.elements())[:40]:
+            for n in list(N.elements())[:10]:
                 assert N._coset_canonical((n * g).images) == \
                     N._coset_canonical(g.images)
 
     def test_distinct_cosets_distinct_forms(self):
         G = symmetric(4)
         N = G.normal_closure([P("(1,2)(3,4)", 4)])
-        forms = {N._coset_canonical(g.images) for g in G.elements(100)}
+        forms = {N._coset_canonical(g.images) for g in G.elements()}
         assert len(forms) == G.order // N.order
 

@@ -88,12 +88,15 @@ class TestCoreExamples:
         assert certified_core(symmetric(4), "p-prime-core", 3).order == 4
 
     def test_requires_prime(self):
-        with pytest.raises(RegulaError):
-            core(symmetric(4), "p-core")
-        with pytest.raises(RegulaError):
-            core(symmetric(4), "p-core", 6)
-        with pytest.raises(RegulaError):
-            core(symmetric(4), "nilradical")
+        # the second check validates kind and p as the core itself does
+        G = symmetric(4)
+        N = core(G, "p-core", 2)
+        for kind, p in (("p-core", None), ("p-prime-core", None), ("p-core", 6),
+                        ("nilradical", None)):
+            with pytest.raises(RegulaError, match="needs a prime p|unknown core kind"):
+                core(G, kind, p)
+            with pytest.raises(RegulaError, match="needs a prime p|unknown core kind"):
+                certify_core(G, N, kind, p)
 
 
 class TestFittingExamples:

@@ -19,7 +19,7 @@ from itertools import combinations
 from regula.classes import conjugacy_classes
 from regula.constructors import _data_path
 from regula.ffield import make_field
-from regula.perm_core import PermGroup, Permutation, _conj, _inv, _mult
+from regula.perm_core import PermGroup, Permutation, _conj, _mult
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "regula", "data")
 
@@ -109,38 +109,16 @@ def build_m11(M12):
 
 # -- M12.2 -------------------------------------------------------------------
 
-def coset_action(G, H):
-    """Action of G on the right cosets of H (not necessarily normal)."""
-    ident = tuple(range(G.degree))
-    start = H._coset_canonical(ident)
-    reps = [start]
-    number = {start: 0}
-    images = [[] for _ in G._gen_tuples]
-    i = 0
-    while i < len(reps):
-        r = reps[i]
-        for gi, g in enumerate(G._gen_tuples):
-            c = H._coset_canonical(_mult(r, g))
-            j = number.get(c)
-            if j is None:
-                j = len(reps)
-                number[c] = j
-                reps.append(c)
-            images[gi].append(j)
-        i += 1
-    return [Permutation(img) for img in images], reps
-
-
 def find_transitive_m11(M12):
     """The unique transitive point stabilizer-sized subgroup through a fixed
     11-element, found by a deterministic scan."""
     x = None
-    for g in M12.elements(100000):
+    for g in M12.elements():
         if g.order() == 11:
             x = g
             break
     assert x is not None
-    for g in M12.elements(100000):
+    for g in M12.elements():
         H = PermGroup([x, g], degree=12)
         if H.order == 7920 and len(H._levels[0].transversal) == 12:
             return H
@@ -257,8 +235,9 @@ def solve_intertwiner(gens, target_images, npoints=12):
 
 def build_m12_2(M12):
     H = find_transitive_m11(M12)
-    psi_gens, reps = coset_action(M12, H)
-    copy2 = PermGroup(psi_gens, degree=12)
+    # the action on the right cosets of H (not normal)
+    reps, images = M12._coset_walk(H)
+    copy2 = PermGroup([Permutation(img) for img in images], degree=12)
     assert copy2.order == 95040
 
     hex1 = hexad_system(M12.generators)
