@@ -33,7 +33,7 @@ from .suites import SUITE_NAMES, run_suite
 
 def _apply_cap_env():
     cap = os.environ.get("REGULA_ELEMENT_CAP")
-    if cap:
+    if cap is not None:
         if not (cap.isascii() and cap.isdigit() and int(cap) > 0):
             raise RegulaError(f"REGULA_ELEMENT_CAP must be a positive integer, got {cap!r}")
         perm_core.ELEMENT_CAP = int(cap)

@@ -82,9 +82,8 @@ def _is_irreducible(m, p):
         xd = _poly_powmod(x, p ** d, m, p)
         diff = _poly_trim([(a - b) % p for a, b in
                            zip(list(xd) + [0] * len(m), list(x) + [0] * len(m))])
-        if _poly_gcd(m, diff, p):
-            if len(_poly_gcd(m, diff, p)) > 1:
-                return False
+        if len(_poly_gcd(m, diff, p)) > 1:
+            return False
     return True
 
 

@@ -2,9 +2,10 @@
 
 Everything here is exact where the quantity is rational (Fractions over
 arbitrary-precision integers) and double precision where a logarithm is
-unavoidable.  Comparisons of real-valued bounds against exact counts are
-made after lowering the bound by a slack of 1e-9, so an irrational bound
-that is attained exactly never fails spuriously.
+unavoidable.  Each bound is a plain function of its parameters that
+returns the bound as a number.  The ``bounds`` suite compares it with an
+exact count after lowering it by ``BOUND_SLACK`` (1e-9), so an
+irrational bound that is attained exactly never fails spuriously.
 
 Primality and factorisation are exact in plain Python for every number
 the group-theory path meets.  ``is_prime`` is trial division by the
@@ -26,9 +27,7 @@ call overrides them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 from .errors import CapExceeded, RegulaError
 
@@ -281,117 +280,41 @@ def coxeter_number(family: str, rank: int = 0) -> int:
 
 # -- lower bounds for class counts, centralizers and proportions ----------
 
-Number = Union[Fraction, float]
+def regular_class_bound_linear(n: int, q: int) -> Fraction:
+    """Lower bound q^(n-1) / (6 n^3) for the number of p-regular classes of
+    PSL_n(q) or PSU_n(q)."""
+    return Fraction(q ** (n - 1), 6 * n ** 3)
 
 
-@dataclass
-class BoundEvaluation:
-    series: str
-    params: dict
-    bound_value: Number
-    compared_quantity: Optional[object] = None
-    satisfied: Optional[bool] = None
-
-    def compare(self, exact) -> "BoundEvaluation":
-        self.compared_quantity = exact
-        self.satisfied = bool(exact > self.bound_value - BOUND_SLACK)
-        return self
+def regular_class_bound_rank1(q: int, f: int) -> float:
+    """Lower bound q / (4 e f (1 + log_q 3) gcd(2, q-1)) for the number of
+    p-regular classes of PSL2(q), q = r^f."""
+    return q / (4 * math.e * f * (1 + math.log(3, q)) * math.gcd(2, q - 1))
 
 
-def regular_class_lower_bound(series: str, params: dict) -> BoundEvaluation:
-    """Lower bound for the number of p-regular classes of a simple group.
-
-    series 'linear_unitary' (params n, q): q^(n-1) / (6 n^3).
-    series 'symplectic_orthogonal' (params n, q): q^n / (120 n^2).
-    series 'exceptional' (params r, q, A): q^r / (480 A).
-    series 'psl2' (params q, f): q / (4 e f (1 + log_q 3) gcd(2, q-1)).
-    """
-    if series == "linear_unitary":
-        n, q = params["n"], params["q"]
-        value: Number = Fraction(q ** (n - 1), 6 * n ** 3)
-    elif series == "symplectic_orthogonal":
-        n, q = params["n"], params["q"]
-        value = Fraction(q ** n, 120 * n ** 2)
-    elif series == "exceptional":
-        r, q = params["r"], params["q"]
-        A = params.get("A", 1)
-        value = Fraction(q ** r, 480) / Fraction(A)
-        params = dict(params, A=A)
-    elif series == "psl2":
-        q = params["q"]
-        f = params.get("f", 1)
-        value = q / (4 * math.e * f * (1 + math.log(3, q)) * math.gcd(2, q - 1))
-        params = dict(params, f=f)
-    else:
-        raise RegulaError(f"unknown series {series!r}")
-    return BoundEvaluation(series=series, params=dict(params), bound_value=value)
+def min_centralizer_bound_linear(n: int, q: int) -> float:
+    """Lower bound q^(n-1) / (e (1 + log_q(n+1)) gcd(q-1, n)) for the
+    smallest centralizer order of PSL_n(q).  At n = 2 it is the rank-1
+    bound q / (e (1 + log_q 3) gcd(2, q-1)), float for float."""
+    return q ** (n - 1) / (math.e * (1 + math.log(n + 1, q)) * math.gcd(q - 1, n))
 
 
-def min_centralizer_lower_bound(series: str, params: dict) -> BoundEvaluation:
-    """Lower bound for the smallest centralizer order.
-
-    series 'linear_unitary' (n, q): q^(n-1) / (e (1 + log_q(n+1)) gcd(q-1, n)).
-    series 'psl2' (q): q / (e (1 + log_q 3) gcd(2, q-1)).
-    series 'gl2' (q): q (q-1) / (e (1 + log_q 3)).
-    series 'exceptional' (r, q, A): q^r / (A min(q, r) (1 + log_q r)).
-    """
-    if series == "linear_unitary":
-        n, q = params["n"], params["q"]
-        value = q ** (n - 1) / (math.e * (1 + math.log(n + 1, q)) * math.gcd(q - 1, n))
-    elif series == "psl2":
-        q = params["q"]
-        value = q / (math.e * (1 + math.log(3, q)) * math.gcd(2, q - 1))
-    elif series == "gl2":
-        q = params["q"]
-        value = q * (q - 1) / (math.e * (1 + math.log(3, q)))
-    elif series == "exceptional":
-        r, q = params["r"], params["q"]
-        A = params.get("A", 1)
-        value = q ** r / (A * min(q, r) * (1 + math.log(r, q)))
-        params = dict(params, A=A)
-    else:
-        raise RegulaError(f"unknown series {series!r}")
-    return BoundEvaluation(series=series, params=dict(params), bound_value=value)
+def singular_proportion_bound_defining(q: int) -> Fraction:
+    """Lower bound 2/(5q) for the proportion of p-singular elements of a
+    group of Lie type over GF(q), p the defining characteristic."""
+    return Fraction(2, 5 * q)
 
 
-def singular_proportion_lower_bound(series: str, params: dict, p: int) -> BoundEvaluation:
-    """Lower bound for the proportion of p-singular elements of a simple group.
-
-    series 'cross' (params h): (1/h)(1 - 1/p), or 1/9 when the special
-    3-part case applies (flag 'exceptional_third_part').
-    series 'defining' (params q): 2/(5q), or 2/(5q^2) for Suzuki and Ree
-    groups (flag 'suzuki_ree').
-    """
-    if series == "cross":
-        h = params["h"]
-        if params.get("exceptional_third_part"):
-            value: Number = Fraction(1, 9)
-        else:
-            value = Fraction(1, h) * (1 - Fraction(1, p))
-    elif series == "defining":
-        q = params["q"]
-        delta = 2 if params.get("suzuki_ree") else 1
-        value = Fraction(2, 5 * q ** delta)
-    else:
-        raise RegulaError(f"unknown series {series!r}")
-    return BoundEvaluation(series=series, params=dict(params, p=p), bound_value=value)
+def singular_proportion_bound_cross(h: int, p: int) -> Fraction:
+    """Lower bound (1/h)(1 - 1/p) for the proportion of p-singular elements,
+    p a cross characteristic and h the Coxeter number."""
+    return Fraction(1, h) * (1 - Fraction(1, p))
 
 
-def regular_proportion_lower_bound(series: str, params: dict) -> BoundEvaluation:
-    """Lower bound for the proportion of p-regular elements (any p).
-
-    series 'classical' (params m, the natural projective dimension): 1/(2m).
-    series 'exceptional': 1/15.  series 'psl2': 1/4.
-    """
-    if series == "classical":
-        value: Number = Fraction(1, 2 * params["m"])
-    elif series == "exceptional":
-        value = Fraction(1, 15)
-    elif series == "psl2":
-        value = Fraction(1, 4)
-    else:
-        raise RegulaError(f"unknown series {series!r}")
-    return BoundEvaluation(series=series, params=dict(params), bound_value=value)
+def regular_proportion_bound(m: int) -> Fraction:
+    """Lower bound 1/(2m) for the proportion of p-regular elements (any p)
+    of a classical group of natural projective dimension m."""
+    return Fraction(1, 2 * m)
 
 
 # -- candidate scan for PSL2(q) with four-prime-divisor order --------------
@@ -434,8 +357,7 @@ def psl2_candidate_scan(bound: int) -> list:
                 # the prime 2 from q^2 - 1, so the divisor set is the union
                 primes = {p} | distinct(q - 1) | distinct(q + 1)
                 if len(primes) == 4:
-                    lhs = q / (4 * math.e * f * (1 + math.log(3, q))
-                               * math.gcd(2, q - 1) ** 2)
+                    lhs = regular_class_bound_rank1(q, f) / math.gcd(2, q - 1)
                     if lhs <= 5 + BOUND_SLACK:
                         found.append(q)
             q *= p

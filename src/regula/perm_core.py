@@ -189,9 +189,6 @@ class Permutation:
     def order(self) -> int:
         return _order_of(self.images)
 
-    def cycles(self) -> list[list[int]]:
-        return _cycles_of(self.images)
-
     def cycle_string(self) -> str:
         cycles = _cycles_of(self.images)
         if not cycles:
@@ -376,8 +373,7 @@ class PermGroup:
     promised.
     """
 
-    def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None,
-                 base_hint: Sequence[int] = ()):
+    def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
         gens = tuple(generators)
         if degree is None:
             if not gens:
@@ -389,7 +385,7 @@ class PermGroup:
             if g.degree != degree:
                 raise DegreeMismatch(f"generator degree {g.degree}, expected {degree}")
         gens = tuple(g for g in gens if not g.is_identity)
-        self._setup(degree, gens, _schreier_sims(degree, [g.images for g in gens], base_hint))
+        self._setup(degree, gens, _schreier_sims(degree, [g.images for g in gens]))
 
     def _setup(self, degree, generators, levels):
         self.degree = degree
@@ -415,9 +411,6 @@ class PermGroup:
 
     def fundamental_orbit_lengths(self) -> tuple:
         return tuple(len(lvl.transversal) for lvl in self._levels)
-
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
 
     def __repr__(self):
         return f"<PermGroup degree={self.degree} order={self.order} gens={len(self.generators)}>"

@@ -8,6 +8,7 @@ with a stable ordering, so serialising one twice gives identical bytes.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -19,17 +20,20 @@ from .corpus import CORPUS_EXPRS, corpus_group, corpus_groups, normal_pairs
 from .errors import RegulaError
 from .exprs import group_from_text
 from .numtheory import (
+    BOUND_SLACK,
     coxeter_number,
     landau_quantity,
     lewis_riedl_p_part,
-    min_centralizer_lower_bound,
+    min_centralizer_bound_linear,
     part_split,
     prime_factors,
     prime_family,
     psl2_candidate_scan,
-    regular_class_lower_bound,
-    regular_proportion_lower_bound,
-    singular_proportion_lower_bound,
+    regular_class_bound_linear,
+    regular_class_bound_rank1,
+    regular_proportion_bound,
+    singular_proportion_bound_cross,
+    singular_proportion_bound_defining,
     zsigmondy_primes,
 )
 from . import perm_core
@@ -112,12 +116,18 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["claim_id,status,expected,computed"]
+        # imported here, as only --csv needs it: csv adds about 0.1 MB to
+        # the peak RSS of every process that imports this module
+        import csv
+
+        # csv writes None as an empty field and any other value as its str()
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("claim_id", "status", "expected", "computed"))
         for c in sorted(self.checks, key=lambda c: c.claim_id):
-            exp = "" if c.expected is None else str(_jsonable(c.expected))
-            comp = "" if c.computed is None else str(_jsonable(c.computed))
-            lines.append(f"{c.claim_id},{c.status},{exp!r},{comp!r}")
-        return "\n".join(lines) + "\n"
+            writer.writerow((c.claim_id, c.status,
+                             _jsonable(c.expected), _jsonable(c.computed)))
+        return out.getvalue()
 
 
 def _registry() -> dict:
@@ -206,66 +216,50 @@ def _run_bounds() -> VerificationReport:
         suite="bounds",
         description="Closed-form lower bounds for class counts, centralizer "
                     "orders and singular proportions, against exact counts.")
-    jobs = [("PSL2(%d)" % q, "linear_unitary", {"n": 2, "q": q}, q, ell, f)
-            for q, (ell, f) in _BOUNDS_PSL2.items()]
-    jobs.append(("PSL3(3)", "linear_unitary", {"n": 3, "q": 3}, 3, 3, 1))
-    for expr, series, params, q, ell, f in jobs:
+
+    def check(cid, statement, bound, exact):
+        # lowering the bound by the slack lets an attained float bound pass
+        report.check(cid, statement, exact > bound - BOUND_SLACK,
+                     expected=bound, computed=exact)
+
+    jobs = [("PSL2(%d)" % q, 2, q, ell, f) for q, (ell, f) in _BOUNDS_PSL2.items()]
+    jobs.append(("PSL3(3)", 3, 3, 3, 1))
+    for expr, n, q, ell, f in jobs:
         G = group_from_text(expr)
         table = conjugacy_classes(G)
-        n = params["n"]
         for p in prime_factors(G.order):
-            ev = regular_class_lower_bound(series, params).compare(
-                class_counts(G, p).k_regular)
-            report.check(
-                f"bound.kreg.{expr}.p{p}",
-                f"exact count of p-regular classes exceeds q^(n-1)/(6n^3) for {expr}",
-                ev.satisfied,
-                expected=ev.bound_value, computed=ev.compared_quantity)
+            k_regular = class_counts(G, p).k_regular
+            check(f"bound.kreg.{expr}.p{p}",
+                  f"exact count of p-regular classes exceeds q^(n-1)/(6n^3) for {expr}",
+                  regular_class_bound_linear(n, q), k_regular)
             if n == 2:
-                ev2 = regular_class_lower_bound(
-                    "psl2", {"q": q, "f": f}).compare(class_counts(G, p).k_regular)
-                report.check(
-                    f"bound.kreg2.{expr}.p{p}",
-                    f"exact count of p-regular classes exceeds the rank-1 bound for {expr}",
-                    ev2.satisfied,
-                    expected=ev2.bound_value, computed=ev2.compared_quantity)
-        mc = min_centralizer_lower_bound(series, params).compare(
-            table.min_centralizer_order())
-        report.check(
-            f"bound.cent.{expr}",
-            f"smallest centralizer order in {expr} exceeds the classical-group bound",
-            mc.satisfied,
-            expected=mc.bound_value, computed=mc.compared_quantity)
+                check(f"bound.kreg2.{expr}.p{p}",
+                      f"exact count of p-regular classes exceeds the rank-1 bound for {expr}",
+                      regular_class_bound_rank1(q, f), k_regular)
+        min_cent = table.min_centralizer_order()
+        cent_bound = min_centralizer_bound_linear(n, q)
+        check(f"bound.cent.{expr}",
+              f"smallest centralizer order in {expr} exceeds the classical-group bound",
+              cent_bound, min_cent)
         if n == 2:
-            mc2 = min_centralizer_lower_bound("psl2", {"q": q}).compare(
-                table.min_centralizer_order())
-            report.check(
-                f"bound.cent2.{expr}",
-                f"smallest centralizer order in {expr} exceeds the rank-1 bound",
-                mc2.satisfied,
-                expected=mc2.bound_value, computed=mc2.compared_quantity)
+            # at n = 2 the linear bound is the rank-1 one, q/(e (1+log_q 3) gcd(2, q-1))
+            check(f"bound.cent2.{expr}",
+                  f"smallest centralizer order in {expr} exceeds the rank-1 bound",
+                  cent_bound, min_cent)
         h = coxeter_number("A", n - 1)
         for p in prime_factors(G.order):
             exact = Fraction(table.singular_element_total(p), G.order)
             if p == ell:
-                ev = singular_proportion_lower_bound("defining", {"q": q}, p)
+                bound = singular_proportion_bound_defining(q)
             else:
-                ev = singular_proportion_lower_bound("cross", {"h": h}, p)
-            ev.compare(exact)
-            report.check(
-                f"bound.sing.{expr}.p{p}",
-                f"proportion of p-singular elements of {expr} meets its lower bound",
-                ev.satisfied,
-                expected=ev.bound_value, computed=exact)
+                bound = singular_proportion_bound_cross(h, p)
+            check(f"bound.sing.{expr}.p{p}",
+                  f"proportion of p-singular elements of {expr} meets its lower bound",
+                  bound, exact)
             # regular-element proportion bounds hold for every prime
-            exact_reg = 1 - exact
-            series_reg = "psl2" if n == 2 else "classical"
-            rv = regular_proportion_lower_bound(series_reg, {"m": n}).compare(exact_reg)
-            report.check(
-                f"bound.regprop.{expr}.p{p}",
-                f"proportion of p-regular elements of {expr} meets its lower bound",
-                rv.satisfied,
-                expected=rv.bound_value, computed=exact_reg)
+            check(f"bound.regprop.{expr}.p{p}",
+                  f"proportion of p-regular elements of {expr} meets its lower bound",
+                  regular_proportion_bound(n), 1 - exact)
     return report
 
 

@@ -6,22 +6,24 @@ import sympy
 
 from regula import CapExceeded, RegulaError
 from regula.numtheory import (
-    BOUND_SLACK,
     coxeter_number,
     factorize,
     is_prime,
     landau_quantity,
     lewis_riedl_p_part,
-    min_centralizer_lower_bound,
+    min_centralizer_bound_linear,
     part_split,
     prime_factors,
     prime_family,
     psl2_candidate_scan,
-    regular_class_lower_bound,
-    regular_proportion_lower_bound,
-    singular_proportion_lower_bound,
+    regular_class_bound_linear,
+    regular_class_bound_rank1,
+    regular_proportion_bound,
+    singular_proportion_bound_cross,
+    singular_proportion_bound_defining,
     zsigmondy_primes,
 )
+from regula.suites import run_suite
 
 KNOWN_SCAN_17 = (11, 13, 16, 19, 23, 25, 27, 31, 32, 37, 47, 49, 53, 73, 81, 97, 128)
 
@@ -223,60 +225,39 @@ class TestCoxeter:
 
 class TestBounds:
     def test_linear_values_exact(self):
-        assert regular_class_lower_bound("linear_unitary", {"n": 2, "q": 7}).bound_value \
-            == Fraction(7, 48)
-        assert regular_class_lower_bound("linear_unitary", {"n": 3, "q": 3}).bound_value \
-            == Fraction(1, 18)
-        assert regular_class_lower_bound("linear_unitary", {"n": 2, "q": 5}).bound_value \
-            == Fraction(5, 48)
+        assert regular_class_bound_linear(2, 7) == Fraction(7, 48)
+        assert regular_class_bound_linear(3, 3) == Fraction(1, 18)
+        assert regular_class_bound_linear(2, 5) == Fraction(5, 48)
 
-    def test_symplectic_orthogonal(self):
-        assert regular_class_lower_bound("symplectic_orthogonal",
-                                         {"n": 2, "q": 3}).bound_value == Fraction(9, 480)
-
-    def test_exceptional_constant(self):
-        ev = regular_class_lower_bound("exceptional", {"r": 4, "q": 2})
-        assert ev.bound_value == Fraction(2 ** 4, 480)
-        ev2 = regular_class_lower_bound("exceptional", {"r": 4, "q": 2, "A": 2})
-        assert ev2.bound_value == Fraction(2 ** 4, 960)
-        assert ev2.params["A"] == 2
+    def test_rank1_value(self):
+        # q = 9 = 3^2: 9 / (4 e * 2 * (1 + 1/2) * 2)
+        assert regular_class_bound_rank1(9, 2) == pytest.approx(3 / (8 * math.e))
 
     def test_compare_slack(self):
-        ev = regular_class_lower_bound("linear_unitary", {"n": 2, "q": 7})
-        ev.compare(4)
-        assert ev.satisfied and ev.compared_quantity == 4
+        # the bounds suite records each bound with report.check
+        by_id = {c.claim_id: c for c in run_suite("bounds").checks}
+        row = by_id["bound.kreg.PSL2(7).p2"]
+        assert row.expected == Fraction(7, 48) and row.computed == 4
+        assert row.status == "pass"
         # exact equality passes thanks to the slack
-        ev2 = singular_proportion_lower_bound("cross", {"h": 2}, 2)
-        ev2.compare(Fraction(1, 4))
-        assert ev2.satisfied
+        row = by_id["bound.sing.PSL2(5).p2"]
+        assert row.expected == row.computed == singular_proportion_bound_cross(2, 2)
+        assert row.status == "pass"
 
     def test_min_centralizer(self):
-        v = min_centralizer_lower_bound("linear_unitary", {"n": 2, "q": 7}).bound_value
+        v = min_centralizer_bound_linear(2, 7)
         assert 0 < v < 2  # q/(e (1+log_q 3) gcd(q-1, n)) with gcd = 2
-        v2 = min_centralizer_lower_bound("gl2", {"q": 7}).bound_value
-        assert v2 > v
+        assert v == 7 / (math.e * (1 + math.log(3, 7)) * 2)
+        assert min_centralizer_bound_linear(2, 13) > v
 
     def test_singular_proportions(self):
-        assert singular_proportion_lower_bound("defining", {"q": 7}, 7).bound_value \
-            == Fraction(2, 35)
-        assert singular_proportion_lower_bound("cross", {"h": 2}, 2).bound_value \
-            == Fraction(1, 4)
-        assert singular_proportion_lower_bound(
-            "defining", {"q": 8, "suzuki_ree": True}, 2).bound_value == Fraction(2, 320)
-        assert singular_proportion_lower_bound(
-            "cross", {"h": 3, "exceptional_third_part": True}, 3).bound_value \
-            == Fraction(1, 9)
+        assert singular_proportion_bound_defining(7) == Fraction(2, 35)
+        assert singular_proportion_bound_cross(2, 2) == Fraction(1, 4)
 
     def test_regular_proportions(self):
-        assert regular_proportion_lower_bound("classical", {"m": 3}).bound_value \
-            == Fraction(1, 6)
-        assert regular_proportion_lower_bound("exceptional", {}).bound_value \
-            == Fraction(1, 15)
-        assert regular_proportion_lower_bound("psl2", {}).bound_value == Fraction(1, 4)
-
-    def test_unknown_series(self):
-        with pytest.raises(RegulaError):
-            regular_class_lower_bound("orthomodular", {})
+        assert regular_proportion_bound(3) == Fraction(1, 6)
+        # the bounds suite passes m = 2 for PSL2(q)
+        assert regular_proportion_bound(2) == Fraction(1, 4)
 
 
 class TestPsl2Scan:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -91,6 +93,18 @@ class TestSuites:
         lines = rep.to_csv().strip().splitlines()
         assert len(lines) == len(rep.checks) + 1
 
+    def test_csv_parses(self, reports):
+        # claim ids such as prop.classeq.GLQ(l=1, q=3) contain commas
+        for name, rep in reports.items():
+            rows = list(csv.reader(io.StringIO(rep.to_csv())))
+            assert rows[0] == ["claim_id", "status", "expected", "computed"], name
+            assert all(len(row) == 4 for row in rows), name
+            ids = [c["claim_id"] for c in rep.to_json_dict()["checks"]]
+            assert [row[0] for row in rows[1:]] == ids, name
+        by_id = {row[0]: row for row in csv.reader(io.StringIO(reports["properties"].to_csv()))}
+        assert by_id["prop.classeq.GLQ(l=1, q=3)"][1:] == ["pass", "True", "True"]
+        assert by_id["prop.boundedness-statements"][2:] == ["", ""]
+
     def test_report_bytes_pinned(self, reports):
         # a refactor must keep every report byte for byte
         want = {
@@ -173,7 +187,8 @@ class TestCli:
         for value, message in (("50", "exceeds the element cap 50"),
                                ("abc", "positive integer"),
                                ("-5", "positive integer"),
-                               ("0", "positive integer")):
+                               ("0", "positive integer"),
+                               ("", "positive integer")):
             out = self.run("classes", "S(5)", env={"REGULA_ELEMENT_CAP": value})
             assert out.returncode == 1, value
             assert out.stderr.startswith("error: ") and message in out.stderr, value

@@ -17,7 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from itertools import combinations
 
 from regula.classes import conjugacy_classes
-from regula.constructors import _data_path
+from regula.constructors import _data_path, _mat_apply, _normalize_point, _plane_points
 from regula.ffield import make_field
 from regula.perm_core import PermGroup, Permutation, _conj, _mult
 
@@ -282,18 +282,8 @@ def build_m12_2(M12):
 def build_l34_family():
     F = make_field(2, 2)
     one, zero = F.one(), F.zero()
-    pts = [(one, y, z) for y in F.elements() for z in F.elements()]
-    pts += [(zero, one, z) for z in F.elements()]
-    pts += [(zero, zero, one)]
+    pts = _plane_points(F)
     assert len(pts) == 21
-
-    def normalize(v):
-        for c in v:
-            if not c.is_zero():
-                inv = c.inverse()
-                return tuple(inv * x for x in v)
-        raise ValueError("zero vector")
-
     pt_index = {p: i for i, p in enumerate(pts)}
 
     def dot(u, v):
@@ -301,10 +291,6 @@ def build_l34_family():
 
     # line u is the set of points v with u . v = 0; lines share the
     # canonical-vector labels, shifted by 21
-    def mat_apply(m, v):
-        return tuple(m[i][0] * v[0] + m[i][1] * v[1] + m[i][2] * v[2]
-                     for i in range(3))
-
     def transpose(m):
         return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
 
@@ -334,8 +320,8 @@ def build_l34_family():
 
     def matrix_perm(m):
         minvt = transpose(mat_inv(m))
-        images = [pt_index[normalize(mat_apply(m, v))] for v in pts]
-        images += [21 + pt_index[normalize(mat_apply(minvt, u))] for u in pts]
+        images = [pt_index[_normalize_point(_mat_apply(m, v))] for v in pts]
+        images += [21 + pt_index[_normalize_point(_mat_apply(minvt, u))] for u in pts]
         return Permutation(images)
 
     g = F.primitive_element()
@@ -346,8 +332,8 @@ def build_l34_family():
     assert l34.order == 20160, l34.order
 
     frob = Permutation(
-        [pt_index[normalize(tuple(c.frobenius() for c in v))] for v in pts]
-        + [21 + pt_index[normalize(tuple(c.frobenius() for c in u))] for u in pts])
+        [pt_index[_normalize_point(tuple(c.frobenius() for c in v))] for v in pts]
+        + [21 + pt_index[_normalize_point(tuple(c.frobenius() for c in u))] for u in pts])
     dual = Permutation([21 + i for i in range(21)] + list(range(21)))
     # diagonal automorphism: any matrix whose determinant is not a cube
     diag = matrix_perm(((g, zero, zero), (zero, one, zero), (zero, zero, one)))
@@ -436,32 +422,21 @@ def build_u33():
     def herm(u, v):
         return u[0] * conj(v[0]) + u[1] * conj(v[1]) + u[2] * conj(v[2])
 
-    def normalize(v):
-        for c in v:
-            if not c.is_zero():
-                inv = c.inverse()
-                return tuple(inv * x for x in v)
-        raise ValueError("zero vector")
-
     vecs = [(x, y, z) for x in F.elements() for y in F.elements()
             for z in F.elements()][1:]
     iso = []
     seen = set()
     for v in vecs:
         if herm(v, v).is_zero():
-            n = normalize(v)
+            n = _normalize_point(v)
             if n not in seen:
                 seen.add(n)
                 iso.append(n)
     assert len(iso) == 28, len(iso)
     index = {p: i for i, p in enumerate(iso)}
 
-    def mat_apply(m, v):
-        return tuple(m[i][0] * v[0] + m[i][1] * v[1] + m[i][2] * v[2]
-                     for i in range(3))
-
     def mat_perm(m):
-        return Permutation([index[normalize(mat_apply(m, v))] for v in iso])
+        return Permutation([index[_normalize_point(_mat_apply(m, v))] for v in iso])
 
     # unitary reflections x -> x + h(x,v)/h(v,v) v along anisotropic v
     # generate the full unitary group; grow greedily until the point
@@ -473,7 +448,7 @@ def build_u33():
             coef = herm(x, v) * hinv
             return tuple(x[i] + coef * v[i] for i in range(3))
 
-        return Permutation([index[normalize(r(p))] for p in iso])
+        return Permutation([index[_normalize_point(r(p))] for p in iso])
 
     G = PermGroup([], degree=28)
     gens = []
@@ -489,7 +464,7 @@ def build_u33():
     assert G.order == 6048, G.order
     U33 = reduce_generators(G)
 
-    frob = Permutation([index[normalize(tuple(conj(c) for c in v))] for v in iso])
+    frob = Permutation([index[_normalize_point(tuple(conj(c) for c in v))] for v in iso])
     U33_2 = PermGroup(list(U33.generators) + [frob], degree=28)
     assert U33_2.order == 12096, U33_2.order
     return U33, reduce_generators(U33_2)
@@ -518,19 +493,12 @@ def build_sz8():
 
     INF = ("inf",)
 
-    def normalize4(v):
-        for c in v:
-            if not c.is_zero():
-                inv = c.inverse()
-                return tuple(inv * x for x in v)
-        raise ValueError("zero vector")
-
     points = [INF] + chart
     index = {INF: 0}
     embed_index = {}
     for i, (x, y) in enumerate(chart):
         index[(x, y)] = i + 1
-        embed_index[normalize4(embed(x, y))] = i + 1
+        embed_index[_normalize_point(embed(x, y))] = i + 1
     inf4 = (one, zero, zero, zero)
     embed_index[inf4] = 0
 
@@ -558,8 +526,8 @@ def build_sz8():
     # coordinate reversal on the projective ovoid
     rev_images = [0] * 65
     for i, p in enumerate(points):
-        v4 = inf4 if p == INF else normalize4(embed(*p))
-        r = normalize4(tuple(reversed(v4)))
+        v4 = inf4 if p == INF else _normalize_point(embed(*p))
+        r = _normalize_point(tuple(reversed(v4)))
         rev_images[i] = embed_index[r]
     rev = Permutation(rev_images)
 
