@@ -377,9 +377,17 @@ def load_generator_file(path: str, expect_name: str | None = None) -> PermGroup:
             raise GroupDataError(f"{path}: missing header field {key!r}")
     if expect_name is not None and header["name"] != expect_name:
         raise GroupDataError(f"{path}: header names {header['name']!r}, expected {expect_name!r}")
-    degree = int(header["degree"])
-    expected_order = int(header["order"])
-    expected_sizes = tuple(int(s) for s in header["class_sizes"].split(","))
+
+    def integer(key, text):
+        try:
+            return int(text)
+        except ValueError:
+            raise GroupDataError(f"{path}: header field {key!r} has a non-integer "
+                                 f"value {text!r}") from None
+
+    degree = integer("degree", header["degree"])
+    expected_order = integer("order", header["order"])
+    expected_sizes = tuple(integer("class_sizes", s) for s in header["class_sizes"].split(","))
     perms = [Permutation.parse(line, degree) for line in gens]
     G = PermGroup(perms, degree=degree)
     if G.order != expected_order:
@@ -395,16 +403,22 @@ def load_generator_file(path: str, expect_name: str | None = None) -> PermGroup:
 # -- derived named groups ----------------------------------------------------
 
 def m10() -> PermGroup:
-    """The index-2 extension of PSL2(9) with three 2-regular classes.
+    """PSL2(9) extended by the diagonal times field automorphism.
 
     Of the three groups between PSL2(9) and PGammaL2(9), S6 and PGL2(9)
-    have four 2-regular classes and M10 has three.
+    have four 2-regular classes and M10 has three; that count and the
+    order are its certificate.
     """
     from .classes import class_counts
 
-    subs = projective_group("pgammal2", 9).intermediate_index2(projective_group("psl2", 9))
-    found = [H for H in subs if class_counts(H, 2).k_regular == 3]
-    if len(found) != 1:
-        raise RegulaError(f"{len(found)} index-2 extensions of PSL2(9) have "
-                          "three 2-regular classes, expected one")
-    return found[0]
+    N = projective_group("psl2", 9)
+    F = make_field(3, 2)
+    zero, one = F.zero(), F.one()
+    delta_phi = _mobius_perm(F, F.primitive_element(), zero, zero, one) * _frobenius_line_perm(F)
+    # the coset's canonical element, not delta_phi itself, is the generator
+    # the M10 class representatives are pinned with
+    G = PermGroup(list(N.generators) + [Permutation(N._coset_canonical(delta_phi.images))])
+    if G.order != 720 or class_counts(G, 2).k_regular != 3:
+        raise RegulaError("M10 certificate failed: expected order 720 and "
+                          "three 2-regular classes")
+    return G

@@ -9,7 +9,6 @@ once no matter how many suites touch it.  Those are the only two memos.
 
 from __future__ import annotations
 
-from .errors import RegulaError
 from .exprs import group_from_text
 from .perm_core import PermGroup, Permutation
 
@@ -35,32 +34,33 @@ CORPUS_EXPRS = (
     "U33", "U33.2", "Sz8",
 )
 
-# (G, N) with N normal in G, both corpus members or derived subgroups;
-# entries are (G expression, N expression or a seed permutation whose
-# normal closure in G is N)
+# (G expression, label, N): N normal in G is a corpus expression, a seed
+# permutation in cycle notation whose normal closure in G is N, or
+# "derived" for the commutator subgroup G' (the simple socle of the
+# almost simple entries); the label names N in claim ids
 NORMAL_PAIR_SPECS = (
-    ("S(4)", "A(4)"),
-    ("S(4)", ("closure", "(1,2)(3,4)")),
-    ("A(4)", ("closure", "(1,2)(3,4)")),
-    ("S(5)", "A(5)"),
-    ("S(6)", "A(6)"),
-    ("S(7)", "A(7)"),
-    ("C(6)", ("closure", "(1,4)(2,5)(3,6)")),
-    ("C(6)", ("closure", "(1,3,5)(2,4,6)")),
-    ("C(12)", ("closure", "(1,4,7,10)(2,5,8,11)(3,6,9,12)")),
-    ("D(4)", ("closure", "(1,2,3,4)")),
-    ("PGL2(7)", "PSL2(7)"),
-    ("PGL2(9)", "PSL2(9)"),
-    ("PGL2(11)", "PSL2(11)"),
-    ("PGammaL2(9)", "PSL2(9)"),
-    ("PGammaL2(8)", "PSL2(8)"),
-    ("AGL1(5)", ("closure", "(1,2,3,4,5)")),
-    ("GLQ(l=1, q=3)", ("closure-first-translation", None)),
-    ("x(A(5), A(5))", ("left-factor", "A(5)")),
-    ("x(S(5), AGL1(5))", "x(A(5), C(5))"),
-    ("M12.2", ("closure-nontrivial", None)),
-    ("U33.2", ("closure-nontrivial", None)),
-    ("L34.2_1", ("closure-nontrivial", None)),
+    ("S(4)", "A(4)", "A(4)"),
+    ("S(4)", "<<(1,2)(3,4)>>", "(1,2)(3,4)"),
+    ("A(4)", "<<(1,2)(3,4)>>", "(1,2)(3,4)"),
+    ("S(5)", "A(5)", "A(5)"),
+    ("S(6)", "A(6)", "A(6)"),
+    ("S(7)", "A(7)", "A(7)"),
+    ("C(6)", "<<(1,4)(2,5)(3,6)>>", "(1,4)(2,5)(3,6)"),
+    ("C(6)", "<<(1,3,5)(2,4,6)>>", "(1,3,5)(2,4,6)"),
+    ("C(12)", "<<(1,4,7,10)(2,5,8,11)(3,6,9,12)>>", "(1,4,7,10)(2,5,8,11)(3,6,9,12)"),
+    ("D(4)", "<<(1,2,3,4)>>", "(1,2,3,4)"),
+    ("PGL2(7)", "PSL2(7)", "PSL2(7)"),
+    ("PGL2(9)", "PSL2(9)", "PSL2(9)"),
+    ("PGL2(11)", "PSL2(11)", "PSL2(11)"),
+    ("PGammaL2(9)", "PSL2(9)", "PSL2(9)"),
+    ("PGammaL2(8)", "PSL2(8)", "PSL2(8)"),
+    ("AGL1(5)", "<<(1,2,3,4,5)>>", "(1,2,3,4,5)"),
+    ("GLQ(l=1, q=3)", "<<translations>>", "(1,4,7)(2,5,8)(3,6,9)"),
+    ("x(A(5), A(5))", "A(5) x 1", "(1,2,3)"),
+    ("x(S(5), AGL1(5))", "x(A(5), C(5))", "x(A(5), C(5))"),
+    ("M12.2", "<<socle>>", "derived"),
+    ("U33.2", "<<socle>>", "derived"),
+    ("L34.2_1", "<<socle>>", "derived"),
 )
 
 
@@ -73,64 +73,16 @@ def corpus_groups():
     return [(e, corpus_group(e)) for e in CORPUS_EXPRS]
 
 
-def _first_translation_closure(G: PermGroup) -> PermGroup:
-    # seed with a generator of odd prime order (the translation part)
-    for g in G.generators:
-        o = g.order()
-        if o % 2 == 1 and o > 1:
-            return G.normal_closure([g])
-    raise RegulaError("no odd-order generator found")
-
-
-def _minimal_socle_closure(G: PermGroup) -> PermGroup:
-    # smallest proper normal closure of a class representative: for the
-    # almost simple corpus entries this is the simple socle
-    from .classes import conjugacy_classes
-    from .radicals import _closure_of_rep
-
-    best = None
-    for cls in conjugacy_classes(G).classes:
-        if cls.element_order == 1:
-            continue
-        N = _closure_of_rep(G, cls.representative)
-        if N.order < G.order and (best is None or N.order < best.order):
-            best = N
-    if best is None:
-        raise RegulaError("group is simple; no proper closure")
-    return best
-
-
-def _left_factor(G: PermGroup, inner_expr: str) -> PermGroup:
-    inner = corpus_group(inner_expr)
-    gens = []
-    for g in inner.generators:
-        gens.append(Permutation(tuple(g.images) + tuple(range(inner.degree, G.degree))))
-    return PermGroup(gens, degree=G.degree)
-
-
 def normal_pairs():
-    """(G expression, N description, G, N) for each corpus normal pair."""
+    """(G expression, N label, G, N) for each corpus normal pair."""
     out = []
-    for gexpr, nspec in NORMAL_PAIR_SPECS:
+    for gexpr, label, nspec in NORMAL_PAIR_SPECS:
         G = corpus_group(gexpr)
-        if isinstance(nspec, str):
-            N = corpus_group(nspec)
-            ndesc = nspec
+        if nspec == "derived":
+            N = G.commutator_subgroup()
+        elif nspec.startswith("("):
+            N = G.normal_closure([Permutation.parse(nspec, G.degree)])
         else:
-            kind, arg = nspec
-            if kind == "closure":
-                N = G.normal_closure([Permutation.parse(arg, G.degree)])
-                ndesc = f"<<{arg}>>"
-            elif kind == "closure-first-translation":
-                N = _first_translation_closure(G)
-                ndesc = "<<translations>>"
-            elif kind == "closure-nontrivial":
-                N = _minimal_socle_closure(G)
-                ndesc = "<<socle>>"
-            elif kind == "left-factor":
-                N = _left_factor(G, arg)
-                ndesc = f"{arg} x 1"
-            else:
-                raise RegulaError(f"unknown pair spec {kind!r}")
-        out.append((gexpr, ndesc, G, N))
+            N = corpus_group(nspec)
+        out.append((gexpr, label, G, N))
     return out

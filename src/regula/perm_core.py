@@ -8,10 +8,13 @@ the first moved points, orbits are explored in FIFO order, and every
 Schreier generator is sifted, so orders and membership tests are exact.
 A group built from generators (every named group) gets its chain from
 scratch, so its transversals, and with them the enumeration order, do
-not depend on how the group was reached.  Normal closures, commutator
-subgroups and cores grow one generator at a time; each step extends a
-copy of the verified chain, keeping its transversal entries and sifting
-only the Schreier pairs it has not checked.
+not depend on how the group was reached.  A subgroup is made from its
+generators, as a normal closure or as a commutator subgroup.  Normal
+closures, commutator subgroups and cores grow one generator at a time;
+each step extends a copy of the verified chain, keeping its transversal
+entries and sifting only the Schreier pairs it has not checked.  The
+levels below the first base point are a chain of that point's
+stabilizer.
 
 Two module constants bound the work, and each call reads them when it
 runs: ``ELEMENT_CAP`` is the largest order a group may have to be
@@ -113,10 +116,6 @@ class Permutation:
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(_id_tuple(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -267,7 +266,7 @@ def _first_moved(t):
     return None
 
 
-def _schreier_sims(degree, gen_tuples, base_hint=(), chain=None):
+def _schreier_sims(degree, gen_tuples, chain=None):
     """Deterministic Schreier-Sims. Returns the verified list of levels.
 
     From scratch, each new strong generator rebuilds the orbits it joins.
@@ -278,7 +277,7 @@ def _schreier_sims(degree, gen_tuples, base_hint=(), chain=None):
     """
     ident = _id_tuple(degree)
     keep = chain is not None
-    levels = [lvl.copy() for lvl in chain] if keep else [_Level(pt, ident) for pt in base_hint]
+    levels = [lvl.copy() for lvl in chain] if keep else []
 
     def strip(g, start=0):
         for i in range(start, len(levels)):
@@ -478,22 +477,6 @@ class PermGroup:
                 H = H._extended_with([t])
         return H
 
-    def subgroup(self, generators: Iterable[Permutation]) -> "PermGroup":
-        H = PermGroup(tuple(generators), degree=self.degree)
-        for t in H._gen_tuples:
-            if not self._contains_tuple(t):
-                raise NotInGroup("subgroup generator not in group")
-        return H
-
-    def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point, read off a chain whose base starts there."""
-        levels = _schreier_sims(self.degree, self._gen_tuples, base_hint=(point,))
-        gens = {}
-        for lvl in levels[1:]:
-            for g in lvl.gens:
-                gens.setdefault(g, None)
-        return PermGroup([Permutation(g) for g in gens] or [], degree=self.degree)
-
     def normal_closure(self, seeds: Iterable[Permutation]) -> "PermGroup":
         """Smallest normal subgroup of this group containing ``seeds``."""
         seed_perms = tuple(seeds)
@@ -616,37 +599,3 @@ class PermGroup:
         if Q.order * N.order != self.order:
             raise RegulaError("quotient order check failed")
         return Q
-
-    def coset_representatives(self, N: "PermGroup"):
-        """Canonical coset representatives of normal N in G, identity coset first."""
-        if not N.is_normal_in(self):
-            raise NotNormal("subgroup is not normal")
-        reps, _ = self._coset_walk(N)
-        return [Permutation(r) for r in reps]
-
-    def intermediate_index2(self, N: "PermGroup") -> list["PermGroup"]:
-        """All H with N <= H <= G and |H:N| = 2.
-
-        Requires |G:N| = 2, or |G:N| = 4 with elementary abelian quotient.
-        """
-        if not N.is_normal_in(self):
-            raise NotNormal("subgroup is not normal")
-        index = self.order // N.order
-        if index == 2:
-            return [self]
-        if index != 4:
-            raise RegulaError(f"index is {index}, expected 2 or 4")
-        reps = self.coset_representatives(N)
-        ident_coset = reps[0].images
-        nontrivial = [r for r in reps if r.images != ident_coset]
-        for r in nontrivial:
-            if N._coset_canonical(_mult(r.images, r.images)) != ident_coset:
-                raise RegulaError("index-4 quotient is not elementary abelian")
-        subs = []
-        for r in nontrivial:
-            H = self.subgroup(list(N.generators) + [r])
-            if H.order != 2 * N.order:
-                raise RegulaError("intermediate subgroup has wrong order")
-            subs.append(H)
-        subs.sort(key=lambda H: sorted(g.images for g in H.generators))
-        return subs

@@ -79,16 +79,11 @@ def conj_classes(elements, gen_tuples):
     return classes
 
 
-def normal_closure_set(elements, seed, gen_tuples):
-    """<seed^G> as an element set: conjugate orbit, then subgroup closure.
-
-    The subgroup is grown from a small generating subset of the orbit
-    (adding an uncovered orbit element and re-closing, at most log2 |N|
-    times), then checked to contain the whole orbit.
-    """
+def _conj_orbit(seeds, gen_tuples):
+    """The union of the conjugation orbits of ``seeds`` under the group."""
     pairs = [(g, inv(g)) for g in gen_tuples]
-    orbit = {seed}
-    queue = [seed]
+    orbit = set(seeds)
+    queue = list(orbit)
     while queue:
         y = queue.pop()
         for g, gi in pairs:
@@ -96,13 +91,29 @@ def normal_closure_set(elements, seed, gen_tuples):
             if z not in orbit:
                 orbit.add(z)
                 queue.append(z)
-    ordered = sorted(orbit)
+    return orbit
+
+
+def _generated(items):
+    """The subgroup generated by ``items`` and a small generating subset.
+
+    The subgroup is grown by adding an uncovered item and re-closing, at
+    most log2 of its order times.
+    """
+    ordered = sorted(items)
     gens = [ordered[0]]
     sub = closure(gens)
     for t in ordered:
         if t not in sub:
             gens.append(t)
             sub = closure(gens)
+    return sub, gens
+
+
+def normal_closure_set(elements, seed, gen_tuples):
+    """<seed^G> as an element set: conjugate orbit, then subgroup closure."""
+    orbit = _conj_orbit([seed], gen_tuples)
+    sub, _ = _generated(orbit)
     assert orbit <= sub
     return sub
 
@@ -143,14 +154,12 @@ def nilpotent_set(elements):
 
 
 def derived_subgroup_set(elements):
-    """Subgroup generated by all commutators (full pairwise set)."""
-    elems = sorted(elements)
-    comms = set()
-    for a in elems:
-        ai = inv(a)
-        for b in elems:
-            comms.add(mult(mult(ai, inv(b)), mult(a, b)))
-    return closure(sorted(comms))
+    """H' as an element set: the normal closure in H of the commutators
+    [s, t] of a generating subset S of H, since H' = <[s, t]>^H."""
+    _, gens = _generated(elements)
+    comms = {mult(mult(inv(a), inv(b)), mult(a, b)) for a in gens for b in gens}
+    sub, _ = _generated(_conj_orbit(comms, gens))
+    return sub
 
 
 def solvable_set(elements, max_steps=20):

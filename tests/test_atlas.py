@@ -1,12 +1,13 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from regula import CapExceeded, GroupDataError, UnknownGroupName
-from regula import perm_core
+from regula import CapExceeded, GroupDataError, RegulaError, UnknownGroupName
+from regula import corpus, perm_core
 from regula.classes import class_counts, conjugacy_classes
 from regula.constructors import ATLAS_NAMES, _data_path, from_generator_data, load_generator_file
 from regula.exprs import group_from_text
@@ -46,6 +47,17 @@ class TestLoading:
         with pytest.raises(GroupDataError):
             load_generator_file(str(dst))
 
+    def test_tampered_header_not_an_integer(self, tmp_path):
+        src = _data_path("M11")
+        text = open(src).read()
+        sizes = re.search(r"^class_sizes:.*$", text, re.M).group(0)
+        for field, tampered in (("order", text.replace("order: 7920", "order: 79x20")),
+                                ("class_sizes", text.replace(sizes, "class_sizes:"))):
+            dst = tmp_path / "M11.txt"
+            dst.write_text(tampered)
+            with pytest.raises(GroupDataError, match=f"'{field}' has a non-integer"):
+                load_generator_file(str(dst))
+
     def test_wrong_name_detected(self, tmp_path):
         src = _data_path("M11")
         dst = tmp_path / "M11.txt"
@@ -81,9 +93,8 @@ class TestMathieu:
             list(group_from_text("M12.2").elements())
 
     def test_m12_2_socle_fingerprints_as_m12(self):
-        from regula.corpus import _minimal_socle_closure
         G = group_from_text("M12.2")
-        soc = _minimal_socle_closure(G)
+        soc = G.commutator_subgroup()
         assert soc.order == 95040
         assert soc.is_normal_in(G)
         # abstract class data does not depend on the degree of the action
@@ -91,17 +102,31 @@ class TestMathieu:
             conjugacy_classes(group_from_text("M12")).class_size_multiset()
 
 
+class TestCorpusPairs:
+    def test_derived_pairs_are_the_socles(self):
+        socles = {"M12.2": "M12", "U33.2": "U33", "L34.2_1": "L34"}
+        derived = [pair for spec, pair in zip(corpus.NORMAL_PAIR_SPECS, corpus.normal_pairs())
+                   if spec[2] == "derived"]
+        assert sorted(gexpr for gexpr, _, _, _ in derived) == sorted(socles)
+        for gexpr, label, G, N in derived:
+            assert label == "<<socle>>" and G.order == 2 * N.order
+            assert conjugacy_classes(N).class_size_multiset() == \
+                conjugacy_classes(group_from_text(socles[gexpr])).class_size_multiset()
+
+    def test_seed_closures(self):
+        orders = {(gexpr, label): N.order for gexpr, label, _, N in corpus.normal_pairs()}
+        assert orders[("GLQ(l=1, q=3)", "<<translations>>")] == 9
+        assert orders[("x(A(5), A(5))", "A(5) x 1")] == 60
+
+
 class TestCorpusPairErrors:
     def test_errors_are_regula_errors(self, monkeypatch):
-        from regula import RegulaError, corpus
-        from regula.constructors import alternating, symmetric
-        with pytest.raises(RegulaError, match="no odd-order generator"):
-            corpus._first_translation_closure(symmetric(4))
-        with pytest.raises(RegulaError, match="group is simple"):
-            corpus._minimal_socle_closure(alternating(5))
-        monkeypatch.setattr(corpus, "NORMAL_PAIR_SPECS", (("S(4)", ("bogus", None)),))
-        with pytest.raises(RegulaError, match="unknown pair spec"):
-            corpus.normal_pairs()
+        for spec in (("A(4)", "<<(1,2)>>", "(1,2)"),        # seed outside G
+                     ("S(4)", "<<(1,5)>>", "(1,5)"),        # seed beyond the degree
+                     ("S(4)", "bogus", "bogus(4)")):        # no such group
+            monkeypatch.setattr(corpus, "NORMAL_PAIR_SPECS", (spec,))
+            with pytest.raises(RegulaError):
+                corpus.normal_pairs()
 
 
 class TestLinearFamily:

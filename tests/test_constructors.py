@@ -1,9 +1,11 @@
 import pytest
 
 import oracles
-from regula import CapExceeded, PermGroup, RegulaError
+from regula import CapExceeded, PermGroup, Permutation, RegulaError, constructors
 from regula.classes import class_counts, conjugacy_classes, singular_element_count
 from regula.constructors import (
+    _frobenius_line_perm,
+    _mobius_perm,
     affine_semilinear,
     alternating,
     base_group,
@@ -17,6 +19,7 @@ from regula.constructors import (
     sylow2_sym2l,
     wreath,
 )
+from regula.ffield import make_field
 
 BIG_SEMIPRIME = 210000000000000000000000009007400000000000000000000014337989  # 60 digits
 
@@ -221,14 +224,22 @@ class TestProjective:
 
 
 class TestA6Extensions:
-    # the three groups between PSL2(9) and PGammaL2(9), told apart by class sizes
+    # the three groups between PSL2(9) and PGammaL2(9): PSL2(9) extended by
+    # the diagonal, the field, or the diagonal times field automorphism
+    def extensions(self):
+        F = make_field(3, 2)
+        zero, one = F.zero(), F.one()
+        delta = _mobius_perm(F, F.primitive_element(), zero, zero, one)
+        phi = _frobenius_line_perm(F)
+        N = projective_group("psl2", 9)
+        return [PermGroup(list(N.generators) + [x]) for x in (delta, phi, delta * phi)]
+
     def fingerprints(self):
-        big = projective_group("pgammal2", 9)
-        subs = big.intermediate_index2(projective_group("psl2", 9))
-        assert all(H.order == 720 for H in subs)
-        return [conjugacy_classes(H).class_size_multiset() for H in subs]
+        return [conjugacy_classes(H).class_size_multiset() for H in self.extensions()]
 
     def test_three_distinct_extensions(self):
+        big = projective_group("pgammal2", 9)
+        assert all(H.order == 720 and big.contains_subgroup(H) for H in self.extensions())
         prints = self.fingerprints()
         assert len(prints) == len(set(prints)) == 3
 
@@ -242,12 +253,16 @@ class TestA6Extensions:
     def test_m10(self):
         G = m10()
         assert G.order == 720
+        assert G.contains_subgroup(projective_group("psl2", 9))
+        assert projective_group("pgammal2", 9).contains_subgroup(G)
         assert class_counts(G, 2).k_regular == 3
-        assert conjugacy_classes(G).class_size_multiset() in self.fingerprints()
         assert len({conjugacy_classes(H).class_size_multiset()
                     for H in (G, symmetric(6), projective_group("pgl2", 9))}) == 3
 
     def test_m10_needs_one_match(self, monkeypatch):
-        monkeypatch.setattr(PermGroup, "intermediate_index2", lambda self, N: [N])
-        with pytest.raises(RegulaError, match="0 index-2 extensions"):
+        # without the field automorphism the extension is PGL2(9): order 720
+        # but four 2-regular classes, so the certificate refuses it
+        monkeypatch.setattr(constructors, "_frobenius_line_perm",
+                            lambda F: Permutation(range(F.size + 1)))
+        with pytest.raises(RegulaError, match="M10 certificate"):
             m10()

@@ -173,7 +173,7 @@ class TestCli:
             assert out.stderr.count("\n") == 1, path
 
     def test_m10_table_pinned(self, capsys):
-        # M10 is built by fingerprinting the groups between PSL2(9) and PGammaL2(9)
+        # M10's generators, and with them its class representatives, are pinned
         from regula.cli import main
         assert main(["classes", "M10", "--json"]) == 0
         got = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()

@@ -96,10 +96,10 @@ def build_m12():
 
 
 def build_m11(M12):
-    st = M12.point_stabilizer(0)
-    assert st.order == 7920
-    gens11 = [Permutation([g.images[j + 1] - 1 for j in range(11)])
-              for g in st.generators]
+    # the chain below the first base point is a chain of the stabilizer of 0
+    assert M12.base[0] == 0
+    st_gens = dict.fromkeys(g for lvl in M12._levels[1:] for g in lvl.gens)
+    gens11 = [Permutation([g[j + 1] - 1 for j in range(11)]) for g in st_gens]
     M11 = reduce_generators(PermGroup(gens11))
     assert M11.order == 7920
     t = conjugacy_classes(M11)
@@ -346,7 +346,8 @@ def build_l34_family():
     A = PermGroup(list(l34.generators) + [diag, frob, dual], degree=42)
     assert A.order == 241920, A.order
 
-    reps = A.coset_representatives(l34)
+    assert l34.is_normal_in(A)
+    reps = [Permutation(r) for r in A._coset_walk(l34)[0]]
     number = {}
     canon = l34._coset_canonical
     for i, r in enumerate(reps):
