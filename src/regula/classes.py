@@ -14,15 +14,18 @@ Memory: an element is named by its rank in that order, which its base
 images determine.  With n0 points in the first basic orbit, element
 i0 + n0*t is the t-th element of the first point stabiliser followed by
 the i0-th level-0 coset representative.  The partition keeps one visited
-byte per element, the stabiliser as |G|/n0 image tuples with a dict from
-their base images to t, and per generator two tables of |G|/n0 short
-entries.  Only the class representatives are built in full, so the peak
-is |G| bytes plus a fixed multiple of 1/n0 of a full element list.
+byte per element and, per generator, a conjugation map of one 4-byte
+rank per element, so 1 + 4k bytes per element for k generators.  The
+stabiliser is kept as |G|/n0 image tuples with a dict from their base
+images to n0*t, 1/n0 of a full element list.  Only the class
+representatives are built in full.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from operator import add, getitem
 
 from . import perm_core
 from .errors import CapExceeded, NotNormal, RegulaError
@@ -104,9 +107,16 @@ def _partition_into_orbits(G: PermGroup):
     Returns (representative tuple, class size) pairs.  Each representative
     is the first member of its class in ``G.elements()`` order, and the
     pairs come in that order.  Elements are handled by their rank in that
-    order: rank i0 + n0*t is ``stab[t] * u0[i0]``, where u0 is the sorted
-    level-0 transversal (n0 entries) and ``stab`` lists the stabiliser of
-    the first base point.
+    order: rank i0 + n0*t is y = ``stab[t] * u0[i0]``, where u0 is the
+    sorted level-0 transversal (n0 entries) and ``stab`` lists the
+    stabiliser of the first base point.
+
+    Phase 1 builds, per generator g, the map from the rank of y to the
+    rank of z = g^-1 * y * g.  At a base point b, z[b] is
+    ``(u0[i0] * g)[stab[t][g^-1(b)]]``, so one column of the table of the
+    u0[i0] * g gives z[b] for all n0 ranks with the same t, and the sift
+    of z runs in ``map`` chains over those columns.  Phase 2 walks the
+    classes on the integer maps.
     """
     levels = G._levels
     if not levels:
@@ -115,19 +125,31 @@ def _partition_into_orbits(G: PermGroup):
     orbit0 = sorted(top.transversal)
     n0 = len(orbit0)
     u0 = [top.transversal[b][0] for b in orbit0]
-    sift0 = [None] * G.degree          # point -> (i0, u0[i0]^-1)
+    uinv0 = [top.transversal[b][1] for b in orbit0]
+    index0 = [0] * G.degree
     for i0, b in enumerate(orbit0):
-        sift0[b] = (i0, top.transversal[b][1])
+        index0[b] = i0
     base = [lvl.point for lvl in levels]
     stab = list(_chain_elements(levels[1:], _id_tuple(G.degree)))
-    rank_of = {tuple(map(s.__getitem__, base[1:])): t for t, s in enumerate(stab)}
-    # per generator g: u0[i0] * g, and each stab[t] at g^-1(b0) and at g^-1(b1..)
-    moves = []
+    # base images of stab[t] -> n0*t, the rank of stab[t] * u0[0]
+    row_of = {tuple(map(s.__getitem__, base[1:])): n0 * t for t, s in enumerate(stab)}
+    maps = []
     for g, ginv in G._gen_pairs:
+        cols = list(zip(*[_mult(u, g) for u in u0]))
         p0 = ginv[base[0]]
         pre = [ginv[b] for b in base[1:]]
-        moves.append(([_mult(u, g) for u in u0], [s[p0] for s in stab],
-                      [tuple(map(s.__getitem__, pre)) for s in stab]))
+        conj = array("i")
+        for s in stab:
+            # z = stab[t'] * u0[j0]: j0 from z[b0], then t' from the other
+            # base images of z * u0[j0]^-1
+            j0s = list(map(index0.__getitem__, cols[s[p0]]))
+            if not pre:
+                conj.extend(j0s)
+                continue
+            invs = list(map(uinv0.__getitem__, j0s))
+            keys = zip(*[map(getitem, invs, cols[s[p]]) for p in pre])
+            conj.extend(map(add, j0s, map(row_of.__getitem__, keys)))
+        maps.append(conj)
     visited = bytearray(n0 * len(stab))
     out = []
     for r in range(len(visited)):
@@ -137,18 +159,13 @@ def _partition_into_orbits(G: PermGroup):
         size = 1
         queue = [r]
         while queue:
-            t, i0 = divmod(queue.pop(), n0)
-            for ug, first, rest in moves:
-                # z = g^-1 * y * g for y = stab[t] * u0[i0], read at the base
-                # points only and sifted: z = stab[t'] * u0[j0]
-                w = ug[i0]
-                j0, v = sift0[w[first[t]]]
-                key = tuple(map(v.__getitem__, map(w.__getitem__, rest[t])))
-                rz = j0 + n0 * rank_of[key]
-                if not visited[rz]:
-                    visited[rz] = 1
+            x = queue.pop()
+            for m in maps:
+                y = m[x]
+                if not visited[y]:
+                    visited[y] = 1
                     size += 1
-                    queue.append(rz)
+                    queue.append(y)
         t, i0 = divmod(r, n0)
         out.append((_mult(stab[t], u0[i0]), size))
     return out

@@ -7,11 +7,11 @@
     regula numtheory scan-psl2 --bound B
     regula numtheory primes --kind K --bound B
 
-The environment variable REGULA_ELEMENT_CAP, a positive integer,
-overrides the element cap for one call of ``main``; the previous cap is
-restored when it returns.  Every error, a malformed command line
-included, is exit 1 with one ``error:`` line on stderr; a suite with a
-failed check is exit 2.
+The environment variable REGULA_ELEMENT_CAP, a positive integer up to
+2**31 - 1, overrides the element cap for one call of ``main``; the
+previous cap is restored when it returns.  Every error, a malformed
+command line included, is exit 1 with one ``error:`` line on stderr; a
+suite with a failed check is exit 2.
 """
 
 from __future__ import annotations
@@ -31,11 +31,23 @@ from .radicals import structure_summary
 from .suites import SUITE_NAMES, run_suite
 
 
+# the largest rank the int32 maps of a class table hold
+_CAP_LIMIT = 2**31 - 1
+
+
+def _clip(message):
+    """``message`` with each run of 40 or more non-space characters cut to 32."""
+    return re.sub(r"\S{40,}", lambda m: m[0][:32] + "...", message)
+
+
 def _apply_cap_env():
     cap = os.environ.get("REGULA_ELEMENT_CAP")
     if cap is not None:
-        if not (cap.isascii() and cap.isdigit() and int(cap) > 0):
-            raise RegulaError(f"REGULA_ELEMENT_CAP must be a positive integer, got {cap!r}")
+        # the length test keeps int() inside its digit limit
+        if not (cap.isascii() and cap.isdigit() and len(cap.lstrip("0")) <= 10
+                and 0 < int(cap) <= _CAP_LIMIT):
+            raise RegulaError(_clip(f"REGULA_ELEMENT_CAP must be a positive integer up to "
+                                    f"{_CAP_LIMIT}, got {cap!r}"))
         perm_core.ELEMENT_CAP = int(cap)
 
 
@@ -107,7 +119,7 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a RegulaError, with long echoed values clipped."""
 
     def error(self, message):
-        raise RegulaError(re.sub(r"\S{40,}", lambda m: m[0][:32] + "...", message))
+        raise RegulaError(_clip(message))
 
 
 def build_parser() -> argparse.ArgumentParser:

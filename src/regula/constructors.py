@@ -362,16 +362,20 @@ def from_generator_data(name: str) -> PermGroup:
 def load_generator_file(path: str, expect_name: str | None = None) -> PermGroup:
     header = {}
     gens = []
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            m = re.match(r"^(name|degree|order|class_sizes):\s*(.*)$", line)
-            if m:
-                header[m.group(1)] = m.group(2).strip()
-            else:
-                gens.append(line)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise GroupDataError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = re.match(r"^(name|degree|order|class_sizes):\s*(.*)$", line)
+        if m:
+            header[m.group(1)] = m.group(2).strip()
+        else:
+            gens.append(line)
     for key in ("name", "degree", "order", "class_sizes"):
         if key not in header:
             raise GroupDataError(f"{path}: missing header field {key!r}")

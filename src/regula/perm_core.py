@@ -20,6 +20,9 @@ Two module constants bound the work, and each call reads them when it
 runs: ``ELEMENT_CAP`` is the largest order a group may have to be
 enumerated, and ``DEGREE_CAP`` the largest degree of a group, so also
 the largest index of a coset walk, whose action has one point per coset.
+``ELEMENT_CAP`` may be at most 2**31 - 1, the largest rank the int32
+conjugation maps of a class table hold; the CLI refuses a larger
+``REGULA_ELEMENT_CAP``.
 
 Composition is left-to-right: ``(a * b)(x) == b(a(x))``.
 """

@@ -58,6 +58,12 @@ class TestLoading:
             with pytest.raises(GroupDataError, match=f"'{field}' has a non-integer"):
                 load_generator_file(str(dst))
 
+    def test_non_ascii_byte_detected(self, tmp_path):
+        dst = tmp_path / "C2.txt"
+        dst.write_bytes(b"name: C2\ndegree: 2\norder: 2\nclass_sizes: 1,1\n(1,2)\xe9\n")
+        with pytest.raises(GroupDataError, match="C2.txt: non-ASCII byte at offset"):
+            load_generator_file(str(dst))
+
     def test_wrong_name_detected(self, tmp_path):
         src = _data_path("M11")
         dst = tmp_path / "M11.txt"

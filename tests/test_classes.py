@@ -123,7 +123,7 @@ class TestRepresentatives:
         G = PermGroup([Permutation(t) for t in images])
         self.check(G)
 
-    @pytest.mark.parametrize("text", ["x(x(S(3), S(3)), S(5))", "AGL1(17)"])
+    @pytest.mark.parametrize("text", ["x(x(S(3), S(3)), S(5))", "AGL1(17)", "C(12)"])
     def test_named_groups(self, text):
         G = group_from_text(text)
         self.check(G)

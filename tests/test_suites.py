@@ -179,6 +179,18 @@ class TestCli:
         got = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert got == "2e1db7d367ecdf82bd5344c4b727467ec0faee0063719d631bad55d4100a162f"
 
+    @pytest.mark.parametrize("expr, digest", [
+        ("AGL1(257)", "5c500debe14600701b0587c9973e507c2c2a85c43437c9613f8f19d26b43a7e3"),
+        ("M12.2", "f01286046846ddd5d66596478fb10b963dfb57f2da5d1db823fcc58aa27b3067"),
+        ("L34.2^2", "353975de7855ec4eada0d7ab60f03e621e8289cd3fd1c0e2556f5fb02e021ecb"),
+        ("Sz8", "dc54d616ad21e9cbc84349fd4942796ba98e3deb84268b5cd89f989e498c0900"),
+    ])
+    def test_heavy_table_pinned(self, capsys, expr, digest):
+        # representatives of groups past the reach of the hypothesis tests
+        from regula.cli import main
+        assert main(["classes", expr, "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
     def test_numtheory_landau(self):
         out = self.run("numtheory", "landau", "--r", "2", "--a", "24", "--p", "3")
         assert json.loads(out.stdout)["value"] == "1864135/72"
@@ -188,7 +200,9 @@ class TestCli:
                                ("abc", "positive integer"),
                                ("-5", "positive integer"),
                                ("0", "positive integer"),
-                               ("", "positive integer")):
+                               ("", "positive integer"),
+                               ("9" * 5000, "positive integer"),
+                               ("2147483648", "positive integer")):
             out = self.run("classes", "S(5)", env={"REGULA_ELEMENT_CAP": value})
             assert out.returncode == 1, value
             assert out.stderr.startswith("error: ") and message in out.stderr, value
@@ -284,9 +298,9 @@ class TestCli:
             "assert main(['verify', 'numtheory']) == 0",
             "assert main(['classes', 'PSL2(7)', '--p', '2']) == 0",
             "assert main(['structure', 'x(S(4), PSL2(7))']) == 0",
-            "print('sympy' in sys.modules)",
+            "print('sympy' in sys.modules, 'numpy' in sys.modules)",
         ])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=self.child_env())
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "False"
+        assert out.stdout.splitlines()[-1] == "False False"
