@@ -171,10 +171,15 @@ def _partition_into_orbits(G: PermGroup):
     return out
 
 
-def conjugacy_classes(G: PermGroup) -> ClassTable:
-    """Exact class table of G, cached on the group instance."""
+def check_element_cap(G: PermGroup) -> None:
+    """Refuse G when |G| exceeds ``perm_core.ELEMENT_CAP`` as it stands now."""
     if G.order > perm_core.ELEMENT_CAP:
         raise CapExceeded(f"order {G.order} exceeds the element cap {perm_core.ELEMENT_CAP}")
+
+
+def conjugacy_classes(G: PermGroup) -> ClassTable:
+    """Exact class table of G, cached on the group instance."""
+    check_element_cap(G)
     return G._cached("class_table", lambda: _class_table(G))
 
 

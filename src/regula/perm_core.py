@@ -370,9 +370,9 @@ class PermGroup:
     """A permutation group with a verified base and strong generating set.
 
     The generators and the chain are fixed at construction.  Derived
-    results (class tables, cores, closures) are computed on first use and
-    memoised on the instance through ``_cached``, so no thread-safety is
-    promised.
+    results (class tables, cores, closures, the derived series) are
+    computed on first use and memoised on the instance through
+    ``_cached``, so no thread-safety is promised.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
@@ -527,8 +527,13 @@ class PermGroup:
 
     def derived_series(self) -> list["PermGroup"]:
         """G >= G' >= G'' >= ... down to the trivial group, or with the
-        stable term repeated once when the series stops above it."""
-        return self._series(PermGroup.commutator_subgroup)
+        stable term repeated once when the series stops above it.
+        Memoised: the last term is the solvable residual the radical uses.
+        The memo holds the terms below G only, so it makes no reference
+        cycle that would keep G alive until the cyclic collector runs."""
+        below = self._cached("derived_series",
+                             lambda: tuple(self._series(PermGroup.commutator_subgroup)[1:]))
+        return [self, *below]
 
     def lower_central_series(self) -> list["PermGroup"]:
         """G >= [G,G] >= [G,[G,G]] >= ... down to the trivial group, or

@@ -1,12 +1,36 @@
 """Structural normal subgroups: p-core, p'-core, solvable radical, Fitting.
 
-Each core is the join of the normal closures of single elements whose
-closure has the defining property, and the defining property is constant
-on conjugacy classes, so only one representative per class is tested.
-Closures are cached per representative since every core of the same
-group reuses them.  For the solvable radical, a closure that contains a
-closure already found non-solvable is skipped without a derived series,
-since a group with a non-solvable subgroup is non-solvable.
+A p-core or p'-core is the join of the normal closures of single
+elements whose closure has the defining property.  The property is
+constant on conjugacy classes, so one representative per class is
+tested, and closures are cached per representative.
+
+The solvable radical R is read off the solvable residual D = G^(inf),
+the last term of the derived series, which is memoised on the group:
+
+- If D = 1, G is solvable and R = G.
+- Otherwise R(D), the solvable radical of D, is the join above taken
+  over the classes of G that lie in D only.  It equals R & D: R(D) is
+  characteristic in D, which is normal in G, so R(D) <= R & D <= R(D).
+  D is non-solvable, so a closure that contains D, or contains any
+  closure already found non-solvable, is skipped without a derived
+  series.
+- An element x of G lies in R exactly when [x, d] lies in R(D) for
+  every generator d of D.  If x is in R, each [x, d] is in R & D.
+  Conversely, if each [x, d] is in R, the image of x in G/R lies in the
+  centraliser C of the image of D, which is (G/R)^(inf).  C is normal,
+  and C^(inf) <= C & (G/R)^(inf), the centre of (G/R)^(inf).  So
+  C^(inf) is perfect and abelian, hence trivial; C is then a solvable
+  normal subgroup of G/R, so C = 1 and x lies in R.  The test costs a
+  few products and sifts per class, and no closure.
+- R is the normal closure of the representatives that pass.  Its order
+  must be the total size of their classes, a free internal check.
+
+Every core, and the Fitting subgroup, refuses |G| above
+``perm_core.ELEMENT_CAP`` as it stands at the call, before the memo is
+read, as the class table does: a result computed under a larger cap is
+never returned under a smaller one, and neither is the D = 1 shortcut,
+which needs no class table.
 
 ``certify_core`` and ``certify_fitting`` are the second checks: they
 test a result against its definition, independently of how the joins
@@ -17,10 +41,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .classes import conjugacy_classes
+from .classes import check_element_cap, conjugacy_classes
 from .errors import RegulaError
 from .numtheory import is_p_power, is_prime, prime_factors
-from .perm_core import PermGroup
+from .perm_core import PermGroup, _conj, _inv, _mult, _order_of
 
 CORE_KINDS = ("p-core", "p-prime-core", "solvable-radical")
 
@@ -47,16 +71,13 @@ def _check_kind(kind: str, p: Optional[int]) -> None:
 
 def _qualifies(N: PermGroup, kind: str, p: Optional[int]) -> bool:
     if kind == "solvable-radical":
-        return N.is_trivial or N._cached(
-            "solvable", lambda: N.derived_series()[-1].is_trivial)
+        return N.derived_series()[-1].is_trivial
     return _order_admissible(N.order, kind, p)
 
 
 def _rep_admissible(G: PermGroup, rep, kind: str, p: Optional[int]) -> bool:
     """Cheap necessary condition: rep and rep * rep^g lie in the closure,
     so their orders must already look like the target kind."""
-    from .perm_core import _conj, _mult, _order_of
-
     if not _order_admissible(rep.order(), kind, p):
         return False
     if kind == "solvable-radical":
@@ -72,6 +93,55 @@ def _rep_admissible(G: PermGroup, rep, kind: str, p: Optional[int]) -> bool:
     return True
 
 
+def _join_of_closures(G: PermGroup, classes, kind: str, p: Optional[int],
+                      nonsolvable: list) -> PermGroup:
+    """Join of the normal closures of the representatives of ``classes``
+    that have the property of ``kind``.  ``nonsolvable`` holds subgroups
+    known to be non-solvable, and grows by each closure found so."""
+    join = PermGroup([], degree=G.degree)
+    for cls in classes:
+        if join.order == G.order:
+            break
+        if cls.element_order == 1:
+            continue
+        # reps already inside the running join contribute nothing
+        if join.contains(cls.representative):
+            continue
+        if not _rep_admissible(G, cls.representative, kind, p):
+            continue
+        N = _closure_of_rep(G, cls.representative)
+        # a subgroup containing a non-solvable one is non-solvable
+        if any(N.contains_subgroup(B) for B in nonsolvable):
+            continue
+        if _qualifies(N, kind, p):
+            join = join._grown_by(N._gen_tuples)
+        elif kind == "solvable-radical":
+            nonsolvable.append(N)
+    return join
+
+
+def _solvable_radical(G: PermGroup, D: PermGroup) -> PermGroup:
+    """R from a non-trivial solvable residual D: R(D) by the join over the
+    classes in D, then one commutator test per class of G (see the module
+    notes)."""
+    if D.order == G.order:
+        D = G  # perfect: the same group, on fewer generators
+    classes = conjugacy_classes(G).classes
+    RD = _join_of_closures(G, [c for c in classes if D._contains_tuple(c.representative.images)],
+                           "solvable-radical", None, [D])
+    passing = []
+    for c in classes:
+        x = c.representative.images
+        xinv = _inv(x)
+        if all(RD._contains_tuple(_mult(_mult(xinv, dinv), _mult(x, d)))
+               for d, dinv in D._gen_pairs):
+            passing.append(c)
+    R = G.normal_closure([c.representative for c in passing])
+    if R.order != sum(c.class_size for c in passing):
+        raise RegulaError("solvable radical is not the union of the classes that pass")
+    return R
+
+
 def core(G: PermGroup, kind: str, p: Optional[int] = None) -> PermGroup:
     """Largest normal subgroup of the given kind.
 
@@ -80,31 +150,14 @@ def core(G: PermGroup, kind: str, p: Optional[int] = None) -> PermGroup:
     the largest normal solvable subgroup.
     """
     _check_kind(kind, p)
-
-    def join_of_closures():
-        join = PermGroup([], degree=G.degree)
-        nonsolvable = []  # closures found non-solvable so far
-        for cls in conjugacy_classes(G).classes:
-            if join.order == G.order:
-                break
-            if cls.element_order == 1:
-                continue
-            # reps already inside the running join contribute nothing
-            if join.contains(cls.representative):
-                continue
-            if not _rep_admissible(G, cls.representative, kind, p):
-                continue
-            N = _closure_of_rep(G, cls.representative)
-            # a subgroup containing a non-solvable one is non-solvable
-            if any(N.contains_subgroup(B) for B in nonsolvable):
-                continue
-            if _qualifies(N, kind, p):
-                join = join._grown_by(N._gen_tuples)
-            elif kind == "solvable-radical":
-                nonsolvable.append(N)
-        return join
-
-    return G._cached(("core", kind, p), join_of_closures)
+    check_element_cap(G)
+    if kind == "solvable-radical":
+        D = G.derived_series()[-1]
+        if D.is_trivial:
+            return G  # not memoised: G in its own memo would be a reference cycle
+        return G._cached(("core", kind, p), lambda: _solvable_radical(G, D))
+    return G._cached(("core", kind, p), lambda: _join_of_closures(
+        G, conjugacy_classes(G).classes, kind, p, []))
 
 
 def certify_core(G: PermGroup, N: PermGroup, kind: str, p: Optional[int] = None) -> None:
@@ -123,6 +176,7 @@ def certify_core(G: PermGroup, N: PermGroup, kind: str, p: Optional[int] = None)
 
 def fitting(G: PermGroup) -> PermGroup:
     """Largest normal nilpotent subgroup: the join of the p-cores."""
+    check_element_cap(G)
 
     def join_of_p_cores():
         gens = []

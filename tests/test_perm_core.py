@@ -265,6 +265,20 @@ class TestAgainstSympy:
                 orders.pop()  # ours repeats a stable term once
             assert orders == [H.order() for H in theirs]
 
+    def test_solvability_over_corpus(self):
+        # the radical is G exactly when sympy finds G solvable
+        from sympy.combinatorics import Permutation as SymPerm
+        from sympy.combinatorics import PermutationGroup as SymGroup
+        from regula.corpus import corpus_groups
+        from regula.radicals import core
+
+        groups = corpus_groups()
+        assert len(groups) == 55
+        for expr, G in groups:
+            S = SymGroup([SymPerm(list(g.images)) for g in G.generators])
+            assert S.order() == G.order, expr
+            assert (core(G, "solvable-radical").order == G.order) == S.is_solvable, expr
+
 
 class TestSeries:
     def test_derived_series_s4(self):

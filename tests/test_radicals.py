@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from regula import PermGroup, Permutation, RegulaError
+from regula import CapExceeded, PermGroup, Permutation, RegulaError, perm_core
 from regula.classes import conjugacy_classes
 from regula.constructors import (
     affine_semilinear,
@@ -11,6 +11,7 @@ from regula.constructors import (
     symmetric,
     wreath,
 )
+from regula.exprs import group_from_text
 from regula.numtheory import prime_factors
 from regula.radicals import certify_core, certify_fitting, core, fitting, structure_summary
 
@@ -99,6 +100,47 @@ class TestCoreExamples:
                 certify_core(G, N, kind, p)
 
 
+class TestResidualCases:
+    """Radicals where the solvable residual D is not simple, or R(D) != 1."""
+
+    @pytest.mark.parametrize("expr,radical,residual,residual_radical", [
+        ("wr(C(2), A(5))", 32, 960, 16),
+        ("wr(A(5), C(2))", 1, 3600, 1),
+        ("x(wr(C(2), A(5)), S(4))", 768, 960, 16),
+    ])
+    def test_radical_and_residual(self, expr, radical, residual, residual_radical):
+        G = group_from_text(expr)
+        D = G.derived_series()[-1]
+        assert D.order == residual
+        assert certified_core(D, "solvable-radical").order == residual_radical
+        assert certified_core(G, "solvable-radical").order == radical
+
+    def test_wreath_against_oracle(self):
+        G = group_from_text("wr(C(2), A(5))")
+        assert core(G, "solvable-radical").order == oracle_core(G, "solvable-radical") == 32
+
+    def test_solvable_group_is_its_radical(self):
+        G = symmetric(4)
+        assert core(G, "solvable-radical") is G
+
+
+class TestCapBeforeMemo:
+    def test_memoised_cores_refused_under_smaller_cap(self, monkeypatch):
+        G = symmetric(5)
+        assert structure_summary(G)["solvable_radical"] == 1
+        monkeypatch.setattr(perm_core, "ELEMENT_CAP", 100)
+        for call in (lambda: core(G, "p-core", 2), lambda: core(G, "solvable-radical"),
+                     lambda: fitting(G), lambda: structure_summary(G)):
+            with pytest.raises(CapExceeded, match="order 120 exceeds the element cap 100"):
+                call()
+
+    def test_solvable_shortcut_refused(self, monkeypatch):
+        # the D = 1 shortcut needs no class table, and is refused all the same
+        monkeypatch.setattr(perm_core, "ELEMENT_CAP", 10)
+        with pytest.raises(CapExceeded, match="order 24 exceeds the element cap 10"):
+            core(symmetric(4), "solvable-radical")
+
+
 class TestFittingExamples:
     def test_s4(self):
         assert certified_fitting(symmetric(4)).order == 4
@@ -162,6 +204,25 @@ class TestSummary:
         assert s["solvable_radical"] == 24
         assert s["fitting"] == 4
         assert s["derived_length"] == 3
+
+    # the outputs the structure-mixed benchmark gates, as perfbench/expected.json records them
+    @pytest.mark.parametrize("expr,summary", [
+        ("x(C(12), S(5))", {"degree": 17, "derived_length": None, "fitting": 12, "order": 1440,
+                            "p_cores": {"2": 4, "3": 3, "5": 1}, "solvable_radical": 12}),
+        ("x(D(6), S(5))", {"degree": 11, "derived_length": None, "fitting": 6, "order": 1440,
+                           "p_cores": {"2": 2, "3": 3, "5": 1}, "solvable_radical": 12}),
+        ("x(S(4), S(5))", {"degree": 9, "derived_length": None, "fitting": 4, "order": 2880,
+                           "p_cores": {"2": 4, "3": 1, "5": 1}, "solvable_radical": 24}),
+        ("x(x(S(3), S(3)), S(5))", {"degree": 11, "derived_length": None, "fitting": 9,
+                                    "order": 4320, "p_cores": {"2": 1, "3": 9, "5": 1},
+                                    "solvable_radical": 36}),
+        ("x(S(4), PSL2(7))", {"degree": 12, "derived_length": None, "fitting": 4, "order": 4032,
+                              "p_cores": {"2": 4, "3": 1, "7": 1}, "solvable_radical": 24}),
+        ("x(S(5), AGL1(5))", {"degree": 10, "derived_length": None, "fitting": 5, "order": 2400,
+                              "p_cores": {"2": 1, "3": 1, "5": 5}, "solvable_radical": 20}),
+    ])
+    def test_structure_mixed_summaries(self, expr, summary):
+        assert structure_summary(group_from_text(expr)) == summary
 
     def test_a5_summary(self):
         s = structure_summary(alternating(5))

@@ -222,6 +222,19 @@ class TestCli:
         assert perm_core.ELEMENT_CAP == cap
         assert capsys.readouterr().err == ""
 
+    def test_cap_env_structure_memo(self, monkeypatch, capsys):
+        # cores memoised under a larger cap are refused under a smaller one,
+        # as a fresh group would be
+        from regula.cli import main
+        monkeypatch.setenv("REGULA_ELEMENT_CAP", "1000")
+        assert main(["structure", "S(5)"]) == 0
+        monkeypatch.setenv("REGULA_ELEMENT_CAP", "100")
+        assert main(["structure", "S(5)"]) == 1
+        assert main(["structure", "S(6)"]) == 1
+        err = capsys.readouterr().err
+        assert "order 120 exceeds the element cap 100" in err
+        assert "order 720 exceeds the element cap 100" in err
+
     def test_broken_pipe(self):
         # the reader stops after one line of a 250 kB table
         proc = subprocess.Popen([sys.executable, "-m", "regula.cli", "classes", "AGL1(257)"],
