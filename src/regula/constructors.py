@@ -1,5 +1,10 @@
 """Constructors for every group family the verification suites need.
 
+Each family constructor takes the integers its expression gives it (the
+table ``exprs._FAMILIES`` maps expression heads to these functions) and
+checks its size cap before it factorises a field size, so a huge
+argument fails at once with ``CapExceeded``.
+
 Field-based actions label points by the field's fixed enumeration
 (``FieldDesc.from_index``), so the same group built twice acts on the
 same labels and subgroup relations between related constructions (for
@@ -18,7 +23,7 @@ from math import gcd
 
 from .errors import CapExceeded, GroupDataError, RegulaError, UnknownGroupName
 from .ffield import FieldDesc, make_field
-from .numtheory import factorize, is_prime
+from .numtheory import factorize
 from .perm_core import DEGREE_CAP, PermGroup, Permutation
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -71,14 +76,6 @@ def dihedral(n: int) -> PermGroup:
     rot = Permutation.from_cycles(n, [list(range(n))])
     refl = Permutation([(-i) % n for i in range(n)])
     return PermGroup([rot, refl])
-
-
-def base_group(kind: str, n: int) -> PermGroup:
-    table = {"cyclic": cyclic, "symmetric": symmetric,
-             "alternating": alternating, "dihedral": dihedral}
-    if kind not in table:
-        raise RegulaError(f"unknown base group kind {kind!r}")
-    return table[kind](n)
 
 
 def _shift(perm: Permutation, offset: int, total: int) -> Permutation:
@@ -147,14 +144,15 @@ def sylow2_sym2l(l: int) -> PermGroup:
 
 # -- affine and field-module constructions ---------------------------------
 
-def affine_semilinear(p: int, k: int, include_galois: bool) -> PermGroup:
-    """x -> a*sigma(x) + b on GF(p^k); sigma ranges over the Galois group
+def affine_semilinear(q: int, include_galois: bool) -> PermGroup:
+    """x -> a*sigma(x) + b on GF(q); sigma ranges over the Galois group
     when ``include_galois`` is set, else sigma = identity."""
-    if not is_prime(p):
-        raise RegulaError(f"{p} is not prime")
-    q = p ** k
     if q > DEGREE_CAP:
         raise CapExceeded(f"field size {q} is beyond desk scale")
+    fac = factorize(q) if q > 1 else {}
+    if len(fac) != 1:
+        raise RegulaError(f"field size must be a prime power, got {q}")
+    (p, k), = fac.items()
     F = make_field(p, k)
     elems = list(F.elements())
     index = {x: i for i, x in enumerate(elems)}
@@ -254,13 +252,11 @@ PSL2_Q_CAP = 17
 
 
 def projective_group(kind: str, q: int) -> PermGroup:
-    """psl2 / pgl2 / pgammal2 on the q+1 projective points; psl3 on 13.
+    """psl2 / pgl2 / pgammal2 on the q+1 projective points.
 
-    The three 2-dimensional kinds share point labels, so psl2(q) is a
-    subgroup of pgl2(q) is a subgroup of pgammal2(q) as constructed.
+    The three kinds share point labels, so psl2(q) is a subgroup of
+    pgl2(q) is a subgroup of pgammal2(q) as constructed.
     """
-    if kind == "psl3":
-        return _psl3(q)
     if kind not in ("psl2", "pgl2", "pgammal2"):
         raise RegulaError(f"unknown projective kind {kind!r}")
     if q > PSL2_Q_CAP:
@@ -318,7 +314,8 @@ def _mat_apply(mat, v):
     return tuple(out)
 
 
-def _psl3(q: int) -> PermGroup:
+def psl3(q: int) -> PermGroup:
+    """PSL3(q) on the q^2+q+1 points of the projective plane; q = 3 only."""
     if q != 3:
         raise CapExceeded("the 3-dimensional constructor is desk-scoped to q = 3")
     F = make_field(3, 1)

@@ -10,7 +10,7 @@ once no matter how many suites touch it.  Those are the only two memos.
 from __future__ import annotations
 
 from .exprs import group_from_text
-from .perm_core import PermGroup, Permutation
+from .perm_core import Permutation
 
 # every corpus group, by expression; ordering is the report ordering
 CORPUS_EXPRS = (
@@ -64,25 +64,21 @@ NORMAL_PAIR_SPECS = (
 )
 
 
-def corpus_group(expr_text: str) -> PermGroup:
-    return group_from_text(expr_text)
-
-
 def corpus_groups():
     """(expression, group) for every corpus member, in report order."""
-    return [(e, corpus_group(e)) for e in CORPUS_EXPRS]
+    return [(e, group_from_text(e)) for e in CORPUS_EXPRS]
 
 
 def normal_pairs():
     """(G expression, N label, G, N) for each corpus normal pair."""
     out = []
     for gexpr, label, nspec in NORMAL_PAIR_SPECS:
-        G = corpus_group(gexpr)
+        G = group_from_text(gexpr)
         if nspec == "derived":
             N = G.commutator_subgroup()
         elif nspec.startswith("("):
             N = G.normal_closure([Permutation.parse(nspec, G.degree)])
         else:
-            N = corpus_group(nspec)
+            N = group_from_text(nspec)
         out.append((gexpr, label, G, N))
     return out

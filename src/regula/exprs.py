@@ -8,6 +8,13 @@ Grammar:
     args  := (integer | key "=" integer) ("," ...)*
 
 Examples: ``A(5)``, ``x(S(5), AGL1(5))``, ``GLQ(l=2,q=3)``, ``M12.2``.
+The families a name can head are the table ``_FAMILIES``: each maps to
+a function of the integers the expression gives, and the function's
+parameter names are the argument keys.  ``_NAMED`` holds the names
+written without arguments, the bundled atlas groups and ``M10``.  One
+binder, ``_bind``, reads the arguments of every family, so adding a
+family is one table entry.
+
 Parsed expressions round-trip through ``str`` and evaluate to PermGroup
 instances.  ``evaluate`` keeps the one memo of named groups, keyed by
 the expression text: the constructors it calls build a new group each
@@ -18,17 +25,36 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from inspect import signature
 from typing import Optional
 
 from . import constructors as C
-from .errors import CapExceeded, ExprParseError, NotNormal
-from .numtheory import factorize
-from .perm_core import DEGREE_CAP
+from .errors import ExprParseError, NotNormal
 
-_ATLAS_TOKENS = set(C.ATLAS_NAMES) | {"M10"}
+# head -> function of the expression's integers; its parameter names are
+# the keys a keyed call uses.  Each entry reaches its constructor through
+# the module at call time, so a constructor replaced on the module (as
+# perfbench's tracer does) is the one called.
+_FAMILIES = {
+    "C": lambda n: C.cyclic(n),
+    "S": lambda n: C.symmetric(n),
+    "A": lambda n: C.alternating(n),
+    "D": lambda n: C.dihedral(n),
+    "AGL1": lambda q: C.affine_semilinear(q, False),
+    "AGammaL1": lambda q: C.affine_semilinear(q, True),
+    "GLQ": lambda l, q: C.glq_family(l, q),
+    "SYL2": lambda l: C.sylow2_sym2l(l),
+    "PSL2": lambda q: C.projective_group("psl2", q),
+    "PGL2": lambda q: C.projective_group("pgl2", q),
+    "PGammaL2": lambda q: C.projective_group("pgammal2", q),
+    "PSL3": lambda q: C.psl3(q),
+}
 
-_CONSTRUCTOR_HEADS = ("C", "S", "A", "D", "AGL1", "AGammaL1", "GLQ", "SYL2",
-                      "PSL2", "PGL2", "PGammaL2", "PSL3", "x", "wr", "q")
+# names written without arguments
+_NAMED = {name: (lambda name=name: C.from_generator_data(name)) for name in C.ATLAS_NAMES}
+_NAMED["M10"] = lambda: C.m10()
+
+_CONSTRUCTOR_HEADS = (*_FAMILIES, "x", "wr", "q")
 
 # Deepest x/wr/q nesting accepted.  str(expr) and evaluate recurse about
 # twice per level, so this stays well below Python's recursion limit.
@@ -52,15 +78,6 @@ class GroupExpr:
             else:
                 parts.append(str(a))
         return f"{self.head}({', '.join(parts)})"
-
-    def int_args(self) -> list:
-        out = []
-        for a in self.args:
-            out.append(a[1] if isinstance(a, tuple) else a)
-        return out
-
-    def keyed(self) -> dict:
-        return {a[0]: a[1] for a in self.args if isinstance(a, tuple)}
 
 
 def _tokenize(text: str):
@@ -102,7 +119,7 @@ class _Parser:
         tok, pos = self.peek()
         if tok is None:
             raise ExprParseError("empty expression", pos, {"name"})
-        if tok in _ATLAS_TOKENS:
+        if tok in _NAMED:
             self.take()
             return GroupExpr(tok)
         if tok not in _CONSTRUCTOR_HEADS:
@@ -176,70 +193,53 @@ def evaluate(expr: GroupExpr):
     return G
 
 
-def _single_int(expr, count=1):
-    vals = expr.int_args()
-    if len(vals) != count:
-        raise ExprParseError(f"{expr.head} needs {count} argument(s)", 0)
-    return vals if count > 1 else vals[0]
+def _bind(expr: GroupExpr, names: tuple) -> list:
+    """The integer arguments of a family call, in the order of ``names``.
 
-
-def _evaluate(expr: GroupExpr):
+    They are all positional, or, when the family has more than one
+    parameter, all keyed by the parameter names.
+    """
     head = expr.head
     keys = [a[0] for a in expr.args if isinstance(a, tuple)]
-    stray = sorted(set(keys) - ({"l", "q"} if head == "GLQ" else set()))
+    stray = sorted(set(keys) - (set(names) if len(names) > 1 else set()))
     if stray:
         raise ExprParseError(f"{head} has no argument {', '.join(stray)}=", 0)
     repeated = sorted({k for k in keys if keys.count(k) > 1})
     if repeated:
         raise ExprParseError(f"{head} has argument {', '.join(repeated)}= more than once", 0)
-    if head in C.ATLAS_NAMES:
-        return C.from_generator_data(head)
-    if head == "M10":
-        return C.m10()
+    if not keys:
+        if len(expr.args) != len(names):
+            raise ExprParseError(f"{head} needs {len(names)} argument(s)", 0)
+        return list(expr.args)
+    extra = [str(a) for a in expr.args if not isinstance(a, tuple)]
+    if extra:
+        raise ExprParseError(f"{head} takes keyed or positional arguments, not both; "
+                             f"extra argument {', '.join(extra)}", 0)
+    missing = [n for n in names if n not in keys]
+    if missing:
+        raise ExprParseError(f"{head} needs {' and '.join(n + '=' for n in names)}, "
+                             f"missing {', '.join(missing)}", 0)
+    keyed = dict(expr.args)
+    return [keyed[n] for n in names]
+
+
+def _evaluate(expr: GroupExpr):
+    head = expr.head
+    if head in _NAMED:
+        return _NAMED[head]()
+    if head in _FAMILIES:
+        build = _FAMILIES[head]
+        return build(*_bind(expr, tuple(signature(build).parameters)))
+    if head not in ("x", "wr", "q"):
+        raise ExprParseError(f"unknown constructor {head!r}", 0, set(_CONSTRUCTOR_HEADS))
+    G, H = (evaluate(a) for a in expr.args)
     if head == "x":
-        return C.direct_product(evaluate(expr.args[0]), evaluate(expr.args[1]))
+        return C.direct_product(G, H)
     if head == "wr":
-        return C.wreath(evaluate(expr.args[0]), evaluate(expr.args[1]))
-    if head == "q":
-        G = evaluate(expr.args[0])
-        N = evaluate(expr.args[1])
-        if not N.is_normal_in(G):
-            raise NotNormal(f"{expr.args[1]} is not normal in {expr.args[0]}")
-        return G.quotient(N)
-    if head in ("C", "S", "A", "D"):
-        n = _single_int(expr)
-        kind = {"C": "cyclic", "S": "symmetric", "A": "alternating", "D": "dihedral"}[head]
-        return C.base_group(kind, n)
-    if head in ("AGL1", "AGammaL1"):
-        q = _single_int(expr)
-        if q > DEGREE_CAP:
-            raise CapExceeded(f"field size {q} is beyond desk scale")
-        factors = factorize(q) if q > 0 else {}
-        if len(factors) != 1:
-            raise ExprParseError(f"{head} needs a prime power, got {q}", 0)
-        (p, k), = factors.items()
-        return C.affine_semilinear(p, k, include_galois=(head == "AGammaL1"))
-    if head == "GLQ":
-        if not keys:
-            l, q = _single_int(expr, 2)
-            return C.glq_family(l, q)
-        extra = [str(a) for a in expr.args if not isinstance(a, tuple)]
-        if extra:
-            raise ExprParseError(f"GLQ takes keyed or positional arguments, not both; "
-                                 f"extra argument {', '.join(extra)}", 0)
-        missing = sorted({"l", "q"} - set(keys))
-        if missing:
-            raise ExprParseError(f"GLQ needs l= and q=, missing {', '.join(missing)}", 0)
-        kw = expr.keyed()
-        return C.glq_family(kw["l"], kw["q"])
-    if head == "SYL2":
-        return C.sylow2_sym2l(_single_int(expr))
-    if head in ("PSL2", "PGL2", "PGammaL2", "PSL3"):
-        q = _single_int(expr)
-        kind = {"PSL2": "psl2", "PGL2": "pgl2",
-                "PGammaL2": "pgammal2", "PSL3": "psl3"}[head]
-        return C.projective_group(kind, q)
-    raise ExprParseError(f"unknown constructor {head!r}", 0, set(_CONSTRUCTOR_HEADS))
+        return C.wreath(G, H)
+    if not H.is_normal_in(G):
+        raise NotNormal(f"{expr.args[1]} is not normal in {expr.args[0]}")
+    return G.quotient(H)
 
 
 def group_from_text(text: str):

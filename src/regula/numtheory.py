@@ -109,30 +109,6 @@ def prime_factors(n: int) -> list:
     return sorted(factorize(n)) if n > 1 else []
 
 
-def _iroot(n: int, e: int) -> int:
-    """The largest integer x with x**e <= n, for n >= 1."""
-    x = 1 << -(-n.bit_length() // e)    # x**e > n
-    while True:
-        y = ((e - 1) * x + n // x ** (e - 1)) // e
-        if y >= x:
-            return x
-        x = y
-
-
-def _is_prime_power(n: int) -> bool:
-    """Whether n = p^k for a prime p and some k >= 1."""
-    if is_prime(n):
-        return True
-    # n = p^k with k >= 2 is a perfect e-th power of p^(k/e) for a prime e | k
-    for e in _SMALL_PRIMES:
-        if e >= n.bit_length():
-            return False
-        b = _iroot(n, e)
-        if b ** e == n:
-            return _is_prime_power(b)
-    return False
-
-
 def is_p_power(n: int, p: int) -> bool:
     """Whether the positive integer n is a power of p (1 included).
 
@@ -245,8 +221,9 @@ def prime_family(kind: str, bound: int) -> list:
                     if is_prime(cand):
                         found.add(cand)
                 else:
-                    # prime powers of the form 4*r^n + 1
-                    if _is_prime_power(cand):
+                    # prime powers of the form 4*r^n + 1; cand <= 10^6 < 2048^2,
+                    # so factorize finds every prime factor by trial division
+                    if len(factorize(cand)) == 1:
                         found.add(cand)
                 v *= r
             r += 1

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .classes import class_counts, conjugacy_classes, fused_counts, singular_element_count
-from .corpus import CORPUS_EXPRS, corpus_group, corpus_groups, normal_pairs
+from .corpus import CORPUS_EXPRS, corpus_groups, normal_pairs
 from .errors import RegulaError
 from .exprs import group_from_text
 from .numtheory import (
@@ -186,7 +186,7 @@ def _converse_scan(report: VerificationReport, positive_rows: list):
     stand-in for isomorphism at desk scale."""
     listed = set()
     for expr, p in positive_rows:
-        G = corpus_group(expr)
+        G = group_from_text(expr)
         listed.add((G.order, conjugacy_classes(G).class_size_multiset(), p))
     for expr, G in corpus_groups():
         if G.order > perm_core.ELEMENT_CAP:
@@ -402,7 +402,7 @@ def _run_properties() -> VerificationReport:
     hypotheses += [(expr, "p-core", p) for name in ("ninomiya-3", "five-classes")
                    for expr, p in _k_regular_rows(suites[name])]
     for expr, kind, p in dict.fromkeys(hypotheses):
-        G = corpus_group(expr)
+        G = group_from_text(expr)
         N = core(G, kind, p)
         label = "solvable radical" if kind == "solvable-radical" else f"{p}-core"
         report.check(

@@ -8,13 +8,13 @@ from regula.constructors import (
     _mobius_perm,
     affine_semilinear,
     alternating,
-    base_group,
     cyclic,
     dihedral,
     direct_product,
     glq_family,
     m10,
     projective_group,
+    psl3,
     symmetric,
     sylow2_sym2l,
     wreath,
@@ -40,11 +40,6 @@ class TestBaseGroups:
         assert alternating(3).order == 3
         assert dihedral(1).order == 2
         assert dihedral(2).order == 4
-
-    def test_dispatch(self):
-        assert base_group("symmetric", 4).order == 24
-        with pytest.raises(RegulaError):
-            base_group("sporadic", 4)
 
     def test_caps(self):
         with pytest.raises(CapExceeded):
@@ -74,7 +69,7 @@ class TestProducts:
         assert class_counts(G, 2).k_regular == 16  # 4 * 4 pairs of odd classes
 
     def test_s5_times_agl15(self):
-        G = direct_product(symmetric(5), affine_semilinear(5, 1, False))
+        G = direct_product(symmetric(5), affine_semilinear(5, False))
         assert class_counts(G, 2).k_regular == 6
 
 
@@ -112,28 +107,33 @@ class TestWreath:
 
 class TestAffine:
     def test_agl15(self):
-        G = affine_semilinear(5, 1, False)
+        G = affine_semilinear(5, False)
         assert G.order == 20
         assert class_counts(G, 2).k_regular == 2
 
     def test_agl1_17(self):
-        G = affine_semilinear(17, 1, False)
+        G = affine_semilinear(17, False)
         assert G.order == 272
         assert class_counts(G, 2).k_regular == 2
 
     def test_agammal14_is_s4(self):
-        G = affine_semilinear(2, 2, True)
+        G = affine_semilinear(4, True)
         assert G.order == 24
         assert conjugacy_classes(G).class_size_multiset() == \
             conjugacy_classes(symmetric(4)).class_size_multiset()
 
     def test_galois_factor(self):
-        assert affine_semilinear(3, 2, False).order == 72
-        assert affine_semilinear(3, 2, True).order == 144
+        assert affine_semilinear(9, False).order == 72
+        assert affine_semilinear(9, True).order == 144
 
     def test_composite_rejected(self):
-        with pytest.raises(RegulaError):
-            affine_semilinear(6, 1, False)
+        for q in (0, 1, 6):
+            with pytest.raises(RegulaError, match=f"prime power, got {q}"):
+                affine_semilinear(q, False)
+
+    def test_cap_before_factorising(self):
+        with pytest.raises(CapExceeded):
+            affine_semilinear(BIG_SEMIPRIME, True)
 
 
 class TestGlqFamily:
@@ -201,7 +201,7 @@ class TestProjective:
         assert class_counts(projective_group("pgammal2", 8), 3).k_regular == 3
 
     def test_psl33(self):
-        G = projective_group("psl3", 3)
+        G = psl3(3)
         assert G.order == 5616
         assert G.degree == 13
         assert conjugacy_classes(G).p_power_class_count(3) == 3
@@ -216,7 +216,7 @@ class TestProjective:
         with pytest.raises(CapExceeded):
             projective_group("psl2", 19)
         with pytest.raises(CapExceeded):
-            projective_group("psl3", 4)
+            psl3(4)
         with pytest.raises(RegulaError):
             projective_group("psl2", 6)
         with pytest.raises(CapExceeded):

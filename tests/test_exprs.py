@@ -1,7 +1,23 @@
-import pytest
+from inspect import signature
 
-from regula import ExprParseError
-from regula.exprs import _MAX_NESTING, evaluate, group_from_text, parse_group_expr
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regula import ExprParseError, PermGroup, RegulaError
+from regula.classes import conjugacy_classes
+from regula.exprs import (
+    _FAMILIES,
+    _MAX_NESTING,
+    _NAMED,
+    _bind,
+    evaluate,
+    group_from_text,
+    parse_group_expr,
+)
+from regula.radicals import structure_summary
+
+FAMILY_PARAMS = {head: tuple(signature(build).parameters) for head, build in _FAMILIES.items()}
 
 
 class TestParsing:
@@ -66,3 +82,79 @@ class TestEvaluation:
     def test_atlas_names(self):
         assert group_from_text("M11").order == 7920
         assert group_from_text("L34.2^2").order == 80640
+
+
+class TestBinder:
+    """The argument checks, run over every family head in the table."""
+
+    @staticmethod
+    def message(text):
+        with pytest.raises(ExprParseError) as exc:
+            group_from_text(text)
+        return str(exc.value)
+
+    def test_table(self):
+        assert len(_FAMILIES) == 12
+        assert set(_NAMED) == {"M11", "M12", "M12.2", "L34", "L34.2_1", "L34.2_2",
+                               "L34.2_3", "L34.2^2", "U33", "U33.2", "Sz8", "M10"}
+
+    @pytest.mark.parametrize("head", sorted(FAMILY_PARAMS))
+    def test_messages(self, head):
+        names = FAMILY_PARAMS[head]
+        ones = ", ".join("1" for _ in names)
+        assert f"{head} needs {len(names)} argument(s)" in self.message(f"{head}()")
+        assert f"{head} needs {len(names)} argument(s)" in self.message(f"{head}({ones}, 1)")
+        assert f"{head} has no argument zz=" in self.message(f"{head}(zz=1)")
+        if len(names) == 1:
+            # a one-parameter family takes no keys, not even its own name
+            assert f"{head} has no argument {names[0]}=" in self.message(f"{head}({names[0]}=1)")
+            return
+        keyed = ", ".join(f"{n}=1" for n in names)
+        assert f"{head} has argument {names[0]}= more than once" in \
+            self.message(f"{head}({keyed}, {names[0]}=2)")
+        assert "extra argument 7" in self.message(f"{head}({keyed}, 7)")
+        assert f"missing {names[-1]}" in self.message(f"{head}({names[0]}=1)")
+
+    @pytest.mark.parametrize("head", sorted(h for h, n in FAMILY_PARAMS.items() if len(n) > 1))
+    def test_keys_in_any_order(self, head):
+        names = FAMILY_PARAMS[head]
+        values = list(range(2, 2 + len(names)))
+        keyed = ", ".join(f"{n}={v}" for n, v in reversed(list(zip(names, values))))
+        assert _bind(parse_group_expr(f"{head}({keyed})"), names) == values
+        positional = ", ".join(map(str, values))
+        assert _bind(parse_group_expr(f"{head}({positional})"), names) == values
+
+
+def _family_call(head):
+    names = FAMILY_PARAMS[head]
+    values = st.lists(st.integers(0, 20), min_size=len(names), max_size=len(names))
+    if len(names) == 1:
+        return values.map(lambda vs: f"{head}({vs[0]})")
+    return st.tuples(values, st.booleans()).map(
+        lambda t: f"{head}({', '.join(f'{n}={v}' if t[1] else str(v) for n, v in zip(names, t[0]))})")
+
+
+LEAVES = st.one_of(st.sampled_from(sorted(_NAMED)),
+                   *(_family_call(head) for head in sorted(_FAMILIES)))
+EXPRESSIONS = st.recursive(
+    LEAVES,
+    lambda sub: st.tuples(st.sampled_from(("x", "wr", "q")), sub, sub).map(
+        lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+    max_leaves=3)
+
+
+class TestGrammarFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(EXPRESSIONS)
+    def test_group_or_regula_error(self, text):
+        # every expression the grammar admits is a group or one RegulaError
+        expr = parse_group_expr(text)
+        assert parse_group_expr(str(expr)) == expr
+        try:
+            G = evaluate(expr)
+        except RegulaError:
+            return
+        assert isinstance(G, PermGroup)
+        if G.order <= 5000:
+            assert sum(c.class_size for c in conjugacy_classes(G).classes) == G.order
+            assert structure_summary(G)["order"] == G.order

@@ -53,8 +53,8 @@ SMALL_CORPUS = [
     ("D(4)", dihedral(4)),
     ("D(6)", dihedral(6)),
     ("C(12)", cyclic(12)),
-    ("AGL1(5)", affine_semilinear(5, 1, False)),
-    ("AGammaL1(4)", affine_semilinear(2, 2, True)),
+    ("AGL1(5)", affine_semilinear(5, False)),
+    ("AGammaL1(4)", affine_semilinear(4, True)),
     ("wr(C2,S3)", wreath(cyclic(2), symmetric(3))),
 ]
 
@@ -79,12 +79,12 @@ class TestCoreExamples:
         assert certified_core(symmetric(5), "solvable-radical").is_trivial
 
     def test_agl15(self):
-        G = affine_semilinear(5, 1, False)
+        G = affine_semilinear(5, False)
         assert certified_core(G, "p-core", 5).order == 5
         assert certified_core(G, "solvable-radical").order == 20
 
     def test_p_prime_core(self):
-        G = affine_semilinear(5, 1, False)
+        G = affine_semilinear(5, False)
         assert certified_core(G, "p-prime-core", 2).order == 5
         assert certified_core(symmetric(4), "p-prime-core", 3).order == 4
 

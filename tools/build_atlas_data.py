@@ -286,23 +286,10 @@ def build_l34_family():
     assert len(pts) == 21
     pt_index = {p: i for i, p in enumerate(pts)}
 
-    def dot(u, v):
-        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
     # line u is the set of points v with u . v = 0; lines share the
     # canonical-vector labels, shifted by 21
     def transpose(m):
         return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
-
-    def mat_mul(a, b):
-        return tuple(tuple(sum_f(a[i][k] * b[k][j] for k in range(3))
-                           for j in range(3)) for i in range(3))
-
-    def sum_f(items):
-        acc = zero
-        for x in items:
-            acc = acc + x
-        return acc
 
     def mat_inv(m):
         # adjugate over a field; det is invertible for group elements
@@ -337,48 +324,18 @@ def build_l34_family():
     dual = Permutation([21 + i for i in range(21)] + list(range(21)))
     # diagonal automorphism: any matrix whose determinant is not a cube
     diag = matrix_perm(((g, zero, zero), (zero, one, zero), (zero, zero, one)))
-    # incidence sanity: duality exchanges flags
-    for u in pts[:5]:
-        for v in pts[:5]:
-            lhs = dot(u, v).is_zero()
-            assert lhs == dot(v, u).is_zero()
 
     A = PermGroup(list(l34.generators) + [diag, frob, dual], degree=42)
     assert A.order == 241920, A.order
 
-    assert l34.is_normal_in(A)
     reps = [Permutation(r) for r in A._coset_walk(l34)[0]]
-    number = {}
-    canon = l34._coset_canonical
-    for i, r in enumerate(reps):
-        number[canon(r.images)] = i
-    # the quotient as an abstract group on the 12 coset labels, one
-    # permutation per coset (right multiplication action)
-    out_perms = {}
-    for i, r in enumerate(reps):
-        img = [number[canon(_mult(s.images, r.images))] for s in reps]
-        out_perms[i] = Permutation(img)
-    ident = out_perms[0]
-    assert ident.is_identity
-
-    involutions = [i for i, p in out_perms.items()
-                   if not p.is_identity and (p * p).is_identity]
-    assert len(involutions) == 7, involutions
-    # conjugacy classes of involutions in the 12-element quotient
-    classes = []
-    seen = set()
-    for i in involutions:
-        if i in seen:
-            continue
-        orbit = {i}
-        for j, pj in out_perms.items():
-            c = pj.inverse() * out_perms[i] * pj
-            for k, pk in out_perms.items():
-                if pk == c:
-                    orbit.add(k)
-        seen |= orbit
-        classes.append(sorted(orbit))
-    assert sorted(len(c) for c in classes) == [1, 3, 3], classes
+    # A/L34 acts regularly on the 12 cosets, so an element x is named by
+    # x(0), the coset it sends coset 0 (L34 itself) to
+    Q = A.quotient(l34)
+    elements = list(Q.elements())
+    classes = sorted(sorted({(y.inverse() * c.representative * y).images[0] for y in elements})
+                     for c in conjugacy_classes(Q).classes if c.element_order == 2)
+    assert sorted(map(len, classes)) == [1, 3, 3], classes
 
     central = [c for c in classes if len(c) == 1][0][0]
     noncentral = [c[0] for c in classes if len(c) > 1]
