@@ -27,10 +27,10 @@ from array import array
 from dataclasses import dataclass
 from operator import add, getitem
 
-from . import perm_core
-from .errors import CapExceeded, NotNormal, RegulaError
+from .errors import NotNormal, RegulaError
 from .numtheory import is_p_power, is_prime
-from .perm_core import PermGroup, Permutation, _chain_elements, _id_tuple, _mult, _order_of
+from .perm_core import (PermGroup, Permutation, _chain_elements, _id_tuple, _mult, _order_of,
+                        check_element_cap)
 
 
 @dataclass(frozen=True)
@@ -169,12 +169,6 @@ def _partition_into_orbits(G: PermGroup):
         t, i0 = divmod(r, n0)
         out.append((_mult(stab[t], u0[i0]), size))
     return out
-
-
-def check_element_cap(G: PermGroup) -> None:
-    """Refuse G when |G| exceeds ``perm_core.ELEMENT_CAP`` as it stands now."""
-    if G.order > perm_core.ELEMENT_CAP:
-        raise CapExceeded(f"order {G.order} exceeds the element cap {perm_core.ELEMENT_CAP}")
 
 
 def conjugacy_classes(G: PermGroup) -> ClassTable:

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import os
 import re
+from itertools import product
 from math import gcd
 
 from .errors import CapExceeded, GroupDataError, RegulaError, UnknownGroupName
-from .ffield import FieldDesc, make_field
-from .numtheory import factorize
+from .ffield import FieldDesc, field_of_size, make_field
 from .perm_core import DEGREE_CAP, PermGroup, Permutation
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -149,11 +149,8 @@ def affine_semilinear(q: int, include_galois: bool) -> PermGroup:
     when ``include_galois`` is set, else sigma = identity."""
     if q > DEGREE_CAP:
         raise CapExceeded(f"field size {q} is beyond desk scale")
-    fac = factorize(q) if q > 1 else {}
-    if len(fac) != 1:
-        raise RegulaError(f"field size must be a prime power, got {q}")
-    (p, k), = fac.items()
-    F = make_field(p, k)
+    F = field_of_size(q)
+    k = F.k
     elems = list(F.elements())
     index = {x: i for i, x in enumerate(elems)}
     g = F.primitive_element()
@@ -185,24 +182,15 @@ def glq_family(l: int, q: int) -> PermGroup:
     npoints = q ** m
     if npoints > DEGREE_CAP:
         raise CapExceeded(f"{npoints} points exceeds the degree cap {DEGREE_CAP}")
-    fac = factorize(q)
-    if len(fac) != 1 or q % 2 == 0:
-        raise RegulaError(f"q = {q} must be an odd prime power")
-    (p, k), = fac.items()
-    F = make_field(p, k)
+    F = field_of_size(q)
+    if q % 2 == 0:
+        raise RegulaError(f"q = {q} must be odd")
 
-    vectors = []
-    def gen_vectors(prefix):
-        if len(prefix) == m:
-            vectors.append(tuple(prefix))
-            return
-        for i in range(q):
-            gen_vectors(prefix + [F.from_index(i)])
-    gen_vectors([])
+    vectors = list(product(F.elements(), repeat=m))     # coordinate 0 varies slowest
     index = {v: i for i, v in enumerate(vectors)}
 
     a = F.primitive_element()
-    one, zero = F.one(), F.zero()
+    one = F.one()
 
     def perm_of(fn):
         return Permutation([index[fn(v)] for v in vectors])
@@ -261,11 +249,8 @@ def projective_group(kind: str, q: int) -> PermGroup:
         raise RegulaError(f"unknown projective kind {kind!r}")
     if q > PSL2_Q_CAP:
         raise CapExceeded(f"q = {q} exceeds the 2-dimensional cap {PSL2_Q_CAP}")
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise RegulaError(f"q = {q} is not a prime power")
-    (p, f), = fac.items()
-    F = make_field(p, f)
+    F = field_of_size(q)
+    f = F.k
     zero, one = F.zero(), F.one()
     g = F.primitive_element()
     gens = [

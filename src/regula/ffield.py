@@ -4,7 +4,13 @@ Elements are coefficient tuples over GF(p), constant term first, reduced
 modulo a fixed monic irreducible.  The modulus is the lexicographically
 smallest irreducible in the integer encoding c0 + c1*p + ... of its
 non-leading coefficients, which makes field construction deterministic
-with no external tables.
+with no external tables.  A monic candidate of degree k is irreducible
+when no monic polynomial of degree 1 .. k//2 divides it; trial division
+is enough because no field here has more than 2000 elements.
+
+``field_of_size(q)`` is the one place that checks a field size: it
+refuses a q that is not a prime power (1 and below included) and
+returns GF(q).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RegulaError
-from .numtheory import is_prime, prime_factors
+from .numtheory import factorize, is_prime, prime_factors
 
 
 def _poly_trim(c):
@@ -47,44 +53,21 @@ def _poly_mod(a, m, p):
     return _poly_trim(a)
 
 
-def _poly_powmod(a, e, m, p):
-    result = (1,)
-    base = _poly_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), m, p)
-        base = _poly_mod(_poly_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a, b, p):
-    while b:
-        # make b monic before reducing
-        lead = b[-1]
-        linv = pow(lead, p - 2, p)
-        bm = tuple((c * linv) % p for c in b)
-        a, b = b, _poly_mod(a, bm, p)
-    return a
+def _digits(i, p, k):
+    """The k base-p digits of i, least significant first."""
+    out = []
+    for _ in range(k):
+        i, d = divmod(i, p)
+        out.append(d)
+    return tuple(out)
 
 
 def _is_irreducible(m, p):
-    """Standard test: x^(p^k) == x mod m, gcd(x^(p^(k/r)) - x, m) = 1."""
+    """Whether no monic polynomial of degree 1 .. k//2 divides the monic m
+    of degree k."""
     k = len(m) - 1
-    if k == 1:
-        return True
-    x = (0, 1)
-    xq = _poly_powmod(x, p ** k, m, p)
-    if xq != _poly_mod(x, m, p):
-        return False
-    for r in prime_factors(k):
-        d = k // r
-        xd = _poly_powmod(x, p ** d, m, p)
-        diff = _poly_trim([(a - b) % p for a, b in
-                           zip(list(xd) + [0] * len(m), list(x) + [0] * len(m))])
-        if len(_poly_gcd(m, diff, p)) > 1:
-            return False
-    return True
+    return all(_poly_mod(m, _digits(j, p, d) + (1,), p)
+               for d in range(1, k // 2 + 1) for j in range(p ** d))
 
 
 @dataclass(frozen=True)
@@ -116,11 +99,7 @@ class FieldDesc:
         """Element number i in the fixed enumeration c0 + c1*p + ...."""
         if not 0 <= i < self.size:
             raise RegulaError(f"index {i} out of range for field of size {self.size}")
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, _digits(i, self.p, self.k))
 
     def elements(self):
         for i in range(self.size):
@@ -238,14 +217,14 @@ def make_field(p: int, k: int) -> FieldDesc:
         raise RegulaError(f"{p} is not prime")
     if k < 1:
         raise RegulaError("extension degree must be >= 1")
-    for lower in range(p ** k):
-        coeffs = []
-        v = lower
-        for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
-        m = tuple(coeffs) + (1,)
-        if _is_irreducible(m, p):
-            return FieldDesc(p=p, k=k, modulus=m)
-    raise RegulaError("no irreducible polynomial found")  # unreachable
+    candidates = (_digits(i, p, k) + (1,) for i in range(p ** k))
+    return FieldDesc(p=p, k=k, modulus=next(m for m in candidates if _is_irreducible(m, p)))
 
+
+def field_of_size(q: int) -> FieldDesc:
+    """GF(q); the one check that a field size q is a prime power."""
+    fac = factorize(q) if q > 1 else {}
+    if len(fac) != 1:
+        raise RegulaError(f"field size must be a prime power, got {q}")
+    (p, k), = fac.items()
+    return make_field(p, k)

@@ -38,6 +38,13 @@ from .errors import CapExceeded, DegreeMismatch, NotInGroup, NotNormal, RegulaEr
 ELEMENT_CAP = 2_000_000
 DEGREE_CAP = 2000
 
+
+def check_element_cap(G: "PermGroup") -> None:
+    """Refuse G when |G| exceeds ``ELEMENT_CAP`` as it stands now."""
+    if G.order > ELEMENT_CAP:
+        raise CapExceeded(f"order {G.order} exceeds the element cap {ELEMENT_CAP}")
+
+
 _identity_cache: dict[int, tuple] = {}
 
 
@@ -168,18 +175,6 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         return Permutation(_inv(self.images))
-
-    def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = _id_tuple(self.degree)
-        base = self.images
-        while n:
-            if n & 1:
-                result = _mult(result, base)
-            base = _mult(base, base)
-            n >>= 1
-        return Permutation(result)
 
     def __call__(self, point: int) -> int:
         return self.images[point]
@@ -452,8 +447,7 @@ class PermGroup:
     # -- enumeration -----------------------------------------------------
 
     def _raw_elements(self) -> Iterator[tuple]:
-        if self.order > ELEMENT_CAP:
-            raise CapExceeded(f"group order {self.order} exceeds enumeration cap {ELEMENT_CAP}")
+        check_element_cap(self)
         return _chain_elements(self._levels, _id_tuple(self.degree))
 
     def elements(self) -> Iterator[Permutation]:

@@ -41,10 +41,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .classes import check_element_cap, conjugacy_classes
+from .classes import conjugacy_classes
 from .errors import RegulaError
 from .numtheory import is_p_power, is_prime, prime_factors
-from .perm_core import PermGroup, _conj, _inv, _mult, _order_of
+from .perm_core import PermGroup, _conj, _inv, _mult, _order_of, check_element_cap
 
 CORE_KINDS = ("p-core", "p-prime-core", "solvable-radical")
 

@@ -22,6 +22,7 @@ from .exprs import group_from_text
 from .numtheory import (
     BOUND_SLACK,
     coxeter_number,
+    factorize,
     landau_quantity,
     lewis_riedl_p_part,
     min_centralizer_bound_linear,
@@ -207,10 +208,6 @@ def _converse_scan(report: VerificationReport, positive_rows: list):
 
 # -- bounds suite ------------------------------------------------------------
 
-_BOUNDS_PSL2 = {4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),
-                11: (11, 1), 13: (13, 1)}
-
-
 def _run_bounds() -> VerificationReport:
     report = VerificationReport(
         suite="bounds",
@@ -222,7 +219,8 @@ def _run_bounds() -> VerificationReport:
         report.check(cid, statement, exact > bound - BOUND_SLACK,
                      expected=bound, computed=exact)
 
-    jobs = [("PSL2(%d)" % q, 2, q, ell, f) for q, (ell, f) in _BOUNDS_PSL2.items()]
+    # (expr, n, q, ell, f) with q = ell^f
+    jobs = [("PSL2(%d)" % q, 2, q, *factorize(q).popitem()) for q in (4, 5, 7, 8, 9, 11, 13)]
     jobs.append(("PSL3(3)", 3, 3, 3, 1))
     for expr, n, q, ell, f in jobs:
         G = group_from_text(expr)

@@ -1,7 +1,8 @@
 import pytest
+import sympy
 
 from regula import RegulaError
-from regula.ffield import make_field
+from regula.ffield import field_of_size, make_field
 
 
 class TestMakeField:
@@ -33,6 +34,39 @@ class TestMakeField:
             for a in range(p):
                 val = sum(c * a ** i for i, c in enumerate(F.modulus)) % p
                 assert val != 0
+
+    def test_moduli_against_sympy(self):
+        # the modulus is irreducible and every earlier candidate c0 + c1*p + ...
+        # of the enumeration is reducible, for every field of at most 2000 elements
+        x = sympy.Symbol("x")
+
+        def irreducible(coeffs, p):
+            return sympy.Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible
+
+        fields = [(int(p), k) for p in sympy.primerange(2, 2001) for k in range(1, 11)
+                  if p ** k <= 2000]
+        assert len(fields) == 333
+        for p, k in fields:
+            m = make_field(p, k).modulus
+            assert len(m) == k + 1 and m[-1] == 1
+            assert irreducible(m, p), (p, k)
+            index = sum(c * p ** i for i, c in enumerate(m[:-1]))
+            for i in range(index):
+                lower = tuple((i // p ** j) % p for j in range(k)) + (1,)
+                assert not irreducible(lower, p), (p, k, lower)
+
+
+class TestFieldOfSize:
+    def test_prime_powers(self):
+        for q, (p, k) in ((2, (2, 1)), (9, (3, 2)), (16, (2, 4)), (1999, (1999, 1))):
+            F = field_of_size(q)
+            assert (F.p, F.k, F.size) == (p, k, q)
+            assert F.modulus == make_field(p, k).modulus
+
+    def test_rejects_non_prime_powers(self):
+        for q in (-4, 0, 1, 6, 12, 15, 1000):
+            with pytest.raises(RegulaError, match=f"^field size must be a prime power, got {q}$"):
+                field_of_size(q)
 
 
 class TestArithmetic:

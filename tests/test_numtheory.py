@@ -186,6 +186,17 @@ class TestPrimeFamilies:
         assert prime_family("four_rn_plus1", bound) == sorted(
             v for v in values if v <= bound and len(sympy.factorint(v)) == 1)
 
+    def test_two_rn_against_sympy(self):
+        bound = 20_000
+        values = {2 * r ** n + 1 for r in sympy.primerange(2, bound) for n in range(1, 14)}
+        assert prime_family("two_rn_plus1", bound) == sorted(
+            v for v in values if v <= bound and sympy.isprime(v))
+
+    def test_bounds_below_the_first_member(self):
+        for kind in ("fermat", "mersenne", "two_rn_plus1", "four_rn_plus1"):
+            for bound in (-7, 0, 1, 2):
+                assert prime_family(kind, bound) == [], (kind, bound)
+
     def test_walk_cap(self):
         # the r^n kinds walk every prime below the bound; the others do not
         for kind in ("two_rn_plus1", "four_rn_plus1"):

@@ -152,6 +152,12 @@ class TestMembershipEnumeration:
             list(symmetric(8).elements())
         assert len(list(symmetric(6).elements())) == 720
 
+    def test_elements_cap_message(self, monkeypatch):
+        # the same words as every other element-cap refusal
+        monkeypatch.setattr(perm_core, "ELEMENT_CAP", 100)
+        with pytest.raises(CapExceeded, match="^order 120 exceeds the element cap 100$"):
+            list(symmetric(5).elements())
+
 
 class TestNormalClosure:
     def test_klein_four_in_s4(self):

@@ -251,6 +251,10 @@ class TestCli:
         for text, message in (("Zoo(3)", "got 'Zoo'"),
                               ("AGL1(6)", "prime power, got 6"),
                               ("AGL1(1)", "prime power, got 1"),
+                              ("PSL2(0)", "prime power, got 0"),
+                              ("PGL2(1)", "prime power, got 1"),
+                              ("PGammaL2(6)", "prime power, got 6"),
+                              ("GLQ(l=1, q=15)", "prime power, got 15"),
                               ("GLQ(l=2)", "missing q"),
                               ("A(n=5)", "A has no argument n="),
                               ("GLQ(l=2,q=3,z=9)", "GLQ has no argument z="),

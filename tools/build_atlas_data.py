@@ -372,7 +372,6 @@ def build_l34_family():
 
 def build_u33():
     F = make_field(3, 2)
-    zero, one = F.zero(), F.one()
 
     def conj(x):
         return x.frobenius()
@@ -392,9 +391,6 @@ def build_u33():
                 iso.append(n)
     assert len(iso) == 28, len(iso)
     index = {p: i for i, p in enumerate(iso)}
-
-    def mat_perm(m):
-        return Permutation([index[_normalize_point(_mat_apply(m, v))] for v in iso])
 
     # unitary reflections x -> x + h(x,v)/h(v,v) v along anisotropic v
     # generate the full unitary group; grow greedily until the point
