@@ -29,8 +29,7 @@ from operator import add, getitem
 
 from .errors import NotNormal, RegulaError
 from .numtheory import is_p_power, is_prime
-from .perm_core import (PermGroup, Permutation, _chain_elements, _id_tuple, _mult, _order_of,
-                        check_element_cap)
+from .perm_core import PermGroup, Permutation, _chain_elements, _mult, _order_of, check_element_cap
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,7 @@ class ClassTable:
     def counts(self, p: int) -> "ClassCounts":
         if not is_prime(p):
             raise RegulaError(f"{p} is not prime")
-        regular = sum(1 for c in self.classes if c.element_order % p != 0)
-        return ClassCounts(p=p, k_total=len(self.classes),
-                           k_regular=regular, k_singular=len(self.classes) - regular)
+        return _counts(p, [c.element_order for c in self.classes])
 
     def min_centralizer_order(self) -> int:
         return min(c.centralizer_order for c in self.classes)
@@ -101,6 +98,13 @@ class ClassCounts:
     k_singular: int
 
 
+def _counts(p: int, orders: list) -> ClassCounts:
+    """Counts of the classes with these element orders; p is already checked."""
+    regular = sum(1 for o in orders if o % p != 0)
+    return ClassCounts(p=p, k_total=len(orders), k_regular=regular,
+                       k_singular=len(orders) - regular)
+
+
 def _partition_into_orbits(G: PermGroup):
     """Split the elements of G into classes under conjugation by its generators.
 
@@ -120,7 +124,7 @@ def _partition_into_orbits(G: PermGroup):
     """
     levels = G._levels
     if not levels:
-        return [(_id_tuple(G.degree), 1)]
+        return [(G._ident, 1)]
     top = levels[0]
     orbit0 = sorted(top.transversal)
     n0 = len(orbit0)
@@ -130,7 +134,7 @@ def _partition_into_orbits(G: PermGroup):
     for i0, b in enumerate(orbit0):
         index0[b] = i0
     base = [lvl.point for lvl in levels]
-    stab = list(_chain_elements(levels[1:], _id_tuple(G.degree)))
+    stab = list(_chain_elements(levels[1:], G._ident))
     # base images of stab[t] -> n0*t, the rank of stab[t] * u0[0]
     row_of = {tuple(map(s.__getitem__, base[1:])): n0 * t for t, s in enumerate(stab)}
     maps = []
@@ -205,11 +209,8 @@ def fused_counts(G: PermGroup, N: PermGroup, p: int) -> ClassCounts:
         raise RegulaError(f"{p} is not prime")
     if not N.is_normal_in(G):
         raise NotNormal("fused counts need a normal subgroup")
-    orders = [c.element_order for c in conjugacy_classes(G).classes
-              if N._contains_tuple(c.representative.images)]
-    regular = sum(1 for o in orders if o % p != 0)
-    return ClassCounts(p=p, k_total=len(orders), k_regular=regular,
-                       k_singular=len(orders) - regular)
+    return _counts(p, [c.element_order for c in conjugacy_classes(G).classes
+                       if N._contains_tuple(c.representative.images)])
 
 
 def singular_element_count(G: PermGroup, p: int) -> int:

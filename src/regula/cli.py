@@ -17,6 +17,7 @@ suite with a failed check is exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -56,10 +57,7 @@ def _cmd_classes(args) -> int:
     table = conjugacy_classes(G)
     doc = table.to_json_dict(descriptor=args.expr)
     if args.p is not None:
-        counts = class_counts(G, args.p)
-        doc["counts"] = {"p": counts.p, "k_total": counts.k_total,
-                         "k_regular": counts.k_regular,
-                         "k_singular": counts.k_singular}
+        doc["counts"] = dataclasses.asdict(class_counts(G, args.p))
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

@@ -2,9 +2,10 @@
 
 Groups are addressed by expression text and shared through the
 expression memo (``exprs.evaluate``), so each group is built and
-certified once per process; its class table, cores and closures are
-memoised on the group itself (``PermGroup._cached``) and so are computed
-once no matter how many suites touch it.  Those are the only two memos.
+certified once per process; its class table, cores and derived series
+are memoised on the group itself (``PermGroup._cached``) and so are
+computed once no matter how many suites touch it.  Those are the only
+two memos.
 """
 
 from __future__ import annotations

@@ -290,34 +290,15 @@ def psl2_candidate_scan(bound: int) -> list:
         raise RegulaError("bound must be at least 97")
     if bound > _PSL2_SCAN_CAP:
         raise CapExceeded(f"bound {bound} exceeds cap {_PSL2_SCAN_CAP}")
-    # smallest-prime-factor sieve up to bound + 1 covers q - 1, q and q + 1
-    top = bound + 2
-    spf = list(range(top))
-    for i in range(2, int(top ** 0.5) + 1):
-        if spf[i] == i:
-            for j in range(i * i, top, i):
-                if spf[j] == j:
-                    spf[j] = i
-
-    def distinct(n):
-        out = set()
-        while n > 1:
-            d = spf[n]
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        return out
-
     found = []
-    for p in range(2, bound + 1):
-        if spf[p] != p:
-            continue
+    for p in _primes_below(bound + 1):
         q, f = p, 1
         while q <= bound:
             if q >= 4:
                 # for odd q the division by gcd(2, q-1) = 2 never removes
-                # the prime 2 from q^2 - 1, so the divisor set is the union
-                primes = {p} | distinct(q - 1) | distinct(q + 1)
+                # the prime 2 from q^2 - 1, so the divisor set is the union;
+                # q + 1 <= 10^6 + 1 < 2048^2, so factorize is trial division
+                primes = {p, *factorize(q - 1), *factorize(q + 1)}
                 if len(primes) == 4:
                     lhs = regular_class_bound_rank1(q, f) / math.gcd(2, q - 1)
                     if lhs <= 5 + BOUND_SLACK:

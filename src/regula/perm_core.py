@@ -45,16 +45,6 @@ def check_element_cap(G: "PermGroup") -> None:
         raise CapExceeded(f"order {G.order} exceeds the element cap {ELEMENT_CAP}")
 
 
-_identity_cache: dict[int, tuple] = {}
-
-
-def _id_tuple(n):
-    t = _identity_cache.get(n)
-    if t is None:
-        t = _identity_cache[n] = tuple(range(n))
-    return t
-
-
 def _mult(a, b):
     # apply a, then b
     return tuple(map(b.__getitem__, a))
@@ -181,7 +171,7 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return self.images == _id_tuple(self.degree)
+        return _first_moved(self.images) is None
 
     def order(self) -> int:
         return _order_of(self.images)
@@ -273,7 +263,7 @@ def _schreier_sims(degree, gen_tuples, chain=None):
     Schreier pair that once sifted to the identity stays verified, and
     only the pairs not yet checked are sifted.
     """
-    ident = _id_tuple(degree)
+    ident = tuple(range(degree))
     keep = chain is not None
     levels = [lvl.copy() for lvl in chain] if keep else []
 
@@ -365,9 +355,10 @@ class PermGroup:
     """A permutation group with a verified base and strong generating set.
 
     The generators and the chain are fixed at construction.  Derived
-    results (class tables, cores, closures, the derived series) are
-    computed on first use and memoised on the instance through
-    ``_cached``, so no thread-safety is promised.
+    results (class tables, cores and the derived series) are computed on
+    first use and memoised on the instance through ``_cached``, so no
+    thread-safety is promised.  Closures and the Fitting subgroup are
+    not memoised.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
@@ -386,6 +377,7 @@ class PermGroup:
 
     def _setup(self, degree, generators, levels):
         self.degree = degree
+        self._ident = tuple(range(degree))
         self.generators = generators
         self._gen_tuples = tuple(g.images for g in generators)
         self._gen_pairs = tuple((t, _inv(t)) for t in self._gen_tuples)
@@ -431,7 +423,7 @@ class PermGroup:
         return t
 
     def _contains_tuple(self, t):
-        return self._sift(t) == _id_tuple(self.degree)
+        return self._sift(t) == self._ident
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
@@ -448,7 +440,7 @@ class PermGroup:
 
     def _raw_elements(self) -> Iterator[tuple]:
         check_element_cap(self)
-        return _chain_elements(self._levels, _id_tuple(self.degree))
+        return _chain_elements(self._levels, self._ident)
 
     def elements(self) -> Iterator[Permutation]:
         """Yield each element exactly once; raises CapExceeded if order > ELEMENT_CAP."""
@@ -459,7 +451,7 @@ class PermGroup:
 
     def _extended_with(self, extra_tuples):
         """This group with more generators, its chain extending a copy of ours."""
-        extra = tuple(t for t in extra_tuples if t != _id_tuple(self.degree))
+        extra = tuple(t for t in extra_tuples if t != self._ident)
         H = PermGroup.__new__(PermGroup)
         H._setup(self.degree, self.generators + tuple(map(Permutation, extra)),
                  _schreier_sims(self.degree, extra, chain=self._levels))
@@ -496,7 +488,7 @@ class PermGroup:
     def _commutator_closure(self, H: "PermGroup") -> "PermGroup":
         """Normal closure of the commutators [a, b] of the generators a of
         this group with the generators b of H."""
-        ident = _id_tuple(self.degree)
+        ident = self._ident
         comms = {}
         for a in self._gen_tuples:
             ainv = _inv(a)
@@ -571,7 +563,7 @@ class PermGroup:
         index = self.order // N.order
         if index > DEGREE_CAP:
             raise CapExceeded(f"index {index} exceeds the degree cap {DEGREE_CAP}")
-        start = N._coset_canonical(_id_tuple(self.degree))
+        start = N._coset_canonical(self._ident)
         reps = [start]
         number = {start: 0}
         images = [[] for _ in self._gen_tuples]

@@ -3,7 +3,7 @@
 A p-core or p'-core is the join of the normal closures of single
 elements whose closure has the defining property.  The property is
 constant on conjugacy classes, so one representative per class is
-tested, and closures are cached per representative.
+tested.
 
 The solvable radical R is read off the solvable residual D = G^(inf),
 the last term of the derived series, which is memoised on the group:
@@ -26,11 +26,12 @@ the last term of the derived series, which is memoised on the group:
 - R is the normal closure of the representatives that pass.  Its order
   must be the total size of their classes, a free internal check.
 
-Every core, and the Fitting subgroup, refuses |G| above
-``perm_core.ELEMENT_CAP`` as it stands at the call, before the memo is
-read, as the class table does: a result computed under a larger cap is
-never returned under a smaller one, and neither is the D = 1 shortcut,
-which needs no class table.
+Every core refuses |G| above ``perm_core.ELEMENT_CAP`` as it stands at
+the call, before the memo is read, as the class table does: a result
+computed under a larger cap is never returned under a smaller one, and
+neither is the D = 1 shortcut, which needs no class table.  The Fitting
+subgroup is not memoised; it is built from the memoised p-cores, so
+their cap check refuses it too.
 
 ``certify_core`` and ``certify_fitting`` are the second checks: they
 test a result against its definition, independently of how the joins
@@ -49,18 +50,6 @@ from .perm_core import PermGroup, _conj, _inv, _mult, _order_of, check_element_c
 CORE_KINDS = ("p-core", "p-prime-core", "solvable-radical")
 
 
-def _closure_of_rep(G: PermGroup, rep) -> PermGroup:
-    return G._cached(("closure", rep.images), lambda: G.normal_closure([rep]))
-
-
-def _order_admissible(order: int, kind: str, p: Optional[int]) -> bool:
-    if kind == "p-core":
-        return is_p_power(order, p)
-    if kind == "p-prime-core":
-        return order % p != 0
-    return True
-
-
 def _check_kind(kind: str, p: Optional[int]) -> None:
     if kind in ("p-core", "p-prime-core"):
         if p is None or not is_prime(p):
@@ -69,54 +58,40 @@ def _check_kind(kind: str, p: Optional[int]) -> None:
         raise RegulaError(f"unknown core kind {kind!r}; one of {CORE_KINDS}")
 
 
+def _order_test(kind: str, p: Optional[int]):
+    """The order predicate of a p-core or p'-core."""
+    if kind == "p-core":
+        return lambda order: is_p_power(order, p)
+    return lambda order: order % p != 0
+
+
 def _qualifies(N: PermGroup, kind: str, p: Optional[int]) -> bool:
     if kind == "solvable-radical":
         return N.derived_series()[-1].is_trivial
-    return _order_admissible(N.order, kind, p)
+    return _order_test(kind, p)(N.order)
 
 
-def _rep_admissible(G: PermGroup, rep, kind: str, p: Optional[int]) -> bool:
-    """Cheap necessary condition: rep and rep * rep^g lie in the closure,
-    so their orders must already look like the target kind."""
-    if not _order_admissible(rep.order(), kind, p):
-        return False
-    if kind == "solvable-radical":
-        return True
-    x = rep.images
-    xinv = rep.inverse().images
-    for g, ginv in G._gen_pairs:
-        xg = _conj(x, g, ginv)
-        if not _order_admissible(_order_of(_mult(x, xg)), kind, p):
-            return False
-        if not _order_admissible(_order_of(_mult(xinv, xg)), kind, p):
-            return False
-    return True
-
-
-def _join_of_closures(G: PermGroup, classes, kind: str, p: Optional[int],
-                      nonsolvable: list) -> PermGroup:
-    """Join of the normal closures of the representatives of ``classes``
-    that have the property of ``kind``.  ``nonsolvable`` holds subgroups
-    known to be non-solvable, and grows by each closure found so."""
+def _p_join(G: PermGroup, kind: str, p: int) -> PermGroup:
+    """O_p(G) or O_p'(G): the join of the normal closures of the class
+    representatives whose closure order passes the order test."""
+    ok = _order_test(kind, p)
     join = PermGroup([], degree=G.degree)
-    for cls in classes:
+    for cls in conjugacy_classes(G).classes:
         if join.order == G.order:
             break
-        if cls.element_order == 1:
-            continue
+        rep = cls.representative
         # reps already inside the running join contribute nothing
-        if join.contains(cls.representative):
+        if cls.element_order == 1 or join.contains(rep) or not ok(cls.element_order):
             continue
-        if not _rep_admissible(G, cls.representative, kind, p):
+        # x * x^g and x^-1 * x^g lie in the closure, so their orders must pass
+        x = rep.images
+        xinv = _inv(x)
+        if not all(ok(_order_of(_mult(x, xg))) and ok(_order_of(_mult(xinv, xg)))
+                   for xg in (_conj(x, g, ginv) for g, ginv in G._gen_pairs)):
             continue
-        N = _closure_of_rep(G, cls.representative)
-        # a subgroup containing a non-solvable one is non-solvable
-        if any(N.contains_subgroup(B) for B in nonsolvable):
-            continue
-        if _qualifies(N, kind, p):
+        N = G.normal_closure([rep])
+        if ok(N.order):
             join = join._grown_by(N._gen_tuples)
-        elif kind == "solvable-radical":
-            nonsolvable.append(N)
     return join
 
 
@@ -127,8 +102,20 @@ def _solvable_radical(G: PermGroup, D: PermGroup) -> PermGroup:
     if D.order == G.order:
         D = G  # perfect: the same group, on fewer generators
     classes = conjugacy_classes(G).classes
-    RD = _join_of_closures(G, [c for c in classes if D._contains_tuple(c.representative.images)],
-                           "solvable-radical", None, [D])
+    RD = PermGroup([], degree=G.degree)
+    nonsolvable = [D]
+    for c in classes:
+        rep = c.representative
+        if c.element_order == 1 or not D._contains_tuple(rep.images) or RD.contains(rep):
+            continue
+        N = G.normal_closure([rep])
+        # a subgroup containing a non-solvable one is non-solvable
+        if any(N.contains_subgroup(B) for B in nonsolvable):
+            continue
+        if N.derived_series()[-1].is_trivial:
+            RD = RD._grown_by(N._gen_tuples)
+        else:
+            nonsolvable.append(N)
     passing = []
     for c in classes:
         x = c.representative.images
@@ -156,8 +143,7 @@ def core(G: PermGroup, kind: str, p: Optional[int] = None) -> PermGroup:
         if D.is_trivial:
             return G  # not memoised: G in its own memo would be a reference cycle
         return G._cached(("core", kind, p), lambda: _solvable_radical(G, D))
-    return G._cached(("core", kind, p), lambda: _join_of_closures(
-        G, conjugacy_classes(G).classes, kind, p, []))
+    return G._cached(("core", kind, p), lambda: _p_join(G, kind, p))
 
 
 def certify_core(G: PermGroup, N: PermGroup, kind: str, p: Optional[int] = None) -> None:
@@ -176,15 +162,8 @@ def certify_core(G: PermGroup, N: PermGroup, kind: str, p: Optional[int] = None)
 
 def fitting(G: PermGroup) -> PermGroup:
     """Largest normal nilpotent subgroup: the join of the p-cores."""
-    check_element_cap(G)
-
-    def join_of_p_cores():
-        gens = []
-        for p in prime_factors(G.order):
-            gens.extend(core(G, "p-core", p).generators)
-        return PermGroup(gens, degree=G.degree)
-
-    return G._cached("fitting", join_of_p_cores)
+    return PermGroup([g for p in prime_factors(G.order) for g in core(G, "p-core", p).generators],
+                     degree=G.degree)
 
 
 def certify_fitting(G: PermGroup, F: PermGroup) -> None:
@@ -201,11 +180,11 @@ def certify_fitting(G: PermGroup, F: PermGroup) -> None:
 def structure_summary(G: PermGroup) -> dict:
     """Orders of the cores, the Fitting subgroup and the derived length."""
     primes = prime_factors(G.order)
-    return {
-        "order": G.order,
-        "degree": G.degree,
-        "p_cores": {str(p): core(G, "p-core", p).order for p in primes},
-        "solvable_radical": core(G, "solvable-radical").order,
-        "fitting": fitting(G).order,
-        "derived_length": G.derived_length(),
-    }
+    return dict(
+        order=G.order,
+        degree=G.degree,
+        p_cores={str(p): core(G, "p-core", p).order for p in primes},
+        solvable_radical=core(G, "solvable-radical").order,
+        fitting=fitting(G).order,
+        derived_length=G.derived_length(),
+    )

@@ -1,11 +1,16 @@
 """Derived data is memoised in one place per key: ``exprs.evaluate`` for
 named groups and ``PermGroup._cached`` for data derived from a group.
-A functools cache would be a second memo that outlives both."""
+A functools cache would be a second memo that outlives both.  Only data
+that is read again is memoised: the class table, the cores and the
+derived series, not closures or the Fitting subgroup."""
 
 import ast
 import os
 
 import regula
+from regula.exprs import group_from_text
+from regula.perm_core import PermGroup
+from regula.radicals import fitting, structure_summary
 
 FUNCTOOLS_CACHES = {"lru_cache", "cache", "cached_property"}
 
@@ -38,3 +43,15 @@ class TestOneMemo:
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), filename=name)
             assert functools_caches(tree) == [], name
+
+
+class TestMemoKeys:
+    def test_only_tables_cores_and_derived_series(self):
+        # a fresh group, so no other test has touched its memo
+        G = PermGroup(group_from_text("x(S(4), PSL2(7))").generators)
+        structure_summary(G)
+        fitting(G)
+        keys = set(G._cache)
+        assert {"class_table", "derived_series"} <= keys
+        others = keys - {"class_table", "derived_series"}
+        assert others and all(isinstance(k, tuple) and k[0] == "core" for k in others), keys

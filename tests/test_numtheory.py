@@ -276,6 +276,14 @@ class TestPsl2Scan:
         scan = psl2_candidate_scan(10 ** 5)
         assert set(KNOWN_SCAN_17) <= set(scan)
 
+    def test_full_list_pinned(self):
+        # the seventeen plus 107, 127, 163, 193, 243 and 257; nothing past
+        # 257 qualifies, so the largest bound gives the same list
+        want = [11, 13, 16, 19, 23, 25, 27, 31, 32, 37, 47, 49, 53, 73, 81, 97,
+                107, 127, 128, 163, 193, 243, 257]
+        assert psl2_candidate_scan(10 ** 5) == want
+        assert psl2_candidate_scan(10 ** 6) == want
+
     def test_sixteen_qualifies(self):
         assert 16 * (16 * 16 - 1) == 4080  # |PSL2(16)| = 2^4 * 3 * 5 * 17: four primes
         assert 16 in psl2_candidate_scan(100)

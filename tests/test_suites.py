@@ -179,6 +179,13 @@ class TestCli:
         got = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert got == "2e1db7d367ecdf82bd5344c4b727467ec0faee0063719d631bad55d4100a162f"
 
+    def test_counts_json_pinned(self, capsys):
+        # the table and its "counts" object: p, k_total, k_regular, k_singular
+        from regula.cli import main
+        assert main(["classes", "A(5)", "--p", "2", "--json"]) == 0
+        got = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert got == "29d6a3b39f62cbd85153e543f5b84192add90684992bf23c48857cfbb7bfece2"
+
     @pytest.mark.parametrize("expr, digest", [
         ("AGL1(257)", "5c500debe14600701b0587c9973e507c2c2a85c43437c9613f8f19d26b43a7e3"),
         ("M12.2", "f01286046846ddd5d66596478fb10b963dfb57f2da5d1db823fcc58aa27b3067"),

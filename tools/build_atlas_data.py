@@ -131,9 +131,8 @@ def hexad_system(gens, npoints=12):
     Scans base 6-sets until one whose orbit has length 132 and covers
     every 5-set exactly once is found.
     """
-    from itertools import combinations as combs
     gen_images = [g.images for g in gens]
-    for base in combs(range(npoints), 6):
+    for base in combinations(range(npoints), 6):
         orbit = {frozenset(base)}
         queue = [frozenset(base)]
         ok = True
@@ -152,7 +151,7 @@ def hexad_system(gens, npoints=12):
         cover = {}
         good = True
         for blk in orbit:
-            for five in combs(sorted(blk), 5):
+            for five in combinations(sorted(blk), 5):
                 if five in cover:
                     good = False
                     break
