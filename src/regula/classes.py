@@ -1,7 +1,7 @@
 """Conjugacy classes and the regular/singular class-counting statistics.
 
 Classes are found exactly: every element is visited and the group is
-partitioned by breadth-first closure under conjugation by the group
+partitioned by a depth-first walk under conjugation by the group
 generators.  Representatives are the first member of each class in
 ``PermGroup.elements()`` order, so repeated runs produce identical
 tables.  The orbits of G on a normal subgroup N are the classes of G
@@ -11,14 +11,18 @@ call, before the memo is read, so a table computed under a larger cap
 is never returned under a smaller one.
 
 Memory: an element is named by its rank in that order, which its base
-images determine.  With n0 points in the first basic orbit, element
-i0 + n0*t is the t-th element of the first point stabiliser followed by
-the i0-th level-0 coset representative.  The partition keeps one visited
-byte per element and, per generator, a conjugation map of one 4-byte
-rank per element, so 1 + 4k bytes per element for k generators.  The
-stabiliser is kept as |G|/n0 image tuples with a dict from their base
-images to n0*t, 1/n0 of a full element list.  Only the class
-representatives are built in full.
+images determine.  The chain splits after its first j levels: element
+a + A*t is the t-th element of the stabiliser of the first j base points
+followed by the a-th of the A = n0*...*n_{j-1} head coset
+representatives.  The partition keeps one visited byte per element and,
+per generator, a conjugation map of one 4-byte rank per element, so
+1 + 4k bytes per element for k generators.  The stabiliser is kept as
+|G|/A image tuples with a dict from their base images to A*t, 1/A of a
+full element list.  The head grows by a level while the table of its A
+cosets times one generator, A*degree images, stays within a quarter of
+|G| entries; a one-level head is the level-0 transversal itself, so its
+A*degree can reach |G| without a copy.  Only the class representatives
+are built in full.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from operator import add, getitem
 
 from .errors import NotNormal, RegulaError
 from .numtheory import is_p_power, is_prime
-from .perm_core import PermGroup, Permutation, _chain_elements, _mult, _order_of, check_element_cap
+from .perm_core import (PermGroup, Permutation, _chain_elements, _inv, _mult, _order_of,
+                        check_element_cap)
 
 
 @dataclass(frozen=True)
@@ -111,67 +116,79 @@ def _partition_into_orbits(G: PermGroup):
     Returns (representative tuple, class size) pairs.  Each representative
     is the first member of its class in ``G.elements()`` order, and the
     pairs come in that order.  Elements are handled by their rank in that
-    order: rank i0 + n0*t is y = ``stab[t] * u0[i0]``, where u0 is the
-    sorted level-0 transversal (n0 entries) and ``stab`` lists the
-    stabiliser of the first base point.
+    order.  The chain splits into head levels 0..j-1 and the tail: rank
+    a + A*t is y = ``stab[t] * w[a]``, where w lists the A = n0*...*n_{j-1}
+    head coset representatives (level 0 varying fastest) and ``stab`` the
+    stabiliser of the first j base points.  The head grows by a level
+    while the table of the w[a] * g keeps within a quarter of |G| entries;
+    a one-level head reuses the level-0 transversal tuples.
 
     Phase 1 builds, per generator g, the map from the rank of y to the
     rank of z = g^-1 * y * g.  At a base point b, z[b] is
-    ``(u0[i0] * g)[stab[t][g^-1(b)]]``, so one column of the table of the
-    u0[i0] * g gives z[b] for all n0 ranks with the same t, and the sift
-    of z runs in ``map`` chains over those columns.  Phase 2 walks the
-    classes on the integer maps.
+    ``(w[a] * g)[stab[t][g^-1(b)]]``, so one column of that table gives
+    z[b] for all A ranks with the same t.  The head base images of z name
+    a' through a dict, the tail base images of z * w[a']^-1 name t', and
+    both run in ``map`` chains over the columns.  Phase 2 walks the
+    classes on the integer maps, depth first.
     """
     levels = G._levels
     if not levels:
         return [(G._ident, 1)]
-    top = levels[0]
-    orbit0 = sorted(top.transversal)
-    n0 = len(orbit0)
-    u0 = [top.transversal[b][0] for b in orbit0]
-    uinv0 = [top.transversal[b][1] for b in orbit0]
-    index0 = [0] * G.degree
-    for i0, b in enumerate(orbit0):
-        index0[b] = i0
+    j, A = 1, len(levels[0].transversal)
+    while j < len(levels) and 4 * A * len(levels[j].transversal) * G.degree <= G.order:
+        A *= len(levels[j].transversal)
+        j += 1
+    if j == 1:
+        top = levels[0].transversal
+        w = [top[b][0] for b in sorted(top)]
+        winv = [top[b][1] for b in sorted(top)]
+    else:
+        w = list(_chain_elements(levels[:j], G._ident))
+        winv = list(map(_inv, w))
     base = [lvl.point for lvl in levels]
-    stab = list(_chain_elements(levels[1:], G._ident))
-    # base images of stab[t] -> n0*t, the rank of stab[t] * u0[0]
-    row_of = {tuple(map(s.__getitem__, base[1:])): n0 * t for t, s in enumerate(stab)}
+    # head base images of w[a] -> a (one image for a one-level head);
+    # tail base images of stab[t] -> A*t
+    head_of = {x[base[0]] if j == 1 else tuple(map(x.__getitem__, base[:j])): a
+               for a, x in enumerate(w)}
+    stab = list(_chain_elements(levels[j:], G._ident))
+    row_of = {tuple(map(s.__getitem__, base[j:])): A * t for t, s in enumerate(stab)}
     maps = []
     for g, ginv in G._gen_pairs:
-        cols = list(zip(*[_mult(u, g) for u in u0]))
-        p0 = ginv[base[0]]
-        pre = [ginv[b] for b in base[1:]]
+        # cols[c][a] = (w[a] * g)[c] = g[w[a][c]], built a column of w at a time
+        cols = [tuple(map(g.__getitem__, col)) for col in zip(*w)]
+        head = [ginv[b] for b in base[:j]]
+        tail = [ginv[b] for b in base[j:]]
         conj = array("i")
         for s in stab:
-            # z = stab[t'] * u0[j0]: j0 from z[b0], then t' from the other
-            # base images of z * u0[j0]^-1
-            j0s = list(map(index0.__getitem__, cols[s[p0]]))
-            if not pre:
-                conj.extend(j0s)
+            # z = stab[t'] * w[a']: a' from the head base images of z,
+            # then t' from the tail base images of z * w[a']^-1
+            images = [cols[s[p]] for p in head]
+            heads = list(map(head_of.__getitem__, images[0] if j == 1 else zip(*images)))
+            if not tail:
+                conj.extend(heads)
                 continue
-            invs = list(map(uinv0.__getitem__, j0s))
-            keys = zip(*[map(getitem, invs, cols[s[p]]) for p in pre])
-            conj.extend(map(add, j0s, map(row_of.__getitem__, keys)))
+            invs = list(map(winv.__getitem__, heads))
+            keys = zip(*[map(getitem, invs, cols[s[p]]) for p in tail])
+            conj.extend(map(add, heads, map(row_of.__getitem__, keys)))
         maps.append(conj)
-    visited = bytearray(n0 * len(stab))
+    visited = bytearray(A * len(stab))
     out = []
-    for r in range(len(visited)):
-        if visited[r]:
-            continue
+    r = visited.find(0)
+    while r >= 0:
         visited[r] = 1
         size = 1
-        queue = [r]
-        while queue:
-            x = queue.pop()
+        stack = [r]
+        while stack:
+            x = stack.pop()
             for m in maps:
                 y = m[x]
                 if not visited[y]:
                     visited[y] = 1
                     size += 1
-                    queue.append(y)
-        t, i0 = divmod(r, n0)
-        out.append((_mult(stab[t], u0[i0]), size))
+                    stack.append(y)
+        t, a = divmod(r, A)
+        out.append((_mult(stab[t], w[a]), size))
+        r = visited.find(0, r + 1)
     return out
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from regula.classes import (
     singular_element_count,
 )
 from regula.constructors import alternating, cyclic, projective_group, symmetric
-from regula.corpus import normal_pairs
+from regula.corpus import corpus_groups, normal_pairs
 from regula.exprs import group_from_text
 from regula.numtheory import prime_factors
 
@@ -136,6 +138,29 @@ class TestRepresentatives:
         G, N = symmetric(4), alternating(4)
         for p in (2, 3):
             assert fused_counts(G, N, p) == oracle_fused_counts(G, N, p)
+
+    def test_corpus_tables_pinned(self):
+        # every corpus table, representatives included: a new partition
+        # scheme must keep the enumeration-order representatives
+        digest = hashlib.sha256()
+        for expr, G in corpus_groups():
+            doc = conjugacy_classes(G).to_json_dict(expr)
+            digest.update(json.dumps(doc, sort_keys=True).encode("utf-8"))
+        assert digest.hexdigest() == \
+            "1f5845b3ce550845d81399a6e213dad97d8ac069d0e34d85a7ce9a46c8779661"
+
+    @pytest.mark.parametrize("text", ["AGL1(257)", "M12.2", "L34.2^2", "Sz8"])
+    def test_partition_peak_memory(self, text):
+        # rank maps, stabiliser tuples and one generator's column table:
+        # a head block of copied tuples, or one past |G| entries, breaks this
+        G = group_from_text(text)
+        tracemalloc.start()
+        try:
+            _partition_into_orbits(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * G.order, f"{peak / G.order:.1f} bytes per element"
 
 
 class TestClassCounts:

@@ -285,6 +285,25 @@ class TestAgainstSympy:
             assert S.order() == G.order, expr
             assert (core(G, "solvable-radical").order == G.order) == S.is_solvable, expr
 
+    def test_class_tables_over_corpus(self):
+        # k(G) and the class sizes against sympy's own class partition
+        from sympy.combinatorics import Permutation as SymPerm
+        from sympy.combinatorics import PermutationGroup as SymGroup
+        from regula.classes import conjugacy_classes
+        from regula.corpus import corpus_groups
+
+        checked = 0
+        for expr, G in corpus_groups():
+            if G.order > 10_000:
+                continue
+            S = SymGroup([SymPerm(list(g.images)) for g in G.generators])
+            theirs = sorted(len(c) for c in S.conjugacy_classes())
+            table = conjugacy_classes(G)
+            assert table.k_total == len(theirs), expr
+            assert table.class_size_multiset() == tuple(theirs), expr
+            checked += 1
+        assert checked == 44
+
 
 class TestSeries:
     def test_derived_series_s4(self):

@@ -2,13 +2,20 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regula import RegulaError
+from regula.cli import main
 from regula.suites import SUITE_NAMES, run_suite
+from test_exprs import EXPRESSIONS
 
 
 BIG_SEMIPRIME = 210000000000000000000000009007400000000000000000000014337989
@@ -328,3 +335,49 @@ class TestCli:
                              text=True, env=self.child_env())
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "False False"
+
+
+def _token(values):
+    # one value in ten is a malformed token
+    junk = st.sampled_from(["x", "", "1.5", "0x10", "--"])
+    return st.tuples(st.integers(0, 9), values, junk).map(
+        lambda t: t[2] if t[0] == 0 else str(t[1]))
+
+
+def _prime_token(hi):
+    return _token(st.sampled_from([2, 3, 5, 7]) | st.integers(-2, hi))
+
+
+SMALL_GROUPS = st.sampled_from(["S(4)", "A(5)", "C(1)", "D(6)", "AGL1(5)", "PSL2(7)", "M10",
+                                "x(S(3), C(4))", "wr(C(2), S(3))", "S(0)", "S(", "Q(3)", "S(3) x"])
+
+# small examples only: --bound <= 10^4 and --a <= 64; a token in ten is dropped
+ARGV = st.tuples(
+    st.one_of(
+        st.tuples(_token(st.integers(-2, 10 ** 4)), _token(st.integers(-2, 64)),
+                  _prime_token(100)).map(
+            lambda t: ["numtheory", "landau", "--r", t[0], "--a", t[1], "--p", t[2]]),
+        _token(st.integers(-10, 10 ** 4)).map(lambda b: ["numtheory", "scan-psl2", "--bound", b]),
+        st.tuples(st.sampled_from(["fermat", "mersenne", "two_rn_plus1", "four_rn_plus1", "x"]),
+                  _token(st.integers(-10, 10 ** 4))).map(
+            lambda t: ["numtheory", "primes", "--kind", t[0], "--bound", t[1]]),
+        st.tuples(SMALL_GROUPS | EXPRESSIONS, _prime_token(30)).map(
+            lambda t: ["classes", t[0], "--p", t[1]])),
+    st.integers(0, 9), st.integers(0, 7),
+).map(lambda t: t[0] if t[1] else t[0][:t[2]] + t[0][t[2] + 1:])
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ARGV)
+    def test_output_or_one_error_line(self, argv):
+        # exit 0 with output, or exit 1 with exactly one error: line
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"REGULA_ELEMENT_CAP": "5000"}), \
+                redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            assert out.getvalue() and not err.getvalue(), argv
+        else:
+            assert code == 1, argv
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
