@@ -155,7 +155,7 @@ def _partition_into_orbits(G: PermGroup):
     maps = []
     for g, ginv in G._gen_pairs:
         # cols[c][a] = (w[a] * g)[c] = g[w[a][c]], built a column of w at a time
-        cols = [tuple(map(g.__getitem__, col)) for col in zip(*w)]
+        cols = [_mult(col, g) for col in zip(*w)]
         head = [ginv[b] for b in base[:j]]
         tail = [ginv[b] for b in base[j:]]
         conj = array("i")

@@ -24,13 +24,19 @@ the largest index of a coset walk, whose action has one point per coset.
 conjugation maps of a class table hold; the CLI refuses a larger
 ``REGULA_ELEMENT_CAP``.
 
-Composition is left-to-right: ``(a * b)(x) == b(a(x))``.
+Composition is left-to-right: ``(a * b)(x) == b(a(x))``.  A product
+of image tuples is one C-level gather, ``itemgetter(*a)(b)``.  Each
+level keeps its strong generators' inverses, so a new transversal entry
+u * g gets its inverse as the product g^-1 * u^-1, not by inverting it;
+a group keeps its generators' inverses, and a group extended by more
+generators inverts only the new ones.
 """
 
 from __future__ import annotations
 
 import re
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, DegreeMismatch, NotInGroup, NotNormal, RegulaError
@@ -46,8 +52,11 @@ def check_element_cap(G: "PermGroup") -> None:
 
 
 def _mult(a, b):
-    # apply a, then b
-    return tuple(map(b.__getitem__, a))
+    # apply a, then b; itemgetter of one index returns the bare item,
+    # so degrees 0 and 1 build their tuple directly
+    if len(a) > 1:
+        return itemgetter(*a)(b)
+    return tuple([b[i] for i in a])
 
 
 def _inv(a):
@@ -59,7 +68,7 @@ def _inv(a):
 
 def _conj(x, g, ginv):
     # g^-1 * x * g, left-to-right convention
-    return tuple(map(g.__getitem__, map(x.__getitem__, ginv)))
+    return _mult(_mult(ginv, x), g)
 
 
 def _order_of(t):
@@ -196,39 +205,44 @@ class Permutation:
 
 
 class _Level:
-    __slots__ = ("point", "ident", "gens", "transversal", "checked")
+    __slots__ = ("point", "ident", "gens", "gen_invs", "transversal", "checked")
 
     def __init__(self, point, ident):
         self.point = point
         self.ident = ident
         self.gens = []            # strong generators fixing all shallower base points
+        self.gen_invs = []        # their inverses, in the same order
         self.transversal = {point: (ident, ident)}  # orbit pt -> (u, uinv), u[point] = pt
         self.checked = {}         # orbit pt -> how many leading gens its Schreier pairs passed
 
     def copy(self):
         new = _Level(self.point, self.ident)
         new.gens = list(self.gens)
+        new.gen_invs = list(self.gen_invs)
         new.transversal = dict(self.transversal)
         new.checked = dict(self.checked)
         return new
 
-    def add_gen(self, h, keep):
-        """Append the strong generator h and close the orbit under it.
+    def add_gen(self, h, hinv, keep):
+        """Append the strong generator h, with its inverse hinv, and close
+        the orbit under it.
 
         With ``keep`` every transversal entry and checked pair stays: the
         orbit grows from old points under h and from new points under all
         generators.  Without it the orbit is rebuilt from the base point
-        and every pair is unchecked again.
+        and every pair is unchecked again.  A new entry u * g is stored
+        with its inverse g^-1 * u^-1.
         """
         self.gens.append(h)
+        self.gen_invs.append(hinv)
         trans = self.transversal
         if keep:
             queue = []
             for a in list(trans):
                 c = h[a]
                 if c not in trans:
-                    v = _mult(trans[a][0], h)
-                    trans[c] = (v, _inv(v))
+                    u, uinv = trans[a]
+                    trans[c] = (_mult(u, h), _mult(hinv, uinv))
                     queue.append(c)
         else:
             trans = self.transversal = {self.point: (self.ident, self.ident)}
@@ -238,12 +252,11 @@ class _Level:
         while i < len(queue):
             a = queue[i]
             i += 1
-            u = trans[a][0]
-            for g in self.gens:
+            u, uinv = trans[a]
+            for g, ginv in zip(self.gens, self.gen_invs):
                 c = g[a]
                 if c not in trans:
-                    v = _mult(u, g)
-                    trans[c] = (v, _inv(v))
+                    trans[c] = (_mult(u, g), _mult(ginv, uinv))
                     queue.append(c)
 
 
@@ -281,8 +294,9 @@ def _schreier_sims(degree, gen_tuples, chain=None):
         # h fixes base[0..upto-1]; it belongs to every level <= upto
         if upto == len(levels):
             levels.append(_Level(_first_moved(h), ident))
+        hinv = _inv(h)
         for j in range(upto + 1):
-            levels[j].add_gen(h, keep)
+            levels[j].add_gen(h, hinv, keep)
 
     for g in gen_tuples:
         if g == ident:
@@ -373,14 +387,17 @@ class PermGroup:
             if g.degree != degree:
                 raise DegreeMismatch(f"generator degree {g.degree}, expected {degree}")
         gens = tuple(g for g in gens if not g.is_identity)
-        self._setup(degree, gens, _schreier_sims(degree, [g.images for g in gens]))
+        tuples = [g.images for g in gens]
+        self._setup(degree, gens, tuple((t, _inv(t)) for t in tuples),
+                    _schreier_sims(degree, tuples))
 
-    def _setup(self, degree, generators, levels):
+    def _setup(self, degree, generators, gen_pairs, levels):
+        # gen_pairs: (image tuple, inverse) of each generator, in order
         self.degree = degree
         self._ident = tuple(range(degree))
         self.generators = generators
         self._gen_tuples = tuple(g.images for g in generators)
-        self._gen_pairs = tuple((t, _inv(t)) for t in self._gen_tuples)
+        self._gen_pairs = gen_pairs
         self._levels = levels
         o = 1
         for lvl in self._levels:
@@ -450,10 +467,12 @@ class PermGroup:
     # -- subgroup constructions ------------------------------------------
 
     def _extended_with(self, extra_tuples):
-        """This group with more generators, its chain extending a copy of ours."""
+        """This group with more generators, its chain extending a copy of ours.
+        Only the new generators are inverted."""
         extra = tuple(t for t in extra_tuples if t != self._ident)
         H = PermGroup.__new__(PermGroup)
         H._setup(self.degree, self.generators + tuple(map(Permutation, extra)),
+                 self._gen_pairs + tuple((t, _inv(t)) for t in extra),
                  _schreier_sims(self.degree, extra, chain=self._levels))
         return H
 
@@ -490,10 +509,9 @@ class PermGroup:
         this group with the generators b of H."""
         ident = self._ident
         comms = {}
-        for a in self._gen_tuples:
-            ainv = _inv(a)
-            for b in H._gen_tuples:
-                c = _mult(_mult(ainv, _inv(b)), _mult(a, b))
+        for a, ainv in self._gen_pairs:
+            for b, binv in H._gen_pairs:
+                c = _mult(_mult(ainv, binv), _mult(a, b))
                 if c != ident:
                     comms.setdefault(c, None)
         return self.normal_closure([Permutation(c) for c in comms])

@@ -362,7 +362,8 @@ ARGV = st.tuples(
                   _token(st.integers(-10, 10 ** 4))).map(
             lambda t: ["numtheory", "primes", "--kind", t[0], "--bound", t[1]]),
         st.tuples(SMALL_GROUPS | EXPRESSIONS, _prime_token(30)).map(
-            lambda t: ["classes", t[0], "--p", t[1]])),
+            lambda t: ["classes", t[0], "--p", t[1]]),
+        (SMALL_GROUPS | EXPRESSIONS).map(lambda e: ["structure", e])),
     st.integers(0, 9), st.integers(0, 7),
 ).map(lambda t: t[0] if t[1] else t[0][:t[2]] + t[0][t[2] + 1:])
 
