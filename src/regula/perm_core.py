@@ -267,6 +267,18 @@ def _first_moved(t):
     return None
 
 
+def _strip(levels, g, start=0):
+    """Sift g through ``levels[start:]``: the residue and the level where it stopped."""
+    i = start
+    for lvl in levels[start:]:
+        entry = lvl.transversal.get(g[lvl.point])
+        if entry is None:
+            break
+        g = _mult(g, entry[1])
+        i += 1
+    return g, i
+
+
 def _schreier_sims(degree, gen_tuples, chain=None):
     """Deterministic Schreier-Sims. Returns the verified list of levels.
 
@@ -280,16 +292,6 @@ def _schreier_sims(degree, gen_tuples, chain=None):
     keep = chain is not None
     levels = [lvl.copy() for lvl in chain] if keep else []
 
-    def strip(g, start=0):
-        for i in range(start, len(levels)):
-            lvl = levels[i]
-            beta = g[lvl.point]
-            entry = lvl.transversal.get(beta)
-            if entry is None:
-                return g, i
-            g = _mult(g, entry[1])
-        return g, len(levels)
-
     def add_strong_gen(h, upto):
         # h fixes base[0..upto-1]; it belongs to every level <= upto
         if upto == len(levels):
@@ -301,7 +303,7 @@ def _schreier_sims(degree, gen_tuples, chain=None):
     for g in gen_tuples:
         if g == ident:
             continue
-        h, lev = strip(g)
+        h, lev = _strip(levels, g)
         if h != ident:
             add_strong_gen(h, lev)
 
@@ -319,7 +321,7 @@ def _schreier_sims(degree, gen_tuples, chain=None):
                 s = gens[k]
                 sg = _mult(_mult(u, s), lvl.transversal[s[beta]][1])
                 if sg != ident:
-                    h, lev = strip(sg, i + 1)
+                    h, lev = _strip(levels, sg, i + 1)
                     if h != ident:
                         break
                 k += 1
@@ -431,16 +433,8 @@ class PermGroup:
 
     # -- membership ------------------------------------------------------
 
-    def _sift(self, t):
-        for lvl in self._levels:
-            entry = lvl.transversal.get(t[lvl.point])
-            if entry is None:
-                return t
-            t = _mult(t, entry[1])
-        return t
-
     def _contains_tuple(self, t):
-        return self._sift(t) == self._ident
+        return _strip(self._levels, t)[0] == self._ident
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:

@@ -77,8 +77,6 @@ def _p_join(G: PermGroup, kind: str, p: int) -> PermGroup:
     ok = _order_test(kind, p)
     join = PermGroup([], degree=G.degree)
     for cls in conjugacy_classes(G).classes:
-        if join.order == G.order:
-            break
         rep = cls.representative
         # reps already inside the running join contribute nothing
         if cls.element_order == 1 or join.contains(rep) or not ok(cls.element_order):
@@ -99,8 +97,6 @@ def _solvable_radical(G: PermGroup, D: PermGroup) -> PermGroup:
     """R from a non-trivial solvable residual D: R(D) by the join over the
     classes in D, then one commutator test per class of G (see the module
     notes)."""
-    if D.order == G.order:
-        D = G  # perfect: the same group, on fewer generators
     classes = conjugacy_classes(G).classes
     RD = PermGroup([], degree=G.degree)
     nonsolvable = [D]

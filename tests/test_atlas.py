@@ -199,3 +199,20 @@ class TestProvenance:
         for fname in fnames:
             with open(os.path.join(root, "src", "regula", "data", fname), "rb") as fh:
                 assert (data / fname).read_bytes() == fh.read(), fname
+
+    def test_build_script_refuses_optimised_python(self, tmp_path):
+        # under -O the asserts that certify each group would vanish
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        for sub in ("src", "tools"):
+            shutil.copytree(os.path.join(root, sub), tmp_path / sub,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        data = tmp_path / "src" / "regula" / "data"
+        for fname in (os.path.basename(_data_path(name)) for name in ATLAS_NAMES):
+            (data / fname).write_text("stale\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run([sys.executable, "-O", os.path.join("tools", "build_atlas_data.py")],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert "without -O" in proc.stderr
+        assert all((data / os.path.basename(_data_path(name))).read_text() == "stale\n"
+                   for name in ATLAS_NAMES)

@@ -6,6 +6,15 @@ projective planes, unitary geometry, the Suzuki ovoid), certified by its
 order and conjugacy fingerprint, and written to src/regula/data/.  The
 package itself only ever loads the frozen files and re-certifies them.
 
+Each group is built along one path.  The plane's 21 lines are computed
+once as point sets, and a collineation moves each line as it moves the
+line's points.  Sz(8) is built from one set of translations and one
+torus.  The element of M12 that conjugates like the square of the outer
+automorphism is found by a scan of M12.
+
+The certificates are asserts, so the script refuses to run under
+``python -O``.
+
 Run from the repository root:  python3 tools/build_atlas_data.py
 """
 
@@ -19,21 +28,16 @@ from itertools import combinations
 from regula.classes import conjugacy_classes
 from regula.constructors import _data_path, _mat_apply, _normalize_point, _plane_points
 from regula.ffield import make_field
-from regula.perm_core import PermGroup, Permutation, _conj, _mult
-
-DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "regula", "data")
+from regula.perm_core import PermGroup, Permutation, _mult
 
 
-def write_group(name, G, comment=""):
-    os.makedirs(DATA_DIR, exist_ok=True)
+def write_group(name, G, comment):
     table = conjugacy_classes(G)
     sizes = ",".join(str(s) for s in table.class_size_multiset())
-    fname = os.path.basename(_data_path(name))
-    path = os.path.join(DATA_DIR, fname)
+    path = _data_path(name)
     with open(path, "w", encoding="ascii") as fh:
-        if comment:
-            for line in comment.strip().splitlines():
-                fh.write(f"# {line}\n")
+        for line in comment.strip().splitlines():
+            fh.write(f"# {line}\n")
         fh.write(f"name: {name}\n")
         fh.write(f"degree: {G.degree}\n")
         fh.write(f"order: {G.order}\n")
@@ -42,11 +46,11 @@ def write_group(name, G, comment=""):
             fh.write(g.cycle_string() + "\n")
     print(f"wrote {path}: order {G.order}, degree {G.degree}, "
           f"{len(G.generators)} generators, {table.k_total} classes")
-    return path
 
 
-def reduce_generators(G, tries=400):
-    """Smallest 2- or 3-element generating set found by a bounded scan."""
+def reduce_generators(G):
+    """The first generating pair in a fixed scan of the generators and
+    their products."""
     gens = list(G.generators)
     if len(gens) <= 2:
         return G
@@ -55,22 +59,11 @@ def reduce_generators(G, tries=400):
     for g in pool:
         if g not in seen and not g.is_identity:
             seen.append(g)
-    count = 0
     for a, b in combinations(seen, 2):
-        count += 1
-        if count > tries:
-            break
         H = PermGroup([a, b], degree=G.degree)
         if H.order == G.order:
             return H
-    for a, b, c in combinations(seen, 3):
-        count += 1
-        if count > 4 * tries:
-            break
-        H = PermGroup([a, b, c], degree=G.degree)
-        if H.order == G.order:
-            return H
-    return G
+    raise AssertionError("no generating pair among the generators and their products")
 
 
 # -- M12, M11 ---------------------------------------------------------------
@@ -125,52 +118,38 @@ def find_transitive_m11(M12):
     raise AssertionError("no transitive subgroup of order 7920 found")
 
 
-def hexad_system(gens, npoints=12):
+def hexad_system(gens):
     """Orbit of a 6-set under the group; the Steiner system has 132 blocks.
 
-    Scans base 6-sets until one whose orbit has length 132 and covers
-    every 5-set exactly once is found.
+    Scans base 6-sets until one has an orbit of 132 blocks whose 5-subsets
+    are 792 distinct sets.  As 132 * 6 = 792 = C(12, 5), every 5-set then
+    lies in exactly one block.
     """
     gen_images = [g.images for g in gens]
-    for base in combinations(range(npoints), 6):
+    for base in combinations(range(12), 6):
         orbit = {frozenset(base)}
         queue = [frozenset(base)]
-        ok = True
-        while queue and ok:
+        while queue and len(orbit) <= 132:
             s = queue.pop()
             for img in gen_images:
                 t = frozenset(img[p] for p in s)
                 if t not in orbit:
                     orbit.add(t)
                     queue.append(t)
-                    if len(orbit) > 132:
-                        ok = False
-                        break
-        if not ok or len(orbit) != 132:
-            continue
-        cover = {}
-        good = True
-        for blk in orbit:
-            for five in combinations(sorted(blk), 5):
-                if five in cover:
-                    good = False
-                    break
-                cover[five] = blk
-            if not good:
-                break
-        if good and len(cover) == 792:
+        if len(orbit) == 132 and len({five for blk in orbit
+                                      for five in combinations(sorted(blk), 5)}) == 792:
             return orbit
     raise AssertionError("no Steiner system found in the 6-set orbits")
 
 
-def design_isomorphism(blocks_from, blocks_to, npoints=12):
+def design_isomorphism(blocks_from, blocks_to):
     """A bijection of points carrying one block system onto the other."""
     from_sets = [set(b) for b in blocks_from]
     to_set = set(blocks_to)
 
     def extend(mapping, used):
         placed = len(mapping)
-        if placed == npoints:
+        if placed == 12:
             return dict(mapping)
         # prune: every block with >= 5 placed points forces its image
         for blk in from_sets:
@@ -180,8 +159,8 @@ def design_isomorphism(blocks_from, blocks_to, npoints=12):
                 hits = [b for b in to_set if img <= b]
                 if not hits:
                     return None
-        nxt = min(set(range(npoints)) - set(mapping))
-        for cand in range(npoints):
+        nxt = min(set(range(12)) - set(mapping))
+        for cand in range(12):
             if cand in used:
                 continue
             mapping[nxt] = cand
@@ -203,33 +182,7 @@ def design_isomorphism(blocks_from, blocks_to, npoints=12):
 
     mapping = extend({}, set())
     assert mapping is not None, "design isomorphism search failed"
-    return Permutation([mapping[i] for i in range(npoints)])
-
-
-def solve_intertwiner(gens, target_images, npoints=12):
-    """w with w(g(p)) = target(g)(w(p)) for all generators, by propagation."""
-    pairs = [(g.images, t.images) for g, t in zip(gens, target_images)]
-    for alpha in range(npoints):
-        w = [None] * npoints
-        w[0] = alpha
-        queue = [0]
-        ok = True
-        while queue and ok:
-            p = queue.pop()
-            for g, t in pairs:
-                qpt = g[p]
-                forced = t[w[p]]
-                if w[qpt] is None:
-                    w[qpt] = forced
-                    queue.append(qpt)
-                elif w[qpt] != forced:
-                    ok = False
-                    break
-        if ok and None not in w and len(set(w)) == npoints:
-            good = all(w[g[p]] == t[w[p]] for g, t in pairs for p in range(npoints))
-            if good:
-                return Permutation(w)
-    raise AssertionError("no intertwiner found")
+    return Permutation([mapping[i] for i in range(12)])
 
 
 def build_m12_2(M12):
@@ -253,27 +206,24 @@ def build_m12_2(M12):
         return Permutation([number[Hcanon(_mult(r, perm.images))] for r in reps])
 
     def sigma_any(perm):
-        return Permutation(_conj(psi_any(perm).images, u.images, uinv.images))
+        return uinv * psi_any(perm) * u
 
     g1, g2 = M12.generators
     s1, s2 = sigma_any(g1), sigma_any(g2)
     assert M12.contains(s1) and M12.contains(s2)
-    # sigma squared is inner; solve for its conjugating element
+    # sigma squared is conjugation by the one w in M12 with w^-1 g w =
+    # sigma^2(g) for both generators: M12 has trivial centraliser in Sym(12)
     ss1, ss2 = sigma_any(s1), sigma_any(s2)
-    w = solve_intertwiner([g1, g2], [ss1, ss2])
-    assert M12.contains(w)
+    w = next((w for w in M12.elements() if g1 * w == w * ss1 and g2 * w == w * ss2), None)
+    assert w is not None
 
     def stack(a, b):
         return Permutation(tuple(a.images) + tuple(12 + x for x in b.images))
 
-    d1, d2 = stack(g1, s1), stack(g2, s2)
-    for wflip in (w, w.inverse()):
-        tau_img = [12 + wflip.images[i] for i in range(12)] + list(range(12))
-        tau = Permutation(tau_img)
-        K = PermGroup([d1, d2, tau], degree=24)
-        if K.order == 190080:
-            return reduce_generators(K)
-    raise AssertionError("extension by the swap element has the wrong order")
+    tau = Permutation([12 + x for x in w.images] + list(range(12)))
+    K = PermGroup([stack(g1, s1), stack(g2, s2), tau], degree=24)
+    assert K.order == 190080, K.order
+    return reduce_generators(K)
 
 
 # -- the PSL3(4) family -------------------------------------------------------
@@ -285,30 +235,19 @@ def build_l34_family():
     assert len(pts) == 21
     pt_index = {p: i for i, p in enumerate(pts)}
 
-    # line u is the set of points v with u . v = 0; lines share the
-    # canonical-vector labels, shifted by 21
-    def transpose(m):
-        return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
+    # line u is the set of points v with u . v = 0, labelled 21 plus the
+    # index of u; a collineation moves each line as it moves its points
+    lines = [frozenset(i for i, v in enumerate(pts) if _mat_apply((u,), v)[0].is_zero())
+             for u in pts]
+    line_label = {line: 21 + i for i, line in enumerate(lines)}
 
-    def mat_inv(m):
-        # adjugate over a field; det is invertible for group elements
-        a, b, c = m[0]
-        d, e, f = m[1]
-        g, h, i = m[2]
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        dinv = det.inverse()
-        adj = (
-            (e * i - f * h, c * h - b * i, b * f - c * e),
-            (f * g - d * i, a * i - c * g, c * d - a * f),
-            (d * h - e * g, b * g - a * h, a * e - b * d),
-        )
-        return tuple(tuple(dinv * x for x in row) for row in adj)
+    def collineation(point_map):
+        images = [pt_index[_normalize_point(point_map(v))] for v in pts]
+        return Permutation(images + [line_label[frozenset(images[p] for p in line)]
+                                     for line in lines])
 
     def matrix_perm(m):
-        minvt = transpose(mat_inv(m))
-        images = [pt_index[_normalize_point(_mat_apply(m, v))] for v in pts]
-        images += [21 + pt_index[_normalize_point(_mat_apply(minvt, u))] for u in pts]
-        return Permutation(images)
+        return collineation(lambda v: _mat_apply(m, v))
 
     g = F.primitive_element()
     cyc = ((zero, zero, one), (one, zero, zero), (zero, one, zero))
@@ -317,9 +256,7 @@ def build_l34_family():
     l34 = PermGroup([matrix_perm(m) for m in (cyc, t1, t2)], degree=42)
     assert l34.order == 20160, l34.order
 
-    frob = Permutation(
-        [pt_index[_normalize_point(tuple(c.frobenius() for c in v))] for v in pts]
-        + [21 + pt_index[_normalize_point(tuple(c.frobenius() for c in u))] for u in pts])
+    frob = collineation(lambda v: tuple(c.frobenius() for c in v))
     dual = Permutation([21 + i for i in range(21)] + list(range(21)))
     # diagonal automorphism: any matrix whose determinant is not a cube
     diag = matrix_perm(((g, zero, zero), (zero, one, zero), (zero, zero, one)))
@@ -461,20 +398,11 @@ def build_sz8():
             images.append(index[fn(x, y)])
         return Permutation(images)
 
-    variants = []
-    for twist in ("xa", "ax"):
-        def trans(a, b, twist=twist):
-            if twist == "xa":
-                return lambda x, y, a=a, b=b: (x + a, y + b + x * theta(a))
-            return lambda x, y, a=a, b=b: (x + a, y + b + theta(x) * a)
-        variants.append(trans)
+    def trans(a, b):
+        return lambda x, y: (x + a, y + b + x * theta(a))
 
     g = F.primitive_element()
-
-    def torus(kappa, e):
-        # (x, y) -> (kappa x, kappa^e y)
-        ke = kappa ** e
-        return lambda x, y: (kappa * x, ke * y)
+    g5 = g ** 5  # the torus (x, y) -> (g x, g^(theta + 1) y), theta + 1 = 5
 
     # coordinate reversal on the projective ovoid
     rev_images = [0] * 65
@@ -484,22 +412,20 @@ def build_sz8():
         rev_images[i] = embed_index[r]
     rev = Permutation(rev_images)
 
-    field_gens = [one, g, g * g]
-    for trans in variants:
-        for e in (5, 6):  # theta + 1 = 5, theta + 2 = 6
-            gens = []
-            for a in field_gens:
-                gens.append(perm_from_chart(trans(a, zero)))
-                gens.append(perm_from_chart(trans(zero, a)))
-            gens.append(perm_from_chart(torus(g, e)))
-            gens.append(rev)
-            G = PermGroup(gens, degree=65)
-            if G.order == 29120:
-                return reduce_generators(G)
-    raise AssertionError("no Suzuki variant matched the expected order")
+    gens = []
+    for a in (one, g, g * g):
+        gens.append(perm_from_chart(trans(a, zero)))
+        gens.append(perm_from_chart(trans(zero, a)))
+    gens.append(perm_from_chart(lambda x, y: (g * x, g5 * y)))
+    gens.append(rev)
+    G = PermGroup(gens, degree=65)
+    assert G.order == 29120, G.order
+    return reduce_generators(G)
 
 
 def main():
+    if not __debug__:
+        raise SystemExit("build_atlas_data.py: the certificates are asserts; run it without -O")
     M12 = build_m12()
     write_group("M12", reduce_generators(M12),
                 "Sharply 5-transitive group on 12 points from card-shuffle generators.")
