@@ -77,7 +77,18 @@ def _cmd_structure(args) -> int:
     return 0
 
 
+def _unwritable(path, exc) -> RegulaError:
+    return RegulaError(f"cannot write report {path!r}: {exc.strerror}")
+
+
 def _cmd_verify(args) -> int:
+    if args.report:
+        # a missing folder is refused before the suite runs; the report
+        # itself is opened, and so truncated, only once it is ready
+        try:
+            os.stat(os.path.dirname(args.report) or os.curdir)
+        except OSError as exc:
+            raise _unwritable(args.report, exc) from None
     report = run_suite(args.suite)
     if args.csv:
         text = report.to_csv()
@@ -88,7 +99,7 @@ def _cmd_verify(args) -> int:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise RegulaError(f"cannot write report {args.report!r}: {exc.strerror}") from None
+            raise _unwritable(args.report, exc) from None
         summary = report.summary()
         print(f"{args.suite}: {summary} -> {args.report}")
     else:

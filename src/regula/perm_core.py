@@ -35,7 +35,7 @@ generators inverts only the new ones.
 from __future__ import annotations
 
 import re
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -87,6 +87,29 @@ def _order_of(t):
         if length > 1:
             o = lcm(o, length)
     return o
+
+
+def _merged_pairs(tuples):
+    """(t, t^-1) pairs of a generating set of the group the tuples generate,
+    no longer than the tuples.  While two commute and have coprime orders
+    they are replaced by their product: <gh> = <g> x <h> holds both.
+    Earlier entries need no second look: one that commutes with gh, its
+    order prime to gh's, commutes with the powers g and h, its order
+    prime to theirs, so it would have merged with g already."""
+    gens = [(t, _order_of(t)) for t in tuples]
+    i = 0
+    while i < len(gens):
+        a, oa = gens[i]
+        for j in range(i + 1, len(gens)):
+            b, ob = gens[j]
+            ab = _mult(a, b)
+            if gcd(oa, ob) == 1 and ab == _mult(b, a):
+                gens[i] = (ab, oa * ob)
+                del gens[j]
+                break
+        else:
+            i += 1
+    return tuple((t, _inv(t)) for t, _ in gens)
 
 
 def _cycles_of(t):
@@ -375,6 +398,13 @@ class PermGroup:
     first use and memoised on the instance through ``_cached``, so no
     thread-safety is promised.  Closures and the Fitting subgroup are
     not memoised.
+
+    ``generators`` are kept as given: the chain is built from them, and
+    the coset walk acts by them.  The loops that need only some
+    generating set (the class partition, normal and commutator closures,
+    ``is_normal_in`` and the cores' tests) conjugate by ``_gen_pairs``,
+    a generating set as (t, t^-1) pairs in which commuting generators of
+    coprime orders are merged into their product.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
@@ -390,11 +420,11 @@ class PermGroup:
                 raise DegreeMismatch(f"generator degree {g.degree}, expected {degree}")
         gens = tuple(g for g in gens if not g.is_identity)
         tuples = [g.images for g in gens]
-        self._setup(degree, gens, tuple((t, _inv(t)) for t in tuples),
-                    _schreier_sims(degree, tuples))
+        self._setup(degree, gens, _merged_pairs(tuples), _schreier_sims(degree, tuples))
 
     def _setup(self, degree, generators, gen_pairs, levels):
-        # gen_pairs: (image tuple, inverse) of each generator, in order
+        # gen_pairs: (t, t^-1) pairs of a generating set, no longer than
+        # generators: merged at construction, extended pairs appended as they are
         self.degree = degree
         self._ident = tuple(range(degree))
         self.generators = generators
@@ -462,7 +492,7 @@ class PermGroup:
 
     def _extended_with(self, extra_tuples):
         """This group with more generators, its chain extending a copy of ours.
-        Only the new generators are inverted."""
+        Only the new generators are inverted; their pairs are appended unmerged."""
         extra = tuple(t for t in extra_tuples if t != self._ident)
         H = PermGroup.__new__(PermGroup)
         H._setup(self.degree, self.generators + tuple(map(Permutation, extra)),

@@ -217,6 +217,18 @@ def chain_snapshot(G):
                                dict(lvl.transversal), dict(lvl.checked)) for lvl in G._levels])
 
 
+MIXED = ["x(C(12), S(5))", "x(D(6), S(5))", "x(S(4), S(5))", "x(x(S(3), S(3)), S(5))",
+         "x(S(4), PSL2(7))", "x(S(5), AGL1(5))"]
+
+
+def corpus_and_mixed():
+    """The 55 corpus groups and the six structure-mixed products, by expression."""
+    from regula.corpus import corpus_groups
+    from regula.exprs import group_from_text
+
+    return corpus_groups() + [(expr, group_from_text(expr)) for expr in MIXED]
+
+
 class TestChainExtension:
     @settings(max_examples=200, deadline=None)
     @given(chain_extensions())
@@ -246,9 +258,11 @@ class TestChainExtension:
             for key, (u, uinv) in lvl.transversal.items():
                 assert oracles.mult(u, uinv) == ident and u[lvl.point] == key
             assert lvl.gen_invs == [oracles.inv(g) for g in lvl.gens]
-        assert H._gen_tuples == tuple(t for t, _ in H._gen_pairs)
-        for t, tinv in H._gen_pairs:
-            assert oracles.inv(t) == tinv
+        # the conjugating pairs generate H, each as (t, t^-1); a start group's
+        # pairs may be merged, so they need not be H's generators
+        pairs = H._gen_pairs
+        assert all(ref._contains_tuple(t) and oracles.inv(t) == tinv for t, tinv in pairs)
+        assert PermGroup([Permutation(t) for t, _ in pairs], degree=n).order == H.order
 
     def test_leaves_the_start_group_alone(self):
         # cached groups share chains, so an extension must copy the levels
@@ -268,12 +282,7 @@ class TestChainExtension:
     def test_named_chains_pinned(self):
         # a named group's chain fixes its enumeration order and so its class
         # representatives: base, base points and every (u, uinv) stay as they are
-        from regula.corpus import corpus_groups
-        from regula.exprs import group_from_text
-
-        mixed = ["x(C(12), S(5))", "x(D(6), S(5))", "x(S(4), S(5))", "x(x(S(3), S(3)), S(5))",
-                 "x(S(4), PSL2(7))", "x(S(5), AGL1(5))"]
-        groups = corpus_groups() + [(expr, group_from_text(expr)) for expr in mixed]
+        groups = corpus_and_mixed()
         assert len(groups) == 61
         digest = hashlib.sha256()
         for expr, G in groups:
@@ -283,11 +292,54 @@ class TestChainExtension:
         assert digest.hexdigest() == \
             "1ba0d5e321f176c92bc0af14fd5a833a3a768d465d1e5bcdba55ff5bf29430e9"
 
+    def test_mixed_class_tables_pinned(self):
+        # the products conjugate by merged pairs; their tables stay as they were
+        from regula.classes import conjugacy_classes
+        from regula.exprs import group_from_text
+
+        digest = hashlib.sha256()
+        for expr in MIXED:
+            doc = [expr, [[c.element_order, c.class_size, c.representative.cycle_string()]
+                          for c in conjugacy_classes(group_from_text(expr)).classes]]
+            digest.update(json.dumps(doc).encode("utf-8"))
+        assert digest.hexdigest() == \
+            "0556873b5fddb817e35e1dc683b6c79cc57ebe88c53b4012c5c49c543bf401c3"
+
+
+class TestConjugatingPairs:
+    # groups whose _gen_pairs are shorter than their generators, and how long;
+    # every other group keeps its length, each two-generator group among them
+    SHORTENED = {"x(C(12), S(5))": 2, "x(D(6), S(5))": 3, "x(S(4), S(5))": 3,
+                 "x(x(S(3), S(3)), S(5))": 3, "x(S(4), PSL2(7))": 3, "x(S(5), AGL1(5))": 2,
+                 "PGammaL2(8)": 4, "PGammaL2(9)": 4, "x(A(5), A(5))": 2, "x(A(5), C(5))": 2}
+
+    def test_pairs_generate_each_group(self):
+        seen = set()
+        for expr, G in corpus_and_mixed():
+            pairs = G._gen_pairs
+            assert all(G._contains_tuple(t) and oracles.inv(t) == tinv for t, tinv in pairs), expr
+            H = PermGroup([Permutation(t) for t, _ in pairs], degree=G.degree)
+            assert H.order == G.order, expr
+            assert len(pairs) == self.SHORTENED.get(expr, len(G.generators)), expr
+            if expr in self.SHORTENED:
+                seen.add(expr)
+        assert seen == set(self.SHORTENED)
+
+    def test_merge_needs_commuting_and_coprime(self):
+        # (1,2) and (3,4,5) merge; (1,2)(3,4) with (3,5,4) does not commute;
+        # (1,2) with (3,4) has orders 2 and 2
+        for gens, merged in ((["(1,2)", "(3,4,5)"], 1), (["(1,2)(3,4)", "(3,5,4)"], 2),
+                             (["(1,2)", "(3,4)"], 2), (["(1,2)", "(3,4,5)", "(6,7)"], 2)):
+            G = PermGroup([P(g, 7) for g in gens])
+            assert len(G._gen_pairs) == merged, gens
+            assert G._gen_tuples == tuple(P(g, 7).images for g in gens)
+
 
 class TestAgainstSympy:
     """Normal-closure and series orders against sympy.combinatorics."""
 
-    @pytest.mark.parametrize("expr", ["S(5)", "AGL1(17)", "x(S(3), S(4))"])
+    @pytest.mark.parametrize("expr", ["S(5)", "AGL1(17)", "x(S(3), S(4))",
+                                      "x(S(5), AGL1(5))", "x(A(5), A(5))"])
     def test_closures_and_series(self, expr):
         from sympy.combinatorics import Permutation as SymPerm
         from sympy.combinatorics import PermutationGroup as SymGroup

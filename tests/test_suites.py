@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -179,6 +180,25 @@ class TestCli:
             assert out.stderr.startswith("error: cannot write report") and message in out.stderr
             assert out.stderr.count("\n") == 1, path
 
+    def test_missing_report_folder_refused_before_the_suite(self, tmp_path, capsys):
+        from regula import cli
+        path = str(tmp_path / "nosuch" / "rep.json")
+        with mock.patch.object(cli, "run_suite") as run:
+            assert cli.main(["verify", "properties", "--report", path]) == 1
+        run.assert_not_called()
+        assert capsys.readouterr().err == \
+            f"error: cannot write report {path!r}: No such file or directory\n"
+
+    def test_existing_report_kept_until_the_suite_ends(self, tmp_path, capsys):
+        # the early check opens nothing, so a failed suite leaves the old report
+        from regula import cli
+        path = tmp_path / "rep.json"
+        path.write_text("old")
+        with mock.patch.object(cli, "run_suite", side_effect=RegulaError("suite broke")):
+            assert cli.main(["verify", "numtheory", "--report", str(path)]) == 1
+        assert path.read_text() == "old"
+        assert capsys.readouterr().err == "error: suite broke\n"
+
     def test_m10_table_pinned(self, capsys):
         # M10's generators, and with them its class representatives, are pinned
         from regula.cli import main
@@ -351,6 +371,15 @@ def _prime_token(hi):
 SMALL_GROUPS = st.sampled_from(["S(4)", "A(5)", "C(1)", "D(6)", "AGL1(5)", "PSL2(7)", "M10",
                                 "x(S(3), C(4))", "wr(C(2), S(3))", "S(0)", "S(", "Q(3)", "S(3) x"])
 
+# the light suites, misspelt and unknown names; {tmp} is a fresh folder per example
+VERIFY = st.tuples(
+    st.sampled_from(["numtheory", "bounds", "ninomiya-3", "numtheroy", "Bounds", "ninomiya",
+                     "all", ""]),
+    st.sampled_from([[], ["--csv"]]),
+    st.sampled_from([[], ["--report", "{tmp}/rep.out"], ["--report", "{tmp}/nosuch/rep.out"],
+                     ["--report"]]),
+).map(lambda t: ["verify", t[0], *t[1], *t[2]])
+
 # small examples only: --bound <= 10^4 and --a <= 64; a token in ten is dropped
 ARGV = st.tuples(
     st.one_of(
@@ -372,11 +401,21 @@ class TestCliFuzz:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(ARGV)
     def test_output_or_one_error_line(self, argv):
+        self.check(argv)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(VERIFY)
+    def test_verify_output_or_one_error_line(self, argv):
+        self.check(argv)
+
+    @staticmethod
+    def check(argv):
         # exit 0 with output, or exit 1 with exactly one error: line
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch.dict(os.environ, {"REGULA_ELEMENT_CAP": "5000"}), \
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ, {"REGULA_ELEMENT_CAP": "5000"}), \
                 redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
+            code = main([arg.replace("{tmp}", tmp) for arg in argv])
         if code == 0:
             assert out.getvalue() and not err.getvalue(), argv
         else:
