@@ -21,7 +21,11 @@ per generator, a conjugation map of one 4-byte rank per element, so
 full element list.  The head grows by a level while the table of its A
 cosets times one generator, A*degree images, stays within a quarter of
 |G| entries; a one-level head is the level-0 transversal itself, so its
-A*degree can reach |G| without a copy.  Only the class representatives
+A*degree can reach |G| without a copy.  A map is built over the
+stabiliser rows grouped by head key, the images of a row at the head
+points moved by the generator: a group builds its tail columns once and
+drops them when it is done, so they add at most degree*A entries at a
+time, no more than the table itself.  Only the class representatives
 are built in full.
 """
 
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from operator import add, getitem
+from operator import add, getitem, itemgetter
 
 from .errors import NotNormal, RegulaError
 from .numtheory import is_p_power, is_prime
@@ -110,67 +114,94 @@ def _counts(p: int, orders: list) -> ClassCounts:
                        k_singular=len(orders) - regular)
 
 
+class _RankSplit:
+    """The chain of G split after a head of j levels, as ``_partition_into_orbits`` uses it.
+
+    Rank a + A*t is y = ``stab[t] * w[a]``: w lists the A = n0*...*n_{j-1}
+    head coset representatives (level 0 varying fastest) and ``stab`` the
+    stabiliser of the first j base points, so ranks follow
+    ``G.elements()`` order.  The head grows by a level while the table of
+    the w[a] * g keeps within a quarter of |G| entries; a one-level head
+    reuses the level-0 transversal tuples.  G must be non-trivial.
+    """
+
+    def __init__(self, G: PermGroup):
+        levels = G._levels
+        j, A = 1, len(levels[0].transversal)
+        while j < len(levels) and 4 * A * len(levels[j].transversal) * G.degree <= G.order:
+            A *= len(levels[j].transversal)
+            j += 1
+        if j == 1:
+            top = levels[0].transversal
+            w = [top[b][0] for b in sorted(top)]
+            winv = [top[b][1] for b in sorted(top)]
+        else:
+            w = list(_chain_elements(levels[:j], G._ident))
+            winv = list(map(_inv, w))
+        base = [lvl.point for lvl in levels]
+        self.j, self.A, self.w, self.winv, self.base = j, A, w, winv, base
+        # head base images of w[a] -> a (one image for a one-level head);
+        # tail base images of stab[t] -> A*t
+        self.head_of = {x[base[0]] if j == 1 else tuple(map(x.__getitem__, base[:j])): a
+                        for a, x in enumerate(w)}
+        self.stab = list(_chain_elements(levels[j:], G._ident))
+        self.row_of = {tuple(map(s.__getitem__, base[j:])): A * t
+                       for t, s in enumerate(self.stab)}
+
+    def conjugation_map(self, g, ginv) -> array:
+        """The rank of g^-1 * y * g at the rank of each y, for g with inverse ginv."""
+        j, A, w, winv, stab, row_of = self.j, self.A, self.w, self.winv, self.stab, self.row_of
+        # cols[c][a] = (w[a] * g)[c] = g[w[a][c]], built a column of w at a time
+        cols = [_mult(col, g) for col in zip(*w)]
+        head = [ginv[b] for b in self.base[:j]]
+        tail = [ginv[b] for b in self.base[j:]]
+        # the head images of row t, stab[t][head], fix every a' of the row
+        rows = {}
+        for t, key in enumerate(map(itemgetter(*head), stab)):
+            rows.setdefault(key, []).append(t)
+        conj = array("i", [0]) * (A * len(stab))
+        for key, ts in rows.items():
+            heads = list(map(self.head_of.__getitem__,
+                             cols[key] if j == 1 else zip(*[cols[c] for c in key])))
+            if not tail:    # the head is the whole chain, so stab has one row
+                return array("i", heads)
+            # column c of the z * w[a']^-1, once for all rows of this key
+            invs = list(map(winv.__getitem__, heads))
+            column = {c: list(map(getitem, invs, cols[c]))
+                      for c in {stab[t][p] for t in ts for p in tail}}
+            for t in ts:
+                s = stab[t]
+                keys = zip(*[column[s[p]] for p in tail])
+                conj[A * t:A * t + A] = array("i", map(add, heads, map(row_of.__getitem__, keys)))
+        return conj
+
+
 def _partition_into_orbits(G: PermGroup):
     """Split the elements of G into classes under conjugation by its generators.
 
     Returns (representative tuple, class size) pairs.  Each representative
     is the first member of its class in ``G.elements()`` order, and the
     pairs come in that order.  Elements are handled by their rank in that
-    order.  The chain splits into head levels 0..j-1 and the tail: rank
-    a + A*t is y = ``stab[t] * w[a]``, where w lists the A = n0*...*n_{j-1}
-    head coset representatives (level 0 varying fastest) and ``stab`` the
-    stabiliser of the first j base points.  The head grows by a level
-    while the table of the w[a] * g keeps within a quarter of |G| entries;
-    a one-level head reuses the level-0 transversal tuples.
+    order, through the split chain of ``_RankSplit``: rank a + A*t is
+    y = ``stab[t] * w[a]``.
 
     Phase 1 builds, per generator g, the map from the rank of y to the
     rank of z = g^-1 * y * g.  At a base point b, z[b] is
     ``(w[a] * g)[stab[t][g^-1(b)]]``, so one column of that table gives
     z[b] for all A ranks with the same t.  The head base images of z name
-    a' through a dict, the tail base images of z * w[a']^-1 name t', and
-    both run in ``map`` chains over the columns.  Phase 2 walks the
-    classes on the integer maps, depth first.
+    a' through a dict, and the tail base images of z * w[a']^-1 name t'.
+    Both depend on t only through the head key, the images of stab[t] at
+    the g^-1(b) of the head points, and a tail column also on its index,
+    so the rows are grouped by head key: a group builds its a' and
+    w[a']^-1 once and each tail column once, writes each row's A ranks as
+    one slice, and then drops its columns.  Phase 2 walks the classes on
+    the integer maps, depth first.
     """
-    levels = G._levels
-    if not levels:
+    if not G._levels:
         return [(G._ident, 1)]
-    j, A = 1, len(levels[0].transversal)
-    while j < len(levels) and 4 * A * len(levels[j].transversal) * G.degree <= G.order:
-        A *= len(levels[j].transversal)
-        j += 1
-    if j == 1:
-        top = levels[0].transversal
-        w = [top[b][0] for b in sorted(top)]
-        winv = [top[b][1] for b in sorted(top)]
-    else:
-        w = list(_chain_elements(levels[:j], G._ident))
-        winv = list(map(_inv, w))
-    base = [lvl.point for lvl in levels]
-    # head base images of w[a] -> a (one image for a one-level head);
-    # tail base images of stab[t] -> A*t
-    head_of = {x[base[0]] if j == 1 else tuple(map(x.__getitem__, base[:j])): a
-               for a, x in enumerate(w)}
-    stab = list(_chain_elements(levels[j:], G._ident))
-    row_of = {tuple(map(s.__getitem__, base[j:])): A * t for t, s in enumerate(stab)}
-    maps = []
-    for g, ginv in G._gen_pairs:
-        # cols[c][a] = (w[a] * g)[c] = g[w[a][c]], built a column of w at a time
-        cols = [_mult(col, g) for col in zip(*w)]
-        head = [ginv[b] for b in base[:j]]
-        tail = [ginv[b] for b in base[j:]]
-        conj = array("i")
-        for s in stab:
-            # z = stab[t'] * w[a']: a' from the head base images of z,
-            # then t' from the tail base images of z * w[a']^-1
-            images = [cols[s[p]] for p in head]
-            heads = list(map(head_of.__getitem__, images[0] if j == 1 else zip(*images)))
-            if not tail:
-                conj.extend(heads)
-                continue
-            invs = list(map(winv.__getitem__, heads))
-            keys = zip(*[map(getitem, invs, cols[s[p]]) for p in tail])
-            conj.extend(map(add, heads, map(row_of.__getitem__, keys)))
-        maps.append(conj)
+    split = _RankSplit(G)
+    A, w, stab = split.A, split.w, split.stab
+    maps = [split.conjugation_map(g, ginv) for g, ginv in G._gen_pairs]
     visited = bytearray(A * len(stab))
     out = []
     r = visited.find(0)

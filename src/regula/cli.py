@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import re
+import stat
 import sys
 
 from . import perm_core
@@ -83,10 +85,12 @@ def _unwritable(path, exc) -> RegulaError:
 
 def _cmd_verify(args) -> int:
     if args.report:
-        # a missing folder is refused before the suite runs; the report
-        # itself is opened, and so truncated, only once it is ready
+        # a missing folder, or a file in its place, is refused before the
+        # suite runs; the report itself is opened, and so truncated, only
+        # once it is ready
         try:
-            os.stat(os.path.dirname(args.report) or os.curdir)
+            if not stat.S_ISDIR(os.stat(os.path.dirname(args.report) or os.curdir).st_mode):
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
         except OSError as exc:
             raise _unwritable(args.report, exc) from None
     report = run_suite(args.suite)

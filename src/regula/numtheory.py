@@ -137,7 +137,11 @@ def landau_quantity(r: int, a: int, p: int) -> Fraction:
     """(r^a - 1)_{p'} / (a * a_p), exactly; r^a may have at most 4096 bits."""
     if r <= 1 or a < 1:
         raise RegulaError("need r > 1 and a >= 1")
-    if a * r.bit_length() > _LANDAU_MAX_BITS:
+    # r^a has a*(bitlength(r) - 1) + 1 to a*bitlength(r) bits; only when
+    # the cap falls between the two is r^a built to count them
+    bits = r.bit_length()
+    if a * bits > _LANDAU_MAX_BITS and (a * (bits - 1) >= _LANDAU_MAX_BITS
+                                        or (r ** a).bit_length() > _LANDAU_MAX_BITS):
         raise CapExceeded(f"r^a needs more than {_LANDAU_MAX_BITS} bits")
     _, num = part_split(r ** a - 1, p)
     ap, _ = part_split(a, p)
@@ -169,7 +173,9 @@ def zsigmondy_primes(r: int, b: int) -> frozenset:
     have at most 256 bits."""
     if r <= 1 or b < 1:
         raise RegulaError("need r > 1 and b >= 1")
-    if b * r.bit_length() > _ZSIGMONDY_MAX_BITS:
+    bits = r.bit_length()    # as in landau_quantity
+    if b * bits > _ZSIGMONDY_MAX_BITS and (b * (bits - 1) >= _ZSIGMONDY_MAX_BITS
+                                           or (r ** b).bit_length() > _ZSIGMONDY_MAX_BITS):
         raise CapExceeded(f"r^b needs more than {_ZSIGMONDY_MAX_BITS} bits")
     m = r ** b - 1
     if m == 1:

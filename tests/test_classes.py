@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from regula import perm_core
 from regula.classes import (
     ClassCounts,
     _partition_into_orbits,
+    _RankSplit,
     class_counts,
     conjugacy_classes,
     fused_counts,
@@ -125,9 +127,28 @@ class TestRepresentatives:
         G = PermGroup([Permutation(t) for t in images])
         self.check(G)
 
-    @pytest.mark.parametrize("text", ["x(x(S(3), S(3)), S(5))", "AGL1(17)", "C(12)"])
-    def test_named_groups(self, text):
+    # (group, head levels, tail levels, rows, most head keys of a generator);
+    # Phase 1 groups the rows by head key, so each shape below is one case
+    SHAPES = [
+        # many rows share one head key, and the tail has several levels
+        ("x(C(12), S(5))", 1, 4, 120, 1),
+        # a multi-level head: rows on one key, and rows spread over a few
+        ("x(x(S(3), S(3)), S(5))", 4, 4, 120, 1),
+        ("x(S(4), S(5))", 3, 4, 48, 4),
+        # every row has a head key of its own
+        ("AGL1(17)", 1, 1, 16, 16),
+        # the head covers every level, so the tail is empty
+        ("C(12)", 1, 0, 1, 1),
+    ]
+
+    @pytest.mark.parametrize("text, head, tail, rows, keys", SHAPES,
+                             ids=[shape[0] for shape in SHAPES])
+    def test_named_groups(self, text, head, tail, rows, keys):
         G = group_from_text(text)
+        split = _RankSplit(G)
+        assert (split.j, len(G._levels) - split.j, len(split.stab)) == (head, tail, rows)
+        assert keys == max(len({tuple(s[ginv[b]] for b in split.base[:head]) for s in split.stab})
+                           for _, ginv in G._gen_pairs)
         self.check(G)
 
     def test_trivial_group(self):
@@ -161,6 +182,24 @@ class TestRepresentatives:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * G.order, f"{peak / G.order:.1f} bytes per element"
+
+
+class TestConjugationMaps:
+    @pytest.mark.parametrize("text", ["PSL2(7)", "x(S(4), S(5))", "M11"])
+    def test_map_against_element_ranks(self, text):
+        # map[r] is the rank of g^-1 * y * g for the r-th element y
+        G = group_from_text(text)
+        order = [e.images for e in G.elements()]
+        rank = {y: r for r, y in enumerate(order)}
+        split = _RankSplit(G)
+        sample = random.Random(text).sample(range(G.order), min(G.order, 300))
+        for gen in G.generators:
+            g = gen.images
+            ginv = oracles.inv(g)
+            conj = split.conjugation_map(g, ginv)
+            assert len(conj) == G.order
+            for r in sample:
+                assert conj[r] == rank[oracles.mult(oracles.mult(ginv, order[r]), g)]
 
 
 class TestClassCounts:

@@ -114,6 +114,17 @@ class TestLandauQuantity:
         with pytest.raises(CapExceeded):
             landau_quantity(2 ** 4096, 1, 3)
 
+    def test_bit_cap_is_exact(self):
+        # the cap counts the bits of r^a itself, not a * bitlength(r)
+        assert landau_quantity(2, 4000, 3) == \
+            Fraction(part_split(2 ** 4000 - 1, 3)[1], 4000)          # 4001 bits
+        with pytest.raises(CapExceeded, match="more than 4096 bits"):
+            landau_quantity(2, 4096, 3)                              # 4097 bits
+        assert (3 ** 2584).bit_length() == 4096 < (3 ** 2585).bit_length()
+        assert landau_quantity(3, 2584, 2) > 0
+        with pytest.raises(CapExceeded):
+            landau_quantity(3, 2585, 2)
+
 
 class TestLewisRiedl:
     def test_examples(self):
@@ -159,6 +170,16 @@ class TestZsigmondy:
     def test_bit_cap(self):
         with pytest.raises(CapExceeded):
             zsigmondy_primes(2, 300)
+
+    def test_bit_cap_is_exact(self):
+        # 3^161 has 256 bits although 161 * bitlength(3) = 322
+        assert (3 ** 161).bit_length() == 256 < (3 ** 162).bit_length()
+        zs = zsigmondy_primes(3, 161)
+        assert zs and all((3 ** 161 - 1) % q == 0 for q in zs)
+        with pytest.raises(CapExceeded, match="more than 256 bits"):
+            zsigmondy_primes(3, 162)
+        with pytest.raises(CapExceeded):
+            zsigmondy_primes(2, 256)                                 # 257 bits
 
 
 class TestPrimeFamilies:

@@ -189,6 +189,16 @@ class TestCli:
         assert capsys.readouterr().err == \
             f"error: cannot write report {path!r}: No such file or directory\n"
 
+    def test_report_under_a_file_refused_before_the_suite(self, tmp_path, capsys):
+        from regula import cli
+        (tmp_path / "f").write_text("")
+        path = str(tmp_path / "f" / "rep.json")
+        with mock.patch.object(cli, "run_suite") as run:
+            assert cli.main(["verify", "numtheory", "--report", path]) == 1
+        run.assert_not_called()
+        assert capsys.readouterr().err == \
+            f"error: cannot write report {path!r}: Not a directory\n"
+
     def test_existing_report_kept_until_the_suite_ends(self, tmp_path, capsys):
         # the early check opens nothing, so a failed suite leaves the old report
         from regula import cli
