@@ -85,12 +85,14 @@ def _unwritable(path, exc) -> RegulaError:
 
 def _cmd_verify(args) -> int:
     if args.report:
-        # a missing folder, or a file in its place, is refused before the
-        # suite runs; the report itself is opened, and so truncated, only
-        # once it is ready
+        # a missing folder, a file in its place, or a folder at the report's
+        # own path is refused before the suite runs; the report itself is
+        # opened, and so truncated, only once it is ready
         try:
             if not stat.S_ISDIR(os.stat(os.path.dirname(args.report) or os.curdir).st_mode):
                 raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+            if os.path.isdir(args.report):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         except OSError as exc:
             raise _unwritable(args.report, exc) from None
     report = run_suite(args.suite)

@@ -372,6 +372,8 @@ def load_generator_file(path: str, expect_name: str | None = None) -> PermGroup:
                                  f"value {text!r}") from None
 
     degree = integer("degree", header["degree"])
+    if degree < 1 or degree > DEGREE_CAP:
+        raise GroupDataError(f"{path}: header degree {degree} outside [1, {DEGREE_CAP}]")
     expected_order = integer("order", header["order"])
     expected_sizes = tuple(integer("class_sizes", s) for s in header["class_sizes"].split(","))
     perms = [Permutation.parse(line, degree) for line in gens]

@@ -10,8 +10,9 @@ A group built from generators (every named group) gets its chain from
 scratch, so its transversals, and with them the enumeration order, do
 not depend on how the group was reached.  A subgroup is made from its
 generators, as a normal closure or as a commutator subgroup.  Normal
-closures, commutator subgroups and cores grow one generator at a time;
-each step extends a copy of the verified chain, keeping its transversal
+closures, commutator subgroups and cores grow through one step,
+``PermGroup._grown_by``: it adds only non-members, one at a time, each
+by extending a copy of the verified chain, keeping its transversal
 entries and sifting only the Schreier pairs it has not checked.  The
 levels below the first base point are a chain of that point's
 stabilizer.
@@ -324,8 +325,6 @@ def _schreier_sims(degree, gen_tuples, chain=None):
             levels[j].add_gen(h, hinv, keep)
 
     for g in gen_tuples:
-        if g == ident:
-            continue
         h, lev = _strip(levels, g)
         if h != ident:
             add_strong_gen(h, lev)
@@ -490,23 +489,19 @@ class PermGroup:
 
     # -- subgroup constructions ------------------------------------------
 
-    def _extended_with(self, extra_tuples):
-        """This group with more generators, its chain extending a copy of ours.
-        Only the new generators are inverted; their pairs are appended unmerged."""
-        extra = tuple(t for t in extra_tuples if t != self._ident)
-        H = PermGroup.__new__(PermGroup)
-        H._setup(self.degree, self.generators + tuple(map(Permutation, extra)),
-                 self._gen_pairs + tuple((t, _inv(t)) for t in extra),
-                 _schreier_sims(self.degree, extra, chain=self._levels))
-        return H
-
     def _grown_by(self, tuples):
-        # add only non-members, so the generator list stays near-minimal;
-        # each one extends the verified chain and sifts only new pairs
+        """This group with each of ``tuples`` that is not yet a member added,
+        one at a time and in order; the identity and members never become
+        generators.  Each addition extends a copy of the verified chain by
+        that one generator, sifting only the Schreier pairs not yet checked,
+        and appends its (t, t^-1) pair unmerged."""
         H = self
         for t in tuples:
             if not H._contains_tuple(t):
-                H = H._extended_with([t])
+                G, H = H, PermGroup.__new__(PermGroup)
+                H._setup(G.degree, G.generators + (Permutation(t),),
+                         G._gen_pairs + ((t, _inv(t)),),
+                         _schreier_sims(G.degree, (t,), chain=G._levels))
         return H
 
     def normal_closure(self, seeds: Iterable[Permutation]) -> "PermGroup":
@@ -515,29 +510,20 @@ class PermGroup:
         for s in seed_perms:
             if not self.contains(s):
                 raise NotInGroup(f"seed {s} is not in the group")
-        H = PermGroup([], degree=self.degree)
-        H = H._grown_by(s.images for s in seed_perms if not s.is_identity)
+        H = PermGroup([], degree=self.degree)._grown_by(s.images for s in seed_perms)
         # generators are only appended, so each one's conjugates are tested once
         i = 0
         while i < len(H._gen_tuples):
             h = H._gen_tuples[i]
             i += 1
-            for g, ginv in self._gen_pairs:
-                c = _conj(h, g, ginv)
-                if not H._contains_tuple(c):
-                    H = H._extended_with([c])
+            H = H._grown_by(_conj(h, g, ginv) for g, ginv in self._gen_pairs)
         return H
 
     def _commutator_closure(self, H: "PermGroup") -> "PermGroup":
         """Normal closure of the commutators [a, b] of the generators a of
         this group with the generators b of H."""
-        ident = self._ident
-        comms = {}
-        for a, ainv in self._gen_pairs:
-            for b, binv in H._gen_pairs:
-                c = _mult(_mult(ainv, binv), _mult(a, b))
-                if c != ident:
-                    comms.setdefault(c, None)
+        comms = dict.fromkeys(_mult(_mult(ainv, binv), _mult(a, b))
+                              for a, ainv in self._gen_pairs for b, binv in H._gen_pairs)
         return self.normal_closure([Permutation(c) for c in comms])
 
     def commutator_subgroup(self) -> "PermGroup":

@@ -190,8 +190,6 @@ def _converse_scan(report: VerificationReport, positive_rows: list):
         G = group_from_text(expr)
         listed.add((G.order, conjugacy_classes(G).class_size_multiset(), p))
     for expr, G in corpus_groups():
-        if G.order > perm_core.ELEMENT_CAP:
-            continue
         if not core(G, "solvable-radical").is_trivial:
             continue
         for p in prime_factors(G.order):
@@ -339,10 +337,6 @@ def _run_properties() -> VerificationReport:
                     "hypotheses.")
 
     for expr, G in corpus_groups():
-        if G.order > perm_core.ELEMENT_CAP:
-            report.add(ClaimCheck(f"prop.classeq.{expr}", "class table invariants",
-                                  "out_of_scope", detail="order above cap"))
-            continue
         table = conjugacy_classes(G)
         ok = (sum(c.class_size for c in table.classes) == G.order
               and all(c.class_size * c.centralizer_order == G.order

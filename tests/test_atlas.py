@@ -58,6 +58,14 @@ class TestLoading:
             with pytest.raises(GroupDataError, match=f"'{field}' has a non-integer"):
                 load_generator_file(str(dst))
 
+    def test_header_degree_outside_the_cap(self, tmp_path):
+        # refused before any generator is parsed, so no degree-sized tuple is built
+        dst = tmp_path / "C2.txt"
+        for degree in (0, perm_core.DEGREE_CAP + 1, 10**12):
+            dst.write_text(f"name: C2\ndegree: {degree}\norder: 2\nclass_sizes: 1,1\n(1,2)\n")
+            with pytest.raises(GroupDataError, match=f"header degree {degree} outside"):
+                load_generator_file(str(dst))
+
     def test_non_ascii_byte_detected(self, tmp_path):
         dst = tmp_path / "C2.txt"
         dst.write_bytes(b"name: C2\ndegree: 2\norder: 2\nclass_sizes: 1,1\n(1,2)\xe9\n")

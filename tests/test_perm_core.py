@@ -234,11 +234,15 @@ class TestChainExtension:
     @given(chain_extensions())
     def test_matches_build_from_scratch(self, case):
         n, start, extra, probes, words = case
-        H = PermGroup([Permutation(t) for t in start], degree=n)
-        for t in extra:
-            H = H._extended_with([t])
+        H = PermGroup([Permutation(t) for t in start], degree=n)._grown_by(extra)
         ref = PermGroup([Permutation(t) for t in start + extra], degree=n)
-        assert H.generators == ref.generators
+        # a member is not added: start's generators, then each tuple that the
+        # group built from scratch on the generators kept so far lacks
+        kept = list(start)
+        for t in extra:
+            if not PermGroup([Permutation(s) for s in kept], degree=n)._contains_tuple(t):
+                kept.append(t)
+        assert H.generators == PermGroup([Permutation(t) for t in kept], degree=n).generators
         assert H.order == ref.order
         gens = ref._gen_tuples or (tuple(range(n)),)
         members = []
@@ -270,14 +274,17 @@ class TestChainExtension:
         closure = symmetric(5).normal_closure([P("(1,2,3)", 5)])
         for G, order in ((A5, 120), (closure, 120), (PermGroup([], degree=5), 2)):
             before = chain_snapshot(G)
-            H = G._extended_with([P("(1,2)", 5).images])
+            H = G._grown_by([P("(1,2)", 5).images])
             assert H.order == order
             assert chain_snapshot(G) == before
 
     def test_grown_by_adds_only_non_members(self):
         C5 = cyclic(5)
-        H = C5._grown_by([C5.generators[0].images, P("(2,5)(3,4)", 5).images])
-        assert H.order == 10 and len(H.generators) == len(C5.generators) + 1
+        c, ident = C5.generators[0], tuple(range(5))
+        H = C5._grown_by([c.images, ident, P("(2,5)(3,4)", 5).images,
+                          (c * c).images, P("(2,5)(3,4)", 5).images, ident])
+        assert H.order == 10
+        assert H.generators == C5.generators + (P("(2,5)(3,4)", 5),)
 
     def test_named_chains_pinned(self):
         # a named group's chain fixes its enumeration order and so its class

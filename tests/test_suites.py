@@ -199,6 +199,15 @@ class TestCli:
         assert capsys.readouterr().err == \
             f"error: cannot write report {path!r}: Not a directory\n"
 
+    def test_report_at_a_folder_refused_before_the_suite(self, tmp_path, capsys):
+        from regula import cli
+        path = str(tmp_path)
+        with mock.patch.object(cli, "run_suite") as run:
+            assert cli.main(["verify", "properties", "--report", path]) == 1
+        run.assert_not_called()
+        assert capsys.readouterr().err == \
+            f"error: cannot write report {path!r}: Is a directory\n"
+
     def test_existing_report_kept_until_the_suite_ends(self, tmp_path, capsys):
         # the early check opens nothing, so a failed suite leaves the old report
         from regula import cli

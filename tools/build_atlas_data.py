@@ -341,14 +341,9 @@ def build_u33():
         return Permutation([index[_normalize_point(r(p))] for p in iso])
 
     G = PermGroup([], degree=28)
-    gens = []
     for v in vecs:
-        if herm(v, v).is_zero():
-            continue
-        perm = refl_perm(v)
-        if not G.contains(perm):
-            gens.append(perm)
-            G = PermGroup(gens, degree=28)
+        if not herm(v, v).is_zero():
+            G = G._grown_by([refl_perm(v).images])
         if G.order == 6048:
             break
     assert G.order == 6048, G.order
