@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 import oracles
@@ -20,6 +23,7 @@ from regula.constructors import (
     wreath,
 )
 from regula.ffield import make_field
+from regula.numtheory import factorize
 
 BIG_SEMIPRIME = 210000000000000000000000009007400000000000000000000014337989  # 60 digits
 
@@ -266,3 +270,24 @@ class TestA6Extensions:
                             lambda F: Permutation(range(F.size + 1)))
         with pytest.raises(RegulaError, match="M10 certificate"):
             m10()
+
+
+def test_field_constructors_pinned():
+    # every constructor over GF(q) keeps its generators, image for image,
+    # over a range wider than the corpus
+    prime_powers = [q for q in range(2, 65) if len(factorize(q)) == 1]
+    builds = (
+        [(f"affine_semilinear({q}, {g})", lambda q=q, g=g: affine_semilinear(q, g))
+         for q in prime_powers + [257] for g in (False, True)]
+        + [(f"projective_group({kind!r}, {q})", lambda kind=kind, q=q: projective_group(kind, q))
+           for kind in ("psl2", "pgl2", "pgammal2") for q in prime_powers if q <= 17]
+        + [(f"glq_family(1, {q})", lambda q=q: glq_family(1, q))
+           for q in prime_powers if q % 2 and q <= 11]
+        + [("glq_family(2, 3)", lambda: glq_family(2, 3)), ("psl3(3)", lambda: psl3(3)),
+           ("m10()", m10)])
+    assert len(builds) == 97
+    digest = hashlib.sha256()
+    for name, build in builds:
+        digest.update(json.dumps([name, [list(g.images) for g in build().generators]]).encode())
+    assert digest.hexdigest() == \
+        "88e491170d6516d10866481d137351e84348e0ff28739e050f883876189a5978"
