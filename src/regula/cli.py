@@ -29,7 +29,7 @@ from . import perm_core
 from .classes import class_counts, conjugacy_classes
 from .errors import RegulaError
 from .exprs import group_from_text
-from .numtheory import landau_quantity, prime_family, psl2_candidate_scan
+from .numtheory import is_prime, landau_quantity, prime_family, psl2_candidate_scan
 from .radicals import structure_summary
 from .suites import SUITE_NAMES, run_suite
 
@@ -55,6 +55,9 @@ def _apply_cap_env():
 
 
 def _cmd_classes(args) -> int:
+    if args.p is not None and not is_prime(args.p):
+        # refused before the class table is built
+        raise RegulaError(f"{args.p} is not prime")
     G = group_from_text(args.expr)
     table = conjugacy_classes(G)
     doc = table.to_json_dict(descriptor=args.expr)

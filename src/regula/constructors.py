@@ -5,9 +5,9 @@ table ``exprs._FAMILIES`` maps expression heads to these functions) and
 checks its size cap before it factorises a field size, so a huge
 argument fails at once with ``CapExceeded``.
 
-Field-based actions label points by the field's fixed enumeration
-(``FieldDesc.from_index``), so the same group built twice acts on the
-same labels and subgroup relations between related constructions (for
+Field-based actions label points by the integer labels of the field
+elements (``ffield``), so the same group built twice acts on the same
+labels and subgroup relations between related constructions (for
 example PSL2(q) inside PGammaL2(q)) hold on the nose.
 
 Sporadic and hard-to-build groups enter through bundled generator data;
@@ -23,7 +23,7 @@ from itertools import product
 from math import gcd
 
 from .errors import CapExceeded, GroupDataError, RegulaError, UnknownGroupName
-from .ffield import FieldDesc, field_of_size, make_field
+from .ffield import add, field_of_size, frobenius, inv, make_field, mul
 from .perm_core import DEGREE_CAP, PermGroup, Permutation
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -150,17 +150,13 @@ def affine_semilinear(q: int, include_galois: bool) -> PermGroup:
     if q > DEGREE_CAP:
         raise CapExceeded(f"field size {q} is beyond desk scale")
     F = field_of_size(q)
-    k = F.k
-    elems = list(F.elements())
-    index = {x: i for i, x in enumerate(elems)}
-    g = F.primitive_element()
-    one = F.one()
+    _, k, exp, _ = F
     gens = [
-        Permutation([index[x * g] for x in elems]),
-        Permutation([index[x + one] for x in elems]),
+        Permutation([mul(F, x, exp[1]) for x in range(q)]),
+        Permutation([add(F, x, 1) for x in range(q)]),
     ]
     if include_galois and k > 1:
-        gens.append(Permutation([index[x.frobenius()] for x in elems]))
+        gens.append(Permutation([frobenius(F, x) for x in range(q)]))
     G = PermGroup(gens, degree=q)
     expected = q * (q - 1) * (k if include_galois else 1)
     if G.order != expected:
@@ -186,20 +182,18 @@ def glq_family(l: int, q: int) -> PermGroup:
     if q % 2 == 0:
         raise RegulaError(f"q = {q} must be odd")
 
-    vectors = list(product(F.elements(), repeat=m))     # coordinate 0 varies slowest
+    vectors = list(product(range(q), repeat=m))         # coordinate 0 varies slowest
     index = {v: i for i, v in enumerate(vectors)}
-
-    a = F.primitive_element()
-    one = F.one()
+    a = F[2][1]                                         # exp[1], the primitive element
 
     def perm_of(fn):
         return Permutation([index[fn(v)] for v in vectors])
 
-    gens = [perm_of(lambda v: (v[0] * a,) + v[1:])]           # scale coordinate 0
+    gens = [perm_of(lambda v: (mul(F, v[0], a),) + v[1:])]    # scale coordinate 0
     for pgen in P.generators:                                  # permute coordinates
         img = pgen.images
         gens.append(perm_of(lambda v, img=img: tuple(v[img.index(i)] for i in range(m))))
-    gens.append(perm_of(lambda v: (v[0] + one,) + v[1:]))      # translate by e_0
+    gens.append(perm_of(lambda v: (add(F, v[0], 1),) + v[1:]))  # translate by e_0
     G = PermGroup(gens, degree=npoints)
     expected = (q - 1) ** m * P.order * q ** m
     if G.order != expected:
@@ -209,31 +203,21 @@ def glq_family(l: int, q: int) -> PermGroup:
 
 # -- projective groups ------------------------------------------------------
 
-def _mobius_perm(F: FieldDesc, a, b, c, d) -> Permutation:
-    """Action of [[a, b], [c, d]] on the projective line, x -> (ax+b)/(cx+d)."""
-    q = F.size
-    zero = F.zero()
+def _mobius_perm(F, a, b, c, d) -> Permutation:
+    """Action of [[a, b], [c, d]] on the projective line, x -> (ax+b)/(cx+d);
+    infinity is the point q."""
+    q = len(F[3])           # one log entry per label
     images = []
-    for i in range(q):
-        x = F.from_index(i)
-        num, den = a * x + b, c * x + d
-        if den == zero:
-            images.append(q)
-        else:
-            images.append(F.index_of(num / den))
-    # infinity -> a/c
-    if c == zero:
-        images.append(q)
-    else:
-        images.append(F.index_of(a / c))
+    for x in range(q):
+        num, den = add(F, mul(F, a, x), b), add(F, mul(F, c, x), d)
+        images.append(mul(F, num, inv(F, den)) if den else q)
+    images.append(mul(F, a, inv(F, c)) if c else q)      # infinity -> a/c
     return Permutation(images)
 
 
-def _frobenius_line_perm(F: FieldDesc) -> Permutation:
-    q = F.size
-    images = [F.index_of(F.from_index(i).frobenius()) for i in range(q)]
-    images.append(q)
-    return Permutation(images)
+def _frobenius_line_perm(F) -> Permutation:
+    q = len(F[3])           # one log entry per label
+    return Permutation([frobenius(F, x) for x in range(q)] + [q])
 
 
 PSL2_Q_CAP = 17
@@ -250,17 +234,16 @@ def projective_group(kind: str, q: int) -> PermGroup:
     if q > PSL2_Q_CAP:
         raise CapExceeded(f"q = {q} exceeds the 2-dimensional cap {PSL2_Q_CAP}")
     F = field_of_size(q)
-    f = F.k
-    zero, one = F.zero(), F.one()
-    g = F.primitive_element()
+    p, f, exp, _ = F
+    g = exp[1]
     gens = [
-        _mobius_perm(F, one, one, zero, one),        # x -> x + 1
-        _mobius_perm(F, g * g, zero, zero, one),     # x -> g^2 x
-        _mobius_perm(F, zero, -one, one, zero),      # x -> -1/x
+        _mobius_perm(F, 1, 1, 0, 1),                 # x -> x + 1
+        _mobius_perm(F, mul(F, g, g), 0, 0, 1),      # x -> g^2 x
+        _mobius_perm(F, 0, p - 1, 1, 0),             # x -> -1/x; -1 has the label p - 1
     ]
     d = gcd(2, q - 1)
     if kind in ("pgl2", "pgammal2"):
-        gens.append(_mobius_perm(F, g, zero, zero, one))
+        gens.append(_mobius_perm(F, g, 0, 0, 1))
     if kind == "pgammal2" and f > 1:
         gens.append(_frobenius_line_perm(F))
     G = PermGroup(gens, degree=q + 1)
@@ -272,29 +255,28 @@ def projective_group(kind: str, q: int) -> PermGroup:
     return G
 
 
-def _plane_points(F: FieldDesc):
-    """Projective plane points as canonical vectors, first nonzero = 1."""
-    one, zero = F.one(), F.zero()
-    pts = [(one, y, z) for y in F.elements() for z in F.elements()]
-    pts += [(zero, one, z) for z in F.elements()]
-    pts += [(zero, zero, one)]
+def _plane_points(q):
+    """Projective plane points over GF(q) as canonical vectors, first nonzero = 1."""
+    pts = [(1, y, z) for y in range(q) for z in range(q)]
+    pts += [(0, 1, z) for z in range(q)]
+    pts += [(0, 0, 1)]
     return pts
 
 
-def _normalize_point(v):
+def _normalize_point(F, v):
     for c in v:
-        if not c.is_zero():
-            inv = c.inverse()
-            return tuple(inv * x for x in v)
+        if c:
+            s = inv(F, c)
+            return tuple(mul(F, s, x) for x in v)
     raise RegulaError("zero vector has no projective point")
 
 
-def _mat_apply(mat, v):
+def _mat_apply(F, mat, v):
     out = []
     for row in mat:
-        acc = row[0] * v[0]
-        for a, x in zip(row[1:], v[1:]):
-            acc = acc + a * x
+        acc = 0
+        for a, x in zip(row, v):
+            acc = add(F, acc, mul(F, a, x))
         out.append(acc)
     return tuple(out)
 
@@ -304,15 +286,14 @@ def psl3(q: int) -> PermGroup:
     if q != 3:
         raise CapExceeded("the 3-dimensional constructor is desk-scoped to q = 3")
     F = make_field(3, 1)
-    pts = _plane_points(F)
+    pts = _plane_points(3)
     index = {p: i for i, p in enumerate(pts)}
-    one, zero = F.one(), F.zero()
 
     def mat_perm(mat):
-        return Permutation([index[_normalize_point(_mat_apply(mat, v))] for v in pts])
+        return Permutation([index[_normalize_point(F, _mat_apply(F, mat, v))] for v in pts])
 
-    cyc = ((zero, zero, one), (one, zero, zero), (zero, one, zero))
-    transvection = ((one, one, zero), (zero, one, zero), (zero, zero, one))
+    cyc = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    transvection = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     G = PermGroup([mat_perm(cyc), mat_perm(transvection)], degree=len(pts))
     if G.order != 5616:
         raise RegulaError(f"psl3(3) order check failed: {G.order}")
@@ -401,8 +382,8 @@ def m10() -> PermGroup:
 
     N = projective_group("psl2", 9)
     F = make_field(3, 2)
-    zero, one = F.zero(), F.one()
-    delta_phi = _mobius_perm(F, F.primitive_element(), zero, zero, one) * _frobenius_line_perm(F)
+    g = F[2][1]                                     # exp[1], the primitive element
+    delta_phi = _mobius_perm(F, g, 0, 0, 1) * _frobenius_line_perm(F)
     # the coset's canonical element, not delta_phi itself, is the generator
     # the M10 class representatives are pinned with
     G = PermGroup(list(N.generators) + [Permutation(N._coset_canonical(delta_phi.images))])

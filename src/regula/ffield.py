@@ -1,12 +1,23 @@
-"""Exact arithmetic in GF(p^k).
+"""Exact arithmetic in GF(p^k) on integer labels.
 
-Elements are coefficient tuples over GF(p), constant term first, reduced
-modulo a fixed monic irreducible.  The modulus is the lexicographically
-smallest irreducible in the integer encoding c0 + c1*p + ... of its
-non-leading coefficients, which makes field construction deterministic
-with no external tables.  A monic candidate of degree k is irreducible
-when no monic polynomial of degree 1 .. k//2 divides it; trial division
-is enough because no field here has more than 2000 elements.
+An element is its label in range(q): the polynomial c0 + c1*t + ... over
+GF(p), constant term first, has the label c0 + c1*p + ..., so 0 and 1 are
+the field's zero and one and every point label of a field-based action is
+an element's label.  The modulus is the lexicographically smallest monic
+irreducible in the same encoding of its non-leading coefficients, which
+makes field construction deterministic with no external tables.  A monic
+candidate of degree k is irreducible when no monic polynomial of degree
+1 .. k//2 divides it; trial division is enough because no field here has
+more than 2000 elements.
+
+A field is the tuple ``(p, k, exp, log)`` of two tables of length q.
+``exp[i]`` is the label of g^i, where g = ``exp[1]`` is the first label of
+multiplicative order q - 1, and ``log[x]`` is the i < q - 1 with
+``exp[i] == x`` for each nonzero x; both are built once by polynomial
+arithmetic.  Products, inverses and the Frobenius map (log x -> p * log x)
+are lookups in these two tables, and sums are digit-wise mod p, which is
+XOR when p = 2: the table method for small fields (Lidl and Niederreiter,
+*Finite Fields*).
 
 ``field_of_size(q)`` is the one place that checks a field size: it
 refuses a q that is not a prime power (1 and below included) and
@@ -15,10 +26,8 @@ returns GF(q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import RegulaError
-from .numtheory import factorize, is_prime, prime_factors
+from .numtheory import factorize, is_prime
 
 
 def _poly_trim(c):
@@ -62,6 +71,14 @@ def _digits(i, p, k):
     return tuple(out)
 
 
+def _label(c, p):
+    """The label c0 + c1*p + ... of the polynomial with coefficients c."""
+    i = 0
+    for d in reversed(c):
+        i = i * p + d
+    return i
+
+
 def _is_irreducible(m, p):
     """Whether no monic polynomial of degree 1 .. k//2 divides the monic m
     of degree k."""
@@ -70,158 +87,76 @@ def _is_irreducible(m, p):
                for d in range(1, k // 2 + 1) for j in range(p ** d))
 
 
-@dataclass(frozen=True)
-class FieldDesc:
-    """GF(p^k) described by its characteristic, degree and modulus."""
-
-    p: int
-    k: int
-    modulus: tuple  # length k+1, monic, constant term first
-
-    @property
-    def size(self) -> int:
-        return self.p ** self.k
-
-    def element(self, coeffs) -> "FieldElement":
-        c = tuple(x % self.p for x in coeffs)
-        if len(c) > self.k:
-            c = _poly_mod(c, self.modulus, self.p)
-        c = c + (0,) * (self.k - len(c))
-        return FieldElement(self, c[: self.k])
-
-    def zero(self) -> "FieldElement":
-        return self.element(())
-
-    def one(self) -> "FieldElement":
-        return self.element((1,))
-
-    def from_index(self, i: int) -> "FieldElement":
-        """Element number i in the fixed enumeration c0 + c1*p + ...."""
-        if not 0 <= i < self.size:
-            raise RegulaError(f"index {i} out of range for field of size {self.size}")
-        return FieldElement(self, _digits(i, self.p, self.k))
-
-    def elements(self):
-        for i in range(self.size):
-            yield self.from_index(i)
-
-    def index_of(self, x: "FieldElement") -> int:
-        i = 0
-        for c in reversed(x.coeffs):
-            i = i * self.p + c
-        return i
-
-    def primitive_element(self) -> "FieldElement":
-        """First element in enumeration order of multiplicative order p^k - 1."""
-        target = self.size - 1
-        for x in self.elements():
-            if not x.is_zero() and x.multiplicative_order() == target:
-                return x
-        raise RegulaError("no primitive element found")  # unreachable
-
-    def __repr__(self):
-        return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
+def modulus(p: int, k: int) -> tuple:
+    """The lexicographically smallest monic irreducible of degree k over
+    GF(p), constant term first."""
+    candidates = (_digits(i, p, k) + (1,) for i in range(p ** k))
+    return next(m for m in candidates if _is_irreducible(m, p))
 
 
-class FieldElement:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldDesc, coeffs: tuple):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise RegulaError("elements of different fields")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        f = self.field
-        prod = _poly_mod(_poly_mul(_poly_trim(self.coeffs), _poly_trim(other.coeffs), f.p),
-                         f.modulus, f.p)
-        return f.element(prod)
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        # x^(q-2) = x^-1 in GF(q)
-        return self ** (self.field.size - 2)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, n: int):
-        f = self.field
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = f.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def frobenius(self):
-        """x -> x^p, the generating field automorphism."""
-        return self ** self.field.p
-
-    def multiplicative_order(self) -> int:
-        if self.is_zero():
-            raise RegulaError("zero has no multiplicative order")
-        n = self.field.size - 1
-        o = n
-        for q in prime_factors(n):
-            while o % q == 0 and (self ** (o // q)) == self.field.one():
-                o //= q
-        return o
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement) and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coeffs))
-
-    def __str__(self):
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
-
-    def __repr__(self):
-        return f"FieldElement({self.field!r}, {self.coeffs})"
-
-
-def make_field(p: int, k: int) -> FieldDesc:
-    """GF(p^k) with the lexicographically smallest monic irreducible modulus."""
+def make_field(p: int, k: int) -> tuple:
+    """GF(p^k) as ``(p, k, exp, log)`` under the smallest irreducible modulus."""
     if not is_prime(p):
         raise RegulaError(f"{p} is not prime")
     if k < 1:
         raise RegulaError("extension degree must be >= 1")
-    candidates = (_digits(i, p, k) + (1,) for i in range(p ** k))
-    return FieldDesc(p=p, k=k, modulus=next(m for m in candidates if _is_irreducible(m, p)))
+    m = modulus(p, k)
+    q = p ** k
+    for g in range(1, q):
+        # the powers of g up to the first that is 1; g is primitive when
+        # there are q - 1 of them
+        x = _digits(g, p, k)
+        y, exp = x, [1]
+        while (label := _label(y, p)) != 1:
+            exp.append(label)
+            y = _poly_mod(_poly_mul(y, x, p), m, p)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    return p, k, exp + [1], log
 
 
-def field_of_size(q: int) -> FieldDesc:
+def add(F, x, y):
+    """x + y, digit by digit mod p."""
+    p = F[0]
+    if p == 2:
+        return x ^ y
+    s, place = 0, 1
+    while x or y:
+        x, a = divmod(x, p)
+        y, b = divmod(y, p)
+        s += (a + b) % p * place
+        place *= p
+    return s
+
+
+def mul(F, x, y):
+    """x * y."""
+    if not x or not y:
+        return 0
+    exp, log = F[2], F[3]
+    return exp[(log[x] + log[y]) % (len(exp) - 1)]
+
+
+def inv(F, x):
+    """The inverse of a nonzero x."""
+    if not x:
+        raise ZeroDivisionError("inverse of zero field element")
+    exp, log = F[2], F[3]
+    return exp[-log[x] % (len(exp) - 1)]
+
+
+def frobenius(F, x):
+    """x -> x^p, the generating field automorphism."""
+    if not x:
+        return 0
+    p, _, exp, log = F
+    return exp[log[x] * p % (len(exp) - 1)]
+
+
+def field_of_size(q: int) -> tuple:
     """GF(q); the one check that a field size q is a prime power."""
     fac = factorize(q) if q > 1 else {}
     if len(fac) != 1:

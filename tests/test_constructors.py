@@ -232,8 +232,7 @@ class TestA6Extensions:
     # the diagonal, the field, or the diagonal times field automorphism
     def extensions(self):
         F = make_field(3, 2)
-        zero, one = F.zero(), F.one()
-        delta = _mobius_perm(F, F.primitive_element(), zero, zero, one)
+        delta = _mobius_perm(F, F[2][1], 0, 0, 1)
         phi = _frobenius_line_perm(F)
         N = projective_group("psl2", 9)
         return [PermGroup(list(N.generators) + [x]) for x in (delta, phi, delta * phi)]
@@ -267,7 +266,7 @@ class TestA6Extensions:
         # without the field automorphism the extension is PGL2(9): order 720
         # but four 2-regular classes, so the certificate refuses it
         monkeypatch.setattr(constructors, "_frobenius_line_perm",
-                            lambda F: Permutation(range(F.size + 1)))
+                            lambda F: Permutation(range(len(F[3]) + 1)))
         with pytest.raises(RegulaError, match="M10 certificate"):
             m10()
 

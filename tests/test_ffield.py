@@ -1,27 +1,47 @@
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_mul, gf_pow_mod, gf_rem
 
-from regula import RegulaError
-from regula.ffield import field_of_size, make_field
+from regula import RegulaError, ffield
+from regula.ffield import add, field_of_size, frobenius, inv, make_field, modulus, mul
+
+# every field of order at most 64
+SMALL_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                                 53, 59, 61)
+                for k in range(1, 7) if p ** k <= 64]
+
+
+def power(F, x, n):
+    y = 1
+    for _ in range(n):
+        y = mul(F, y, x)
+    return y
+
+
+def order(F, x):
+    n, y = 1, x
+    while y != 1:
+        n, y = n + 1, mul(F, y, x)
+    return n
 
 
 class TestMakeField:
     def test_gf2_modulus_is_x(self):
-        assert make_field(2, 1).modulus == (0, 1)
+        assert modulus(2, 1) == (0, 1)
 
     def test_gf9_modulus(self):
         # x^2 + 1 has no root mod 3 and is the smallest in the enumeration
-        assert make_field(3, 2).modulus == (1, 0, 1)
+        assert modulus(3, 2) == (1, 0, 1)
 
     def test_gf16_cyclic(self):
-        F = make_field(2, 4)
-        assert len(F.modulus) == 5
-        orders = {x.multiplicative_order() for x in F.elements() if not x.is_zero()}
-        assert max(orders) == 15
-        assert sum(1 for x in F.elements() if not x.is_zero()) == 15
+        p, k, exp, log = make_field(2, 4)
+        assert len(modulus(p, k)) == 5
+        assert sorted(exp[:15]) == list(range(1, 16))
+        assert exp[15] == 1
 
     def test_deterministic(self):
-        assert make_field(5, 2).modulus == make_field(5, 2).modulus
+        assert make_field(5, 2) == make_field(5, 2)
 
     def test_composite_characteristic(self):
         with pytest.raises(RegulaError):
@@ -29,10 +49,10 @@ class TestMakeField:
 
     def test_moduli_are_irreducible_no_small_roots(self):
         for p, k in ((2, 2), (2, 3), (3, 2), (5, 2), (7, 2)):
-            F = make_field(p, k)
+            m = modulus(p, k)
             # no roots in the prime field
             for a in range(p):
-                val = sum(c * a ** i for i, c in enumerate(F.modulus)) % p
+                val = sum(c * a ** i for i, c in enumerate(m)) % p
                 assert val != 0
 
     def test_moduli_against_sympy(self):
@@ -47,7 +67,7 @@ class TestMakeField:
                   if p ** k <= 2000]
         assert len(fields) == 333
         for p, k in fields:
-            m = make_field(p, k).modulus
+            m = modulus(p, k)
             assert len(m) == k + 1 and m[-1] == 1
             assert irreducible(m, p), (p, k)
             index = sum(c * p ** i for i, c in enumerate(m[:-1]))
@@ -55,13 +75,21 @@ class TestMakeField:
                 lower = tuple((i // p ** j) % p for j in range(k)) + (1,)
                 assert not irreducible(lower, p), (p, k, lower)
 
+    def test_module_defines_only_functions(self):
+        # a field is a tuple of tables and an element an int: the module
+        # defines no class and builds nothing when it is imported
+        own = [v for name, v in vars(ffield).items()
+               if not name.startswith("__") and getattr(v, "__module__", None) == ffield.__name__]
+        assert own and all(callable(v) and not isinstance(v, type) for v in own)
+        assert "dataclasses" not in vars(ffield) and "dataclass" not in vars(ffield)
+
 
 class TestFieldOfSize:
     def test_prime_powers(self):
         for q, (p, k) in ((2, (2, 1)), (9, (3, 2)), (16, (2, 4)), (1999, (1999, 1))):
             F = field_of_size(q)
-            assert (F.p, F.k, F.size) == (p, k, q)
-            assert F.modulus == make_field(p, k).modulus
+            assert F[:2] == (p, k) and len(F[2]) == len(F[3]) == q
+            assert F == make_field(p, k)
 
     def test_rejects_non_prime_powers(self):
         for q in (-4, 0, 1, 6, 12, 15, 1000):
@@ -72,54 +100,49 @@ class TestFieldOfSize:
 class TestArithmetic:
     def test_inverse_exhaustive_gf9(self):
         F = make_field(3, 2)
-        one = F.one()
-        for x in F.elements():
-            if not x.is_zero():
-                assert x.inverse() * x == one
+        for x in range(1, 9):
+            assert mul(F, inv(F, x), x) == 1
 
     def test_zero_inverse(self):
         with pytest.raises(ZeroDivisionError):
-            make_field(3, 2).zero().inverse()
+            inv(make_field(3, 2), 0)
 
     def test_frobenius_fixes_prime_subfield(self):
         for p, k in ((3, 2), (5, 2), (2, 4)):
             F = make_field(p, k)
-            fixed = sum(1 for x in F.elements() if x.frobenius() == x)
+            fixed = sum(1 for x in range(p ** k) if frobenius(F, x) == x)
             assert fixed == p
 
     def test_frobenius_order(self):
         F = make_field(2, 4)
-        for x in F.elements():
+        for x in range(16):
             y = x
             for _ in range(4):
-                y = y.frobenius()
+                y = frobenius(F, y)
             assert y == x
 
     def test_lagrange(self):
         for p, k in ((5, 1), (3, 2), (2, 4)):
             F = make_field(p, k)
-            g = F.primitive_element()
-            assert g ** (F.size - 1) == F.one()
+            assert power(F, F[2][1], p ** k - 1) == 1
 
     def test_field_axioms_spot(self):
         F = make_field(3, 2)
-        xs = list(F.elements())
-        for a in xs:
-            for b in xs[:5]:
-                assert a + b == b + a
-                assert a * b == b * a
-        a, b, c = xs[3], xs[5], xs[7]
-        assert a * (b + c) == a * b + a * c
+        for a in range(9):
+            for b in range(5):
+                assert add(F, a, b) == add(F, b, a)
+                assert mul(F, a, b) == mul(F, b, a)
+        a, b, c = 3, 5, 7
+        assert mul(F, a, add(F, b, c)) == add(F, mul(F, a, b), mul(F, a, c))
 
     def test_additive_exponent(self):
         for p, k in ((2, 3), (3, 2), (5, 1), (7, 1)):
             F = make_field(p, k)
-            zero = F.zero()
-            for x in F.elements():
-                acc = zero
+            for x in range(p ** k):
+                acc = 0
                 for _ in range(p):
-                    acc = acc + x
-                assert acc == zero
+                    acc = add(F, acc, x)
+                assert acc == 0
 
     def test_multiplicative_cyclic_small_fields(self):
         # the multiplicative group is cyclic of order p^k - 1
@@ -128,28 +151,84 @@ class TestArithmetic:
                      (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1),
                      (17, 1), (257, 1)):
             F = make_field(p, k)
-            g = F.primitive_element()
-            assert g.multiplicative_order() == F.size - 1
+            assert order(F, F[2][1]) == p ** k - 1
 
 
 class TestPrimitiveElement:
     def test_gf2(self):
-        assert make_field(2, 1).primitive_element().coeffs == (1,)
+        assert make_field(2, 1)[2][1] == 1
 
     def test_gf5_is_two(self):
-        assert make_field(5, 1).primitive_element().coeffs == (2,)
+        assert make_field(5, 1)[2][1] == 2
 
     def test_gf9_order_eight(self):
-        g = make_field(3, 2).primitive_element()
-        assert g.multiplicative_order() == 8
+        F = make_field(3, 2)
+        assert order(F, F[2][1]) == 8
+
+    def test_first_label_of_full_order(self):
+        for p, k in SMALL_FIELDS:
+            F = make_field(p, k)
+            g = F[2][1]
+            assert order(F, g) == p ** k - 1
+            assert all(order(F, x) < p ** k - 1 for x in range(1, g)), (p, k)
 
 
 class TestInterfaces:
-    def test_printing(self):
+    def test_labels_are_coefficients_in_base_p(self):
+        # in GF(9) = GF(3)[t]/(t^2 + 1) the label of c0 + c1*t is c0 + 3*c1,
+        # so t is 3, t^2 = -1 is 2 and 1 + t is 4
         F = make_field(3, 2)
-        assert str(F.element((2, 1))) == "[2,1]"
+        assert mul(F, 3, 3) == 2
+        assert add(F, 1, 3) == 4
+        assert add(F, 5, 7) == 0       # (2 + t) + (1 + 2t)
 
-    def test_index_round_trip(self):
-        F = make_field(3, 3)
-        for i in (0, 1, 5, 26):
-            assert F.index_of(F.from_index(i)) == i
+
+class TestAgainstSympy:
+    # the table arithmetic against sympy's dense polynomials over GF(p),
+    # exhaustively, under the same modulus, for every field of order <= 64
+    def test_small_field_count(self):
+        assert len(SMALL_FIELDS) == 27
+
+    @pytest.mark.parametrize("p, k", SMALL_FIELDS)
+    def test_arithmetic(self, p, k):
+        q = p ** k
+        F = make_field(p, k)
+        m = list(reversed(modulus(p, k)))
+
+        def poly(x):
+            # highest coefficient first, no leading zeros
+            c = []
+            while x:
+                x, d = divmod(x, p)
+                c.insert(0, d)
+            return c
+
+        def label(c):
+            x = 0
+            for d in c:
+                x = x * p + d
+            return x
+
+        polys = [poly(x) for x in range(q)]
+        for x in range(q):
+            for y in range(q):
+                assert add(F, x, y) == label(gf_add(polys[x], polys[y], p, ZZ))
+                assert mul(F, x, y) == label(gf_rem(gf_mul(polys[x], polys[y], p, ZZ), m, p, ZZ))
+            assert frobenius(F, x) == label(gf_pow_mod(polys[x], p, m, p, ZZ))
+            if x:
+                assert inv(F, x) == label(gf_pow_mod(polys[x], q - 2, m, p, ZZ))
+
+    @pytest.mark.parametrize("p, k", SMALL_FIELDS)
+    def test_tables(self, p, k):
+        q = p ** k
+        F = make_field(p, k)
+        _, _, exp, log = F
+        assert len(exp) == len(log) == q
+        assert sorted(exp[:-1]) == list(range(1, q)) and exp[-1] == 1
+        assert all(log[exp[i]] == i for i in range(q - 1))
+        assert all(exp[log[x]] == x for x in range(1, q))
+        # the Frobenius map has order exactly k
+        images = list(range(q))
+        for j in range(1, k + 1):
+            images = [frobenius(F, x) for x in images]
+            assert (images == list(range(q))) == (j == k)

@@ -275,6 +275,22 @@ class TestCli:
         assert perm_core.ELEMENT_CAP == cap
         assert capsys.readouterr().err == ""
 
+    def test_classes_refuses_p_before_the_table(self, monkeypatch, capsys):
+        # a --p that is not prime is refused before any class table is built
+        from regula import classes, exprs
+
+        def partition(G):
+            raise RegulaError("class table built")
+
+        monkeypatch.setattr(exprs, "_memo", {})
+        monkeypatch.setattr(classes, "_partition_into_orbits", partition)
+        for p in ("4", "1", "0", "-3"):
+            assert main(["classes", "A(10)", "--p", p]) == 1
+            assert capsys.readouterr().err == f"error: {p} is not prime\n"
+        # the patch is live: a prime --p goes on to the partition
+        assert main(["classes", "A(10)", "--p", "2"]) == 1
+        assert capsys.readouterr().err == "error: class table built\n"
+
     def test_cap_env_structure_memo(self, monkeypatch, capsys):
         # cores memoised under a larger cap are refused under a smaller one,
         # as a fresh group would be
@@ -367,6 +383,8 @@ class TestCli:
             "from regula.cli import main",
             "assert main(['verify', 'numtheory']) == 0",
             "assert main(['classes', 'PSL2(7)', '--p', '2']) == 0",
+            "assert main(['classes', 'AGammaL1(16)']) == 0",
+            "assert main(['classes', 'GLQ(l=1, q=5)']) == 0",
             "assert main(['structure', 'x(S(4), PSL2(7))']) == 0",
             "print('sympy' in sys.modules, 'numpy' in sys.modules)",
         ])

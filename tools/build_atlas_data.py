@@ -27,7 +27,7 @@ from itertools import combinations
 
 from regula.classes import conjugacy_classes
 from regula.constructors import _data_path, _mat_apply, _normalize_point, _plane_points
-from regula.ffield import make_field
+from regula.ffield import add, frobenius, inv, make_field, mul
 from regula.perm_core import PermGroup, Permutation, _mult
 
 
@@ -230,36 +230,35 @@ def build_m12_2(M12):
 
 def build_l34_family():
     F = make_field(2, 2)
-    one, zero = F.one(), F.zero()
-    pts = _plane_points(F)
+    pts = _plane_points(4)
     assert len(pts) == 21
     pt_index = {p: i for i, p in enumerate(pts)}
 
     # line u is the set of points v with u . v = 0, labelled 21 plus the
     # index of u; a collineation moves each line as it moves its points
-    lines = [frozenset(i for i, v in enumerate(pts) if _mat_apply((u,), v)[0].is_zero())
+    lines = [frozenset(i for i, v in enumerate(pts) if not _mat_apply(F, (u,), v)[0])
              for u in pts]
     line_label = {line: 21 + i for i, line in enumerate(lines)}
 
     def collineation(point_map):
-        images = [pt_index[_normalize_point(point_map(v))] for v in pts]
+        images = [pt_index[_normalize_point(F, point_map(v))] for v in pts]
         return Permutation(images + [line_label[frozenset(images[p] for p in line)]
                                      for line in lines])
 
     def matrix_perm(m):
-        return collineation(lambda v: _mat_apply(m, v))
+        return collineation(lambda v: _mat_apply(F, m, v))
 
-    g = F.primitive_element()
-    cyc = ((zero, zero, one), (one, zero, zero), (zero, one, zero))
-    t1 = ((one, one, zero), (zero, one, zero), (zero, zero, one))
-    t2 = ((one, g, zero), (zero, one, zero), (zero, zero, one))
+    g = F[2][1]                     # exp[1], the primitive element
+    cyc = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    t1 = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    t2 = ((1, g, 0), (0, 1, 0), (0, 0, 1))
     l34 = PermGroup([matrix_perm(m) for m in (cyc, t1, t2)], degree=42)
     assert l34.order == 20160, l34.order
 
-    frob = collineation(lambda v: tuple(c.frobenius() for c in v))
+    frob = collineation(lambda v: tuple(frobenius(F, c) for c in v))
     dual = Permutation([21 + i for i in range(21)] + list(range(21)))
     # diagonal automorphism: any matrix whose determinant is not a cube
-    diag = matrix_perm(((g, zero, zero), (zero, one, zero), (zero, zero, one)))
+    diag = matrix_perm(((g, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     A = PermGroup(list(l34.generators) + [diag, frob, dual], degree=42)
     assert A.order == 241920, A.order
@@ -310,18 +309,17 @@ def build_u33():
     F = make_field(3, 2)
 
     def conj(x):
-        return x.frobenius()
+        return frobenius(F, x)
 
     def herm(u, v):
-        return u[0] * conj(v[0]) + u[1] * conj(v[1]) + u[2] * conj(v[2])
+        return _mat_apply(F, (u,), tuple(conj(c) for c in v))[0]
 
-    vecs = [(x, y, z) for x in F.elements() for y in F.elements()
-            for z in F.elements()][1:]
+    vecs = [(x, y, z) for x in range(9) for y in range(9) for z in range(9)][1:]
     iso = []
     seen = set()
     for v in vecs:
-        if herm(v, v).is_zero():
-            n = _normalize_point(v)
+        if not herm(v, v):
+            n = _normalize_point(F, v)
             if n not in seen:
                 seen.add(n)
                 iso.append(n)
@@ -332,24 +330,24 @@ def build_u33():
     # generate the full unitary group; grow greedily until the point
     # action has the right order
     def refl_perm(v):
-        hinv = herm(v, v).inverse()
+        hinv = inv(F, herm(v, v))
 
         def r(x):
-            coef = herm(x, v) * hinv
-            return tuple(x[i] + coef * v[i] for i in range(3))
+            coef = mul(F, herm(x, v), hinv)
+            return tuple(add(F, x[i], mul(F, coef, v[i])) for i in range(3))
 
-        return Permutation([index[_normalize_point(r(p))] for p in iso])
+        return Permutation([index[_normalize_point(F, r(p))] for p in iso])
 
     G = PermGroup([], degree=28)
     for v in vecs:
-        if not herm(v, v).is_zero():
+        if herm(v, v):
             G = G._grown_by([refl_perm(v).images])
         if G.order == 6048:
             break
     assert G.order == 6048, G.order
     U33 = reduce_generators(G)
 
-    frob = Permutation([index[_normalize_point(tuple(conj(c) for c in v))] for v in iso])
+    frob = Permutation([index[_normalize_point(F, tuple(conj(c) for c in v))] for v in iso])
     U33_2 = PermGroup(list(U33.generators) + [frob], degree=28)
     assert U33_2.order == 12096, U33_2.order
     return U33, reduce_generators(U33_2)
@@ -359,22 +357,22 @@ def build_u33():
 
 def build_sz8():
     F = make_field(2, 3)
-    zero, one = F.zero(), F.one()
 
     def theta(x):
-        return (x.frobenius()).frobenius()  # x -> x^4, the square of Frobenius
+        return frobenius(F, frobenius(F, x))  # x -> x^4, the square of Frobenius
 
     def pi(x, y):
-        return theta(x) * x * x + x * y + theta(y)  # x^(th+2) + xy + y^th
+        # x^(th+2) + xy + y^th
+        return add(F, add(F, mul(F, theta(x), mul(F, x, x)), mul(F, x, y)), theta(y))
 
-    chart = [(x, y) for x in F.elements() for y in F.elements()]
+    chart = [(x, y) for x in range(8) for y in range(8)]
     for (x, y) in chart:
-        if pi(x, y).is_zero():
-            assert x.is_zero() and y.is_zero(), (x, y)
+        if not pi(x, y):
+            assert not x and not y, (x, y)
 
     # ovoid in PG(3): (pi(x,y), y, x, 1) plus (1, 0, 0, 0)
     def embed(x, y):
-        return (pi(x, y), y, x, one)
+        return (pi(x, y), y, x, 1)
 
     INF = ("inf",)
 
@@ -383,8 +381,8 @@ def build_sz8():
     embed_index = {}
     for i, (x, y) in enumerate(chart):
         index[(x, y)] = i + 1
-        embed_index[_normalize_point(embed(x, y))] = i + 1
-    inf4 = (one, zero, zero, zero)
+        embed_index[_normalize_point(F, embed(x, y))] = i + 1
+    inf4 = (1, 0, 0, 0)
     embed_index[inf4] = 0
 
     def perm_from_chart(fn):
@@ -394,24 +392,24 @@ def build_sz8():
         return Permutation(images)
 
     def trans(a, b):
-        return lambda x, y: (x + a, y + b + x * theta(a))
+        return lambda x, y: (add(F, x, a), add(F, add(F, y, b), mul(F, x, theta(a))))
 
-    g = F.primitive_element()
-    g5 = g ** 5  # the torus (x, y) -> (g x, g^(theta + 1) y), theta + 1 = 5
+    exp = F[2]
+    g, g5 = exp[1], exp[5]  # the torus (x, y) -> (g x, g^(theta + 1) y), theta + 1 = 5
 
     # coordinate reversal on the projective ovoid
     rev_images = [0] * 65
     for i, p in enumerate(points):
-        v4 = inf4 if p == INF else _normalize_point(embed(*p))
-        r = _normalize_point(tuple(reversed(v4)))
+        v4 = inf4 if p == INF else _normalize_point(F, embed(*p))
+        r = _normalize_point(F, tuple(reversed(v4)))
         rev_images[i] = embed_index[r]
     rev = Permutation(rev_images)
 
     gens = []
-    for a in (one, g, g * g):
-        gens.append(perm_from_chart(trans(a, zero)))
-        gens.append(perm_from_chart(trans(zero, a)))
-    gens.append(perm_from_chart(lambda x, y: (g * x, g5 * y)))
+    for a in exp[:3]:  # 1, g, g^2
+        gens.append(perm_from_chart(trans(a, 0)))
+        gens.append(perm_from_chart(trans(0, a)))
+    gens.append(perm_from_chart(lambda x, y: (mul(F, g, x), mul(F, g5, y))))
     gens.append(rev)
     G = PermGroup(gens, degree=65)
     assert G.order == 29120, G.order
