@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from operator import add, getitem, itemgetter
 
 from .errors import NotNormal, RegulaError
-from .numtheory import is_p_power, is_prime
+from .numtheory import check_prime, is_p_power
 from .perm_core import (PermGroup, Permutation, _chain_elements, _inv, _mult, _order_of,
                         check_element_cap)
 
@@ -59,8 +59,7 @@ class ClassTable:
         return len(self.classes)
 
     def counts(self, p: int) -> "ClassCounts":
-        if not is_prime(p):
-            raise RegulaError(f"{p} is not prime")
+        check_prime(p)
         return _counts(p, [c.element_order for c in self.classes])
 
     def min_centralizer_order(self) -> int:
@@ -73,14 +72,12 @@ class ClassTable:
         return tuple(sorted(c.element_order for c in self.classes))
 
     def singular_element_total(self, p: int) -> int:
-        if not is_prime(p):
-            raise RegulaError(f"{p} is not prime")
+        check_prime(p)
         return sum(c.class_size for c in self.classes if c.element_order % p == 0)
 
     def p_power_class_count(self, p: int) -> int:
         """Classes of elements whose order is a power of p (identity included)."""
-        if not is_prime(p):
-            raise RegulaError(f"{p} is not prime")
+        check_prime(p)
         return sum(1 for c in self.classes if is_p_power(c.element_order, p))
 
     def to_json_dict(self, descriptor: str = "") -> dict:
@@ -253,8 +250,7 @@ def fused_counts(G: PermGroup, N: PermGroup, p: int) -> ClassCounts:
     These orbits are the classes of G that lie in N, read from G's class
     table, so the element cap bounds the order of G.
     """
-    if not is_prime(p):
-        raise RegulaError(f"{p} is not prime")
+    check_prime(p)
     if not N.is_normal_in(G):
         raise NotNormal("fused counts need a normal subgroup")
     return _counts(p, [c.element_order for c in conjugacy_classes(G).classes

@@ -29,7 +29,7 @@ from . import perm_core
 from .classes import class_counts, conjugacy_classes
 from .errors import RegulaError
 from .exprs import group_from_text
-from .numtheory import is_prime, landau_quantity, prime_family, psl2_candidate_scan
+from .numtheory import check_prime, landau_quantity, prime_family, psl2_candidate_scan
 from .radicals import structure_summary
 from .suites import SUITE_NAMES, run_suite
 
@@ -55,9 +55,8 @@ def _apply_cap_env():
 
 
 def _cmd_classes(args) -> int:
-    if args.p is not None and not is_prime(args.p):
-        # refused before the class table is built
-        raise RegulaError(f"{args.p} is not prime")
+    if args.p is not None:
+        check_prime(args.p)    # before the class table is built
     G = group_from_text(args.expr)
     table = conjugacy_classes(G)
     doc = table.to_json_dict(descriptor=args.expr)
@@ -124,12 +123,10 @@ def _cmd_numtheory(args) -> int:
     elif args.nt_command == "scan-psl2":
         qs = psl2_candidate_scan(args.bound)
         print(json.dumps({"bound": args.bound, "candidates": qs}, sort_keys=True))
-    elif args.nt_command == "primes":
+    else:    # primes
         ps = prime_family(args.kind, args.bound)
         print(json.dumps({"kind": args.kind, "bound": args.bound,
                           "values": ps}, sort_keys=True))
-    else:
-        raise RegulaError(f"unknown numtheory subcommand {args.nt_command!r}")
     return 0
 
 

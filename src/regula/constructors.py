@@ -34,8 +34,6 @@ BASE_N_CAP = 12          # factorial growth; S12 is already 479M (order only)
 def cyclic(n: int) -> PermGroup:
     if n < 1 or n > DEGREE_CAP:
         raise CapExceeded(f"cyclic degree {n} outside [1, {DEGREE_CAP}]")
-    if n == 1:
-        return PermGroup([], degree=1)
     return PermGroup([Permutation.from_cycles(n, [list(range(n))])])
 
 
@@ -111,7 +109,7 @@ def wreath(G: PermGroup, P: PermGroup) -> PermGroup:
     expected = G.order ** m * P.order
     if expected > 10 ** 12:
         raise CapExceeded(f"wreath order {expected} is beyond desk scale")
-    transitive = m == 1 or (len(P._levels) > 0 and len(P._levels[0].transversal) == m)
+    transitive = m == 1 or P.fundamental_orbit_lengths()[:1] == (m,)
     block_range = range(1) if transitive else range(m)
     gens = []
     for b in block_range:

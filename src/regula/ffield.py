@@ -27,7 +27,7 @@ returns GF(q).
 from __future__ import annotations
 
 from .errors import RegulaError
-from .numtheory import factorize, is_prime
+from .numtheory import check_prime, factorize
 
 
 def _poly_trim(c):
@@ -96,8 +96,7 @@ def modulus(p: int, k: int) -> tuple:
 
 def make_field(p: int, k: int) -> tuple:
     """GF(p^k) as ``(p, k, exp, log)`` under the smallest irreducible modulus."""
-    if not is_prime(p):
-        raise RegulaError(f"{p} is not prime")
+    check_prime(p)
     if k < 1:
         raise RegulaError("extension degree must be >= 1")
     m = modulus(p, k)

@@ -3,9 +3,12 @@
 Everything here is exact where the quantity is rational (Fractions over
 arbitrary-precision integers) and double precision where a logarithm is
 unavoidable.  Each bound is a plain function of its parameters that
-returns the bound as a number.  The ``bounds`` suite compares it with an
-exact count after lowering it by ``BOUND_SLACK`` (1e-9), so an
-irrational bound that is attained exactly never fails spuriously.
+returns the bound as a number.  The ``bounds`` suite passes a row when
+the exact count is ``>=`` its bound, with no tolerance: a rational bound
+is compared exactly, and the two logarithmic bounds
+(``regular_class_bound_rank1`` and ``min_centralizer_bound_linear``) are
+still double-precision values, which every count in the suite clears by
+more than 2.
 
 Primality and factorisation are exact in plain Python for every number
 the group-theory path meets.  ``is_prime`` is trial division by the
@@ -31,8 +34,6 @@ from fractions import Fraction
 from itertools import count, takewhile
 
 from .errors import CapExceeded, RegulaError
-
-BOUND_SLACK = 1e-9
 
 # input bounds
 _LANDAU_MAX_BITS = 4096          # bits of r^a
@@ -81,6 +82,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int) -> None:
+    """Refuse a p that is not prime: the one check of the prime that the
+    class counts, the p-part helpers and GF(p^k) are defined for."""
+    if not is_prime(p):
+        raise RegulaError(f"{p} is not prime")
+
+
 def factorize(n: int) -> dict:
     """Prime factorization as {prime: exponent}, keys ascending."""
     if n < 1:
@@ -113,7 +121,7 @@ def prime_factors(n: int) -> list:
 def is_p_power(n: int, p: int) -> bool:
     """Whether the positive integer n is a power of p (1 included).
 
-    p is not checked: callers pass a prime they have already validated.
+    p is not checked: callers pass a prime that ``check_prime`` has passed.
     """
     while n % p == 0:
         n //= p
@@ -124,8 +132,7 @@ def part_split(n: int, p: int) -> tuple[int, int]:
     """(n_p, n_p'): the p-part and p'-part of n."""
     if n < 1:
         raise RegulaError("n must be positive")
-    if not is_prime(p):
-        raise RegulaError(f"{p} is not prime")
+    check_prime(p)
     np_ = 1
     while n % p == 0:
         n //= p
@@ -155,8 +162,7 @@ def lewis_riedl_p_part(r: int, c: int, p: int) -> int:
     Equals p^c * (r-1)_p when p > 2 or (r-1)_2 > 2, and p^c * (r+1)_2
     otherwise.
     """
-    if not is_prime(p):
-        raise RegulaError(f"{p} is not prime")
+    check_prime(p)
     if c < 1 or r <= 1:
         raise RegulaError("need r > 1 and c >= 1")
     if (r - 1) % p != 0:
@@ -307,7 +313,7 @@ def psl2_candidate_scan(bound: int) -> list:
                 primes = {p, *factorize(q - 1), *factorize(q + 1)}
                 if len(primes) == 4:
                     lhs = regular_class_bound_rank1(q, f) / math.gcd(2, q - 1)
-                    if lhs <= 5 + BOUND_SLACK:
+                    if lhs <= 5:
                         found.append(q)
             q *= p
             f += 1

@@ -617,7 +617,7 @@ class PermGroup:
         index = self.order // N.order
         if len(reps) != index:
             raise RegulaError("coset enumeration disagrees with the index")
-        Q = PermGroup([Permutation(img) for img in images] or [], degree=index)
+        Q = PermGroup([Permutation(img) for img in images], degree=index)
         if Q.order * N.order != self.order:
             raise RegulaError("quotient order check failed")
         return Q

@@ -44,6 +44,8 @@ class TestBaseGroups:
         assert alternating(3).order == 3
         assert dihedral(1).order == 2
         assert dihedral(2).order == 4
+        C1 = cyclic(1)
+        assert (C1.order, C1.degree, C1.generators) == (1, 1, ())
 
     def test_caps(self):
         with pytest.raises(CapExceeded):
@@ -98,6 +100,8 @@ class TestWreath:
         P2 = PermGroup([Permutation.parse("(1,2)", 3)])
         W = wreath(cyclic(3), P2)
         assert W.order == 3 ** 3 * 2
+        # a trivial top group of degree 2 is intransitive too
+        assert wreath(cyclic(3), PermGroup([], degree=2)).order == 3 ** 2
 
     def test_sylow2_tower(self):
         assert sylow2_sym2l(1).order == 2

@@ -41,6 +41,15 @@ class TestPermutation:
         assert (g * g.inverse()).is_identity
         assert (g.inverse() * g).is_identity
 
+    def test_immutable(self):
+        g = P("(1,2,3)")
+        with pytest.raises(AttributeError):
+            g.images = (0, 1, 2)
+        with pytest.raises(AttributeError):
+            g.label = "c"
+        assert g.images == (1, 2, 0)
+        assert not hasattr(g, "label")
+
     def test_rendering_one_based(self):
         assert str(P("(1,2,3)(4,5)")) == "(1,2,3)(4,5)"
         assert str(Permutation(range(4))) == "()"
