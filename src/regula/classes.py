@@ -254,7 +254,7 @@ def fused_counts(G: PermGroup, N: PermGroup, p: int) -> ClassCounts:
     if not N.is_normal_in(G):
         raise NotNormal("fused counts need a normal subgroup")
     return _counts(p, [c.element_order for c in conjugacy_classes(G).classes
-                       if N._contains_tuple(c.representative.images)])
+                       if N.contains(c.representative)])
 
 
 def singular_element_count(G: PermGroup, p: int) -> int:

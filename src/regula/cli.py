@@ -26,7 +26,7 @@ import stat
 import sys
 
 from . import perm_core
-from .classes import class_counts, conjugacy_classes
+from .classes import conjugacy_classes
 from .errors import RegulaError
 from .exprs import group_from_text
 from .numtheory import check_prime, landau_quantity, prime_family, psl2_candidate_scan
@@ -61,7 +61,7 @@ def _cmd_classes(args) -> int:
     table = conjugacy_classes(G)
     doc = table.to_json_dict(descriptor=args.expr)
     if args.p is not None:
-        doc["counts"] = dataclasses.asdict(class_counts(G, args.p))
+        doc["counts"] = dataclasses.asdict(table.counts(args.p))
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

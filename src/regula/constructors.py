@@ -78,7 +78,7 @@ def dihedral(n: int) -> PermGroup:
 
 def _shift(perm: Permutation, offset: int, total: int) -> Permutation:
     images = list(range(total))
-    for i, j in enumerate(perm.images):
+    for i, j in enumerate(perm):
         images[offset + i] = offset + j
     return Permutation(images)
 
@@ -119,7 +119,7 @@ def wreath(G: PermGroup, P: PermGroup) -> PermGroup:
         images = list(range(total))
         for blk in range(m):
             for i in range(d):
-                images[blk * d + i] = p.images[blk] * d + i
+                images[blk * d + i] = p[blk] * d + i
         gens.append(Permutation(images))
     W = PermGroup(gens, degree=total)
     if W.order != expected:
@@ -188,8 +188,7 @@ def glq_family(l: int, q: int) -> PermGroup:
         return Permutation([index[fn(v)] for v in vectors])
 
     gens = [perm_of(lambda v: (mul(F, v[0], a),) + v[1:])]    # scale coordinate 0
-    for pgen in P.generators:                                  # permute coordinates
-        img = pgen.images
+    for img in P.generators:                                   # permute coordinates
         gens.append(perm_of(lambda v, img=img: tuple(v[img.index(i)] for i in range(m))))
     gens.append(perm_of(lambda v: (add(F, v[0], 1),) + v[1:]))  # translate by e_0
     G = PermGroup(gens, degree=npoints)
@@ -384,7 +383,7 @@ def m10() -> PermGroup:
     delta_phi = _mobius_perm(F, g, 0, 0, 1) * _frobenius_line_perm(F)
     # the coset's canonical element, not delta_phi itself, is the generator
     # the M10 class representatives are pinned with
-    G = PermGroup(list(N.generators) + [Permutation(N._coset_canonical(delta_phi.images))])
+    G = PermGroup(list(N.generators) + [Permutation(N._coset_canonical(delta_phi))])
     if G.order != 720 or class_counts(G, 2).k_regular != 3:
         raise RegulaError("M10 certificate failed: expected order 720 and "
                           "three 2-regular classes")

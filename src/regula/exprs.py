@@ -17,8 +17,8 @@ family is one table entry.
 
 Parsed expressions round-trip through ``str`` and evaluate to PermGroup
 instances.  ``evaluate`` keeps the one memo of named groups, keyed by
-the expression text: the constructors it calls build a new group each
-time, and data derived from a group is memoised on that group.
+the text and the element cap: the constructors it calls build a new
+group each time, and data derived from a group is memoised on it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from inspect import signature
 from typing import Optional
 
 from . import constructors as C
+from . import perm_core
 from .errors import ExprParseError, NotNormal
 
 # head -> function of the expression's integers; its parameter names are
@@ -184,8 +185,9 @@ _memo: dict = {}
 
 
 def evaluate(expr: GroupExpr):
-    """Evaluate an expression tree to a PermGroup (memoised)."""
-    key = str(expr)
+    """Evaluate an expression tree to a PermGroup, memoised under the cap
+    at the call: a group built under a larger cap is built, and refused, again."""
+    key = str(expr), perm_core.ELEMENT_CAP
     if key in _memo:
         return _memo[key]
     G = _evaluate(expr)

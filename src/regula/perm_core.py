@@ -1,8 +1,9 @@
 """Permutations and stabilizer-chain permutation groups.
 
 Everything downstream (class enumeration, radicals, the verification
-suites) sits on the two types defined here: an immutable ``Permutation``
-and a ``PermGroup`` carrying a verified base and strong generating set.
+suites) sits on the two types defined here: a ``Permutation``, which is
+its validated image tuple and compares and hashes as one, and a
+``PermGroup`` carrying a verified base and strong generating set.
 The chain is built with a deterministic Schreier-Sims: base points are
 the first moved points, orbits are explored in FIFO order, and every
 Schreier generator is sifted, so orders and membership tests are exact.
@@ -132,23 +133,25 @@ def _cycles_of(t):
     return cycles
 
 
-class Permutation:
-    """A bijection of {0, ..., degree-1}, stored as its image sequence."""
+class Permutation(tuple):
+    """A bijection of {0, ..., degree-1}: the validated tuple of its images,
+    compared and hashed as that tuple; ``images`` is a read-only alias of it."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images: Sequence[int]):
-        t = tuple(images)
+    def __new__(cls, images: Sequence[int]):
+        t = tuple.__new__(cls, images)
         if sorted(t) != list(range(len(t))):
             raise RegulaError(f"not a permutation: {images!r}")
-        object.__setattr__(self, "images", t)
+        return t
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+    @property
+    def images(self) -> "Permutation":
+        return self
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -192,40 +195,33 @@ class Permutation:
         return cls.from_cycles(degree, cycles)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
-        return Permutation(_mult(self.images, other.images))
+        if len(self) != len(other):
+            raise DegreeMismatch(f"degree {len(self)} vs {len(other)}")
+        return Permutation(_mult(self, other))
 
     def inverse(self) -> "Permutation":
-        return Permutation(_inv(self.images))
+        return Permutation(_inv(self))
 
     def __call__(self, point: int) -> int:
-        return self.images[point]
+        return self[point]
 
     @property
     def is_identity(self) -> bool:
-        return _first_moved(self.images) is None
+        return _first_moved(self) is None
 
     def order(self) -> int:
-        return _order_of(self.images)
+        return _order_of(self)
 
     def cycle_string(self) -> str:
-        cycles = _cycles_of(self.images)
+        cycles = _cycles_of(self)
         if not cycles:
             return "()"
         return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cycles)
 
-    def __str__(self) -> str:
-        return self.cycle_string()
+    __str__ = cycle_string
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
 
 class _Level:
@@ -398,12 +394,12 @@ class PermGroup:
     thread-safety is promised.  Closures and the Fitting subgroup are
     not memoised.
 
-    ``generators`` are kept as given: the chain is built from them, and
-    the coset walk acts by them.  The loops that need only some
-    generating set (the class partition, normal and commutator closures,
-    ``is_normal_in`` and the cores' tests) conjugate by ``_gen_pairs``,
-    a generating set as (t, t^-1) pairs in which commuting generators of
-    coprime orders are merged into their product.
+    ``generators`` are kept as given, each a ``Permutation``: the chain
+    is built from them, and the coset walk acts by them.  The loops that
+    need only some generating set (the class partition, normal and
+    commutator closures, ``is_normal_in`` and the cores' tests) conjugate
+    by ``_gen_pairs``, a generating set as (t, t^-1) pairs in which
+    commuting generators of coprime orders are merged into their product.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
@@ -418,8 +414,7 @@ class PermGroup:
             if g.degree != degree:
                 raise DegreeMismatch(f"generator degree {g.degree}, expected {degree}")
         gens = tuple(g for g in gens if not g.is_identity)
-        tuples = [g.images for g in gens]
-        self._setup(degree, gens, _merged_pairs(tuples), _schreier_sims(degree, tuples))
+        self._setup(degree, gens, _merged_pairs(gens), _schreier_sims(degree, gens))
 
     def _setup(self, degree, generators, gen_pairs, levels):
         # gen_pairs: (t, t^-1) pairs of a generating set, no longer than
@@ -427,7 +422,6 @@ class PermGroup:
         self.degree = degree
         self._ident = tuple(range(degree))
         self.generators = generators
-        self._gen_tuples = tuple(g.images for g in generators)
         self._gen_pairs = gen_pairs
         self._levels = levels
         o = 1
@@ -462,19 +456,16 @@ class PermGroup:
 
     # -- membership ------------------------------------------------------
 
-    def _contains_tuple(self, t):
-        return _strip(self._levels, t)[0] == self._ident
+    def contains(self, g: Sequence[int]) -> bool:
+        """Whether the permutation whose images are g, a Permutation or a sequence, is a member."""
+        if len(g) != self.degree:
+            raise DegreeMismatch(f"element degree {len(g)}, group degree {self.degree}")
+        return _strip(self._levels, tuple(g))[0] == self._ident
 
-    def contains(self, g: Permutation) -> bool:
-        if g.degree != self.degree:
-            raise DegreeMismatch(f"element degree {g.degree}, group degree {self.degree}")
-        return self._contains_tuple(g.images)
-
-    def __contains__(self, g: Permutation) -> bool:
-        return self.contains(g)
+    __contains__ = contains
 
     def contains_subgroup(self, other: "PermGroup") -> bool:
-        return other.degree == self.degree and all(self._contains_tuple(t) for t in other._gen_tuples)
+        return other.degree == self.degree and all(map(self.contains, other.generators))
 
     # -- enumeration -----------------------------------------------------
 
@@ -494,27 +485,27 @@ class PermGroup:
         one at a time and in order; the identity and members never become
         generators.  Each addition extends a copy of the verified chain by
         that one generator, sifting only the Schreier pairs not yet checked,
-        and appends its (t, t^-1) pair unmerged."""
+        and appends its (t, t^-1) pair unmerged, t wrapped once as a Permutation."""
         H = self
         for t in tuples:
-            if not H._contains_tuple(t):
+            if not H.contains(t):
+                t = Permutation(t)
                 G, H = H, PermGroup.__new__(PermGroup)
-                H._setup(G.degree, G.generators + (Permutation(t),),
-                         G._gen_pairs + ((t, _inv(t)),),
+                H._setup(G.degree, G.generators + (t,), G._gen_pairs + ((t, _inv(t)),),
                          _schreier_sims(G.degree, (t,), chain=G._levels))
         return H
 
-    def normal_closure(self, seeds: Iterable[Permutation]) -> "PermGroup":
-        """Smallest normal subgroup of this group containing ``seeds``."""
-        seed_perms = tuple(seeds)
-        for s in seed_perms:
+    def normal_closure(self, seeds: Iterable[Sequence[int]]) -> "PermGroup":
+        """Smallest normal subgroup containing ``seeds``, permutations or image tuples."""
+        seeds = tuple(seeds)
+        for s in seeds:
             if not self.contains(s):
-                raise NotInGroup(f"seed {s} is not in the group")
-        H = PermGroup([], degree=self.degree)._grown_by(s.images for s in seed_perms)
+                raise NotInGroup(f"seed {Permutation(s)} is not in the group")
+        H = PermGroup([], degree=self.degree)._grown_by(seeds)
         # generators are only appended, so each one's conjugates are tested once
         i = 0
-        while i < len(H._gen_tuples):
-            h = H._gen_tuples[i]
+        while i < len(H.generators):
+            h = H.generators[i]
             i += 1
             H = H._grown_by(_conj(h, g, ginv) for g, ginv in self._gen_pairs)
         return H
@@ -524,7 +515,7 @@ class PermGroup:
         this group with the generators b of H."""
         comms = dict.fromkeys(_mult(_mult(ainv, binv), _mult(a, b))
                               for a, ainv in self._gen_pairs for b, binv in H._gen_pairs)
-        return self.normal_closure([Permutation(c) for c in comms])
+        return self.normal_closure(comms)
 
     def commutator_subgroup(self) -> "PermGroup":
         """Normal closure of the pairwise generator commutators."""
@@ -565,9 +556,9 @@ class PermGroup:
     def is_normal_in(self, G: "PermGroup") -> bool:
         if self.degree != G.degree or not G.contains_subgroup(self):
             return False
-        for h in self._gen_tuples:
+        for h in self.generators:
             for g, ginv in G._gen_pairs:
-                if not self._contains_tuple(_conj(h, g, ginv)):
+                if not self.contains(_conj(h, g, ginv)):
                     return False
         return True
 
@@ -594,11 +585,11 @@ class PermGroup:
         start = N._coset_canonical(self._ident)
         reps = [start]
         number = {start: 0}
-        images = [[] for _ in self._gen_tuples]
+        images = [[] for _ in self.generators]
         i = 0
         while i < len(reps):
             r = reps[i]
-            for gi, g in enumerate(self._gen_tuples):
+            for gi, g in enumerate(self.generators):
                 c = N._coset_canonical(_mult(r, g))
                 j = number.get(c)
                 if j is None:

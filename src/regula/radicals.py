@@ -77,19 +77,18 @@ def _p_join(G: PermGroup, kind: str, p: int) -> PermGroup:
     ok = _order_test(kind, p)
     join = PermGroup([], degree=G.degree)
     for cls in conjugacy_classes(G).classes:
-        rep = cls.representative
+        x = cls.representative
         # reps already inside the running join contribute nothing
-        if cls.element_order == 1 or join.contains(rep) or not ok(cls.element_order):
+        if cls.element_order == 1 or join.contains(x) or not ok(cls.element_order):
             continue
         # x * x^g and x^-1 * x^g lie in the closure, so their orders must pass
-        x = rep.images
         xinv = _inv(x)
         if not all(ok(_order_of(_mult(x, xg))) and ok(_order_of(_mult(xinv, xg)))
                    for xg in (_conj(x, g, ginv) for g, ginv in G._gen_pairs)):
             continue
-        N = G.normal_closure([rep])
+        N = G.normal_closure([x])
         if ok(N.order):
-            join = join._grown_by(N._gen_tuples)
+            join = join._grown_by(N.generators)
     return join
 
 
@@ -102,21 +101,21 @@ def _solvable_radical(G: PermGroup, D: PermGroup) -> PermGroup:
     nonsolvable = [D]
     for c in classes:
         rep = c.representative
-        if c.element_order == 1 or not D._contains_tuple(rep.images) or RD.contains(rep):
+        if c.element_order == 1 or not D.contains(rep) or RD.contains(rep):
             continue
         N = G.normal_closure([rep])
         # a subgroup containing a non-solvable one is non-solvable
         if any(N.contains_subgroup(B) for B in nonsolvable):
             continue
         if N.derived_series()[-1].is_trivial:
-            RD = RD._grown_by(N._gen_tuples)
+            RD = RD._grown_by(N.generators)
         else:
             nonsolvable.append(N)
     passing = []
     for c in classes:
-        x = c.representative.images
+        x = c.representative
         xinv = _inv(x)
-        if all(RD._contains_tuple(_mult(_mult(xinv, dinv), _mult(x, d)))
+        if all(RD.contains(_mult(_mult(xinv, dinv), _mult(x, d)))
                for d, dinv in D._gen_pairs):
             passing.append(c)
     R = G.normal_closure([c.representative for c in passing])

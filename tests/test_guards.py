@@ -1,9 +1,12 @@
-"""One check per precondition, and exact comparisons.
+"""One check per precondition, exact comparisons and one element format.
 
 Every entry point that needs a prime p refuses any other p through
 ``numtheory.check_prime``, with the one message "{p} is not prime", so no
 other ``raise`` says it.  The bounds suite compares each row with ``>=``
 and no module keeps a tolerance constant (a name ending in ``_SLACK``).
+A ``Permutation`` is its image tuple, so neither the package nor the
+build script reads ``.images``, and the second generator list and the
+tuple-only membership test are gone from the source, tools and tests.
 """
 
 import ast
@@ -46,13 +49,51 @@ def slack_names(tree):
             and node.id.endswith("_SLACK")]
 
 
-def package_trees():
-    package = os.path.dirname(regula.__file__)
-    modules = sorted(f for f in os.listdir(package) if f.endswith(".py"))
-    assert "numtheory.py" in modules
+# the removed generator list and membership test, spelled in two pieces
+# so that the names occur nowhere in the tree, this file included
+REMOVED_NAMES = ("_gen" "_tuples", "_contains" "_tuple")
+
+PACKAGE = os.path.dirname(regula.__file__)
+TESTS = os.path.dirname(os.path.abspath(__file__))
+TOOLS = os.path.join(os.path.dirname(TESTS), "tools")
+
+
+def images_reads(tree):
+    """(line, function) of every ``.images`` attribute in the tree."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "images":
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def removed_names(tree):
+    """(line, name) of every identifier in ``REMOVED_NAMES``: a name, an
+    attribute, a definition, an argument or an import alias."""
+    return [(node.lineno, value) for node in ast.walk(tree)
+            for field in ("id", "attr", "name", "arg", "asname")
+            if (value := getattr(node, field, None)) in REMOVED_NAMES]
+
+
+def source_trees(folder):
+    modules = sorted(f for f in os.listdir(folder) if f.endswith(".py"))
     for name in modules:
-        with open(os.path.join(package, name), encoding="utf-8") as fh:
+        with open(os.path.join(folder, name), encoding="utf-8") as fh:
             yield name, ast.parse(fh.read(), filename=name)
+
+
+def package_trees():
+    trees = list(source_trees(PACKAGE))
+    assert "numtheory.py" in dict(trees)
+    return trees
 
 
 class TestOnePrimeGuard:
@@ -82,6 +123,38 @@ class TestOnePrimeGuard:
     def test_no_slack_constants(self):
         for name, tree in package_trees():
             assert slack_names(tree) == [], name
+
+
+class TestOneElementFormat:
+    def test_detects_images_reads(self):
+        tree = ast.parse("class Permutation(tuple):\n"
+                         "    @property\n"
+                         "    def images(self):\n"
+                         "        return self\n"
+                         "def shift(perm):\n"
+                         "    return [j + 1 for j in perm.images]\n"
+                         "gens = [g.images for g in G.generators]\n")
+        assert images_reads(tree) == [(6, "shift"), (7, None)]
+
+    def test_no_images_reads(self):
+        assert "build_atlas_data.py" in dict(source_trees(TOOLS))
+        for name, tree in package_trees() + list(source_trees(TOOLS)):
+            assert images_reads(tree) == [], name
+
+    def test_detects_removed_names(self):
+        gens, contains = REMOVED_NAMES
+        tree = ast.parse(f"def {contains}(self, t):\n"
+                         f"    return [u for u in self.{gens}]\n"
+                         f"from regula.perm_core import {gens}\n"
+                         f"{contains} = None\n"
+                         f"generators = contains_tuples = None\n")
+        assert sorted(removed_names(tree)) == [(1, contains), (2, gens), (3, gens), (4, contains)]
+
+    def test_no_removed_names(self):
+        trees = package_trees() + list(source_trees(TOOLS)) + list(source_trees(TESTS))
+        assert "test_guards.py" in dict(trees)
+        for name, tree in trees:
+            assert removed_names(tree) == [], name
 
 
 def _classes_command(p):

@@ -101,6 +101,46 @@ class TestPermutation:
         assert ((pa * pb) * pc) == (pa * (pb * pc))
 
 
+class TestOneFormat:
+    """A permutation is its validated image tuple, and a group takes either."""
+
+    def test_a_permutation_is_its_tuple(self):
+        g, t = P("(1,2,3)(4,5)"), (1, 2, 0, 4, 3)
+        assert isinstance(g, tuple) and type(g) is Permutation
+        assert g == t and t == g and hash(g) == hash(t)
+        assert {t: "found"}[g] == "found"
+        assert g.images is g
+        assert g.degree == len(g) == 5
+
+    def test_contains_takes_a_tuple(self):
+        A4 = alternating(4)
+        assert A4.contains((1, 2, 0, 3)) and (1, 2, 0, 3) in A4
+        assert not A4.contains((1, 0, 2, 3)) and (1, 0, 2, 3) not in A4
+        # with no chain levels the residue is the element itself
+        assert PermGroup([], degree=3).contains([0, 1, 2])
+        for t in ((1, 0, 2), (0, 1, 2, 3, 4)):
+            with pytest.raises(DegreeMismatch, match=f"^element degree {len(t)}, group degree 4$"):
+                A4.contains(t)
+            with pytest.raises(DegreeMismatch):
+                t in A4
+
+    def test_normal_closure_takes_tuples(self):
+        S4 = symmetric(4)
+        N = S4.normal_closure([(1, 0, 3, 2)])
+        assert N.order == 4
+        assert N.generators == S4.normal_closure([P("(1,2)(3,4)", 4)]).generators
+        with pytest.raises(NotInGroup, match=r"^seed \(1,2\) is not in the group$"):
+            alternating(4).normal_closure([(1, 0, 2, 3)])
+
+    def test_grown_generators_are_permutations(self):
+        # the commutator subgroup is grown from tuples; its generators
+        # still render and expose ``images``
+        for G in (symmetric(5), dihedral(6), alternating(6)):
+            gens = G.commutator_subgroup().generators
+            assert gens and all(type(g) is Permutation and g.images is g for g in gens)
+            assert all(P(g.cycle_string(), G.degree) == g for g in gens)
+
+
 class TestBuildGroup:
     def test_s4_order(self):
         G = PermGroup([P("(1,2)", 4), P("(1,2,3,4)")])
@@ -249,11 +289,11 @@ class TestChainExtension:
         # group built from scratch on the generators kept so far lacks
         kept = list(start)
         for t in extra:
-            if not PermGroup([Permutation(s) for s in kept], degree=n)._contains_tuple(t):
+            if not PermGroup([Permutation(s) for s in kept], degree=n).contains(t):
                 kept.append(t)
         assert H.generators == PermGroup([Permutation(t) for t in kept], degree=n).generators
         assert H.order == ref.order
-        gens = ref._gen_tuples or (tuple(range(n)),)
+        gens = ref.generators or (tuple(range(n)),)
         members = []
         for word in words:
             g = tuple(range(n))
@@ -261,9 +301,9 @@ class TestChainExtension:
                 g = oracles.mult(g, gens[i % len(gens)])
             members.append(g)
         for t in members:
-            assert H._contains_tuple(t)
+            assert H.contains(t)
         for t in probes:
-            assert H._contains_tuple(t) == ref._contains_tuple(t)
+            assert H.contains(t) == ref.contains(t)
         # inverses built as products are inverses: u * uinv = 1, u maps the
         # base point to its key, and every generator pair is inverse
         ident = tuple(range(n))
@@ -274,7 +314,7 @@ class TestChainExtension:
         # the conjugating pairs generate H, each as (t, t^-1); a start group's
         # pairs may be merged, so they need not be H's generators
         pairs = H._gen_pairs
-        assert all(ref._contains_tuple(t) and oracles.inv(t) == tinv for t, tinv in pairs)
+        assert all(ref.contains(t) and oracles.inv(t) == tinv for t, tinv in pairs)
         assert PermGroup([Permutation(t) for t, _ in pairs], degree=n).order == H.order
 
     def test_leaves_the_start_group_alone(self):
@@ -333,7 +373,7 @@ class TestConjugatingPairs:
         seen = set()
         for expr, G in corpus_and_mixed():
             pairs = G._gen_pairs
-            assert all(G._contains_tuple(t) and oracles.inv(t) == tinv for t, tinv in pairs), expr
+            assert all(G.contains(t) and oracles.inv(t) == tinv for t, tinv in pairs), expr
             H = PermGroup([Permutation(t) for t, _ in pairs], degree=G.degree)
             assert H.order == G.order, expr
             assert len(pairs) == self.SHORTENED.get(expr, len(G.generators)), expr
@@ -348,7 +388,7 @@ class TestConjugatingPairs:
                              (["(1,2)", "(3,4)"], 2), (["(1,2)", "(3,4,5)", "(6,7)"], 2)):
             G = PermGroup([P(g, 7) for g in gens])
             assert len(G._gen_pairs) == merged, gens
-            assert G._gen_tuples == tuple(P(g, 7).images for g in gens)
+            assert G.generators == tuple(P(g, 7).images for g in gens)
 
 
 class TestAgainstSympy:

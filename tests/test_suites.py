@@ -304,6 +304,24 @@ class TestCli:
         assert "order 120 exceeds the element cap 100" in err
         assert "order 720 exceeds the element cap 100" in err
 
+    def test_cap_env_expression_memo(self, monkeypatch, capsys):
+        # a group built without the cap is not returned under it: its
+        # construction is refused again, with the same line, as in a fresh process
+        from regula import exprs
+        from regula.cli import main
+        monkeypatch.setattr(exprs, "_memo", {})
+        for expr, cap, order in (("q(L34.2_1, L34)", "1000", 40320), ("M10", "500", 720)):
+            monkeypatch.setenv("REGULA_ELEMENT_CAP", cap)
+            assert main(["classes", expr]) == 1, expr
+            refused = capsys.readouterr().err
+            assert refused == f"error: order {order} exceeds the element cap {cap}\n"
+            monkeypatch.delenv("REGULA_ELEMENT_CAP")
+            assert main(["classes", expr]) == 0, expr
+            assert capsys.readouterr().err == ""
+            monkeypatch.setenv("REGULA_ELEMENT_CAP", cap)
+            assert main(["classes", expr]) == 1, expr
+            assert capsys.readouterr().err == refused
+
     def test_broken_pipe(self):
         # the reader stops after one line of a 250 kB table
         proc = subprocess.Popen([sys.executable, "-m", "regula.cli", "classes", "AGL1(257)"],

@@ -125,14 +125,13 @@ def hexad_system(gens):
     are 792 distinct sets.  As 132 * 6 = 792 = C(12, 5), every 5-set then
     lies in exactly one block.
     """
-    gen_images = [g.images for g in gens]
     for base in combinations(range(12), 6):
         orbit = {frozenset(base)}
         queue = [frozenset(base)]
         while queue and len(orbit) <= 132:
             s = queue.pop()
-            for img in gen_images:
-                t = frozenset(img[p] for p in s)
+            for g in gens:
+                t = frozenset(g[p] for p in s)
                 if t not in orbit:
                     orbit.add(t)
                     queue.append(t)
@@ -203,7 +202,7 @@ def build_m12_2(M12):
     number = {r: i for i, r in enumerate(reps)}
 
     def psi_any(perm):
-        return Permutation([number[Hcanon(_mult(r, perm.images))] for r in reps])
+        return Permutation([number[Hcanon(_mult(r, perm))] for r in reps])
 
     def sigma_any(perm):
         return uinv * psi_any(perm) * u
@@ -218,9 +217,9 @@ def build_m12_2(M12):
     assert w is not None
 
     def stack(a, b):
-        return Permutation(tuple(a.images) + tuple(12 + x for x in b.images))
+        return Permutation(a + tuple(12 + x for x in b))
 
-    tau = Permutation([12 + x for x in w.images] + list(range(12)))
+    tau = Permutation([12 + x for x in w] + list(range(12)))
     K = PermGroup([stack(g1, s1), stack(g2, s2), tau], degree=24)
     assert K.order == 190080, K.order
     return reduce_generators(K)
@@ -268,7 +267,7 @@ def build_l34_family():
     # x(0), the coset it sends coset 0 (L34 itself) to
     Q = A.quotient(l34)
     elements = list(Q.elements())
-    classes = sorted(sorted({(y.inverse() * c.representative * y).images[0] for y in elements})
+    classes = sorted(sorted({(y.inverse() * c.representative * y)[0] for y in elements})
                      for c in conjugacy_classes(Q).classes if c.element_order == 2)
     assert sorted(map(len, classes)) == [1, 3, 3], classes
 
@@ -341,7 +340,7 @@ def build_u33():
     G = PermGroup([], degree=28)
     for v in vecs:
         if herm(v, v):
-            G = G._grown_by([refl_perm(v).images])
+            G = G._grown_by([refl_perm(v)])
         if G.order == 6048:
             break
     assert G.order == 6048, G.order
