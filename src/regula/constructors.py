@@ -72,15 +72,15 @@ def dihedral(n: int) -> PermGroup:
     if n == 2:
         return direct_product(cyclic(2), cyclic(2))
     rot = Permutation.from_cycles(n, [list(range(n))])
-    refl = Permutation([(-i) % n for i in range(n)])
+    refl = [(-i) % n for i in range(n)]
     return PermGroup([rot, refl])
 
 
-def _shift(perm: Permutation, offset: int, total: int) -> Permutation:
+def _shift(perm: Permutation, offset: int, total: int) -> list:
     images = list(range(total))
     for i, j in enumerate(perm):
         images[offset + i] = offset + j
-    return Permutation(images)
+    return images
 
 
 def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -120,7 +120,7 @@ def wreath(G: PermGroup, P: PermGroup) -> PermGroup:
         for blk in range(m):
             for i in range(d):
                 images[blk * d + i] = p[blk] * d + i
-        gens.append(Permutation(images))
+        gens.append(images)
     W = PermGroup(gens, degree=total)
     if W.order != expected:
         raise RegulaError("wreath product order check failed")
@@ -149,12 +149,9 @@ def affine_semilinear(q: int, include_galois: bool) -> PermGroup:
         raise CapExceeded(f"field size {q} is beyond desk scale")
     F = field_of_size(q)
     _, k, exp, _ = F
-    gens = [
-        Permutation([mul(F, x, exp[1]) for x in range(q)]),
-        Permutation([add(F, x, 1) for x in range(q)]),
-    ]
+    gens = [[mul(F, x, exp[1]) for x in range(q)], [add(F, x, 1) for x in range(q)]]
     if include_galois and k > 1:
-        gens.append(Permutation([frobenius(F, x) for x in range(q)]))
+        gens.append([frobenius(F, x) for x in range(q)])
     G = PermGroup(gens, degree=q)
     expected = q * (q - 1) * (k if include_galois else 1)
     if G.order != expected:
@@ -185,7 +182,7 @@ def glq_family(l: int, q: int) -> PermGroup:
     a = F[2][1]                                         # exp[1], the primitive element
 
     def perm_of(fn):
-        return Permutation([index[fn(v)] for v in vectors])
+        return [index[fn(v)] for v in vectors]
 
     gens = [perm_of(lambda v: (mul(F, v[0], a),) + v[1:])]    # scale coordinate 0
     for img in P.generators:                                   # permute coordinates
@@ -287,7 +284,7 @@ def psl3(q: int) -> PermGroup:
     index = {p: i for i, p in enumerate(pts)}
 
     def mat_perm(mat):
-        return Permutation([index[_normalize_point(F, _mat_apply(F, mat, v))] for v in pts])
+        return [index[_normalize_point(F, _mat_apply(F, mat, v))] for v in pts]
 
     cyc = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
     transvection = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
@@ -354,7 +351,10 @@ def load_generator_file(path: str, expect_name: str | None = None) -> PermGroup:
         raise GroupDataError(f"{path}: header degree {degree} outside [1, {DEGREE_CAP}]")
     expected_order = integer("order", header["order"])
     expected_sizes = tuple(integer("class_sizes", s) for s in header["class_sizes"].split(","))
-    perms = [Permutation.parse(line, degree) for line in gens]
+    try:
+        perms = [Permutation.parse(line, degree) for line in gens]
+    except RegulaError as exc:   # the message quotes the generator line
+        raise GroupDataError(f"{path}: {exc}") from None
     G = PermGroup(perms, degree=degree)
     if G.order != expected_order:
         raise GroupDataError(
@@ -383,7 +383,7 @@ def m10() -> PermGroup:
     delta_phi = _mobius_perm(F, g, 0, 0, 1) * _frobenius_line_perm(F)
     # the coset's canonical element, not delta_phi itself, is the generator
     # the M10 class representatives are pinned with
-    G = PermGroup(list(N.generators) + [Permutation(N._coset_canonical(delta_phi))])
+    G = PermGroup(N.generators + (N._coset_canonical(delta_phi),))
     if G.order != 720 or class_counts(G, 2).k_regular != 3:
         raise RegulaError("M10 certificate failed: expected order 720 and "
                           "three 2-regular classes")

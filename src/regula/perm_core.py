@@ -26,7 +26,11 @@ the largest index of a coset walk, whose action has one point per coset.
 conjugation maps of a class table hold; the CLI refuses a larger
 ``REGULA_ELEMENT_CAP``.
 
-Composition is left-to-right: ``(a * b)(x) == b(a(x))``.  A product
+Every way into a group (``PermGroup``, ``contains``, ``in``,
+``normal_closure``) validates an element, any image sequence, once in
+``_element``; the chain's loops sift the tuples they build unchecked.
+A permutation's degree is ``len(g)``, its image of x is ``g[x]``, and
+composition is left-to-right: ``(a * b)[x] == b[a[x]]``.  A product
 of image tuples is one C-level gather, ``itemgetter(*a)(b)``.  Each
 level keeps its strong generators' inverses, so a new transversal entry
 u * g gets its inverse as the product g^-1 * u^-1, not by inverting it;
@@ -37,8 +41,8 @@ generators inverts only the new ones.
 from __future__ import annotations
 
 import re
-from math import gcd, lcm
-from operator import itemgetter
+from math import gcd, lcm, prod
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, DegreeMismatch, NotInGroup, NotNormal, RegulaError
@@ -140,27 +144,24 @@ class Permutation(tuple):
     __slots__ = ()
 
     def __new__(cls, images: Sequence[int]):
-        t = tuple.__new__(cls, images)
-        if sorted(t) != list(range(len(t))):
-            raise RegulaError(f"not a permutation: {images!r}")
-        return t
+        try:  # integer images only: 1.0 sorts equal to 1 but indexes nothing
+            t = tuple.__new__(cls, images)
+            if sorted(map(index, t)) == list(range(len(t))):
+                return t
+        except TypeError:
+            pass
+        raise RegulaError(f"not a permutation: {images!r}")
 
     @property
     def images(self) -> "Permutation":
         return self
 
-    @property
-    def degree(self) -> int:
-        return len(self)
-
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         images = list(range(degree))
         for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:]):
+            for a, b in zip(cyc, [*cyc[1:], *cyc[:1]]):
                 images[a] = b
-            if cyc:
-                images[cyc[-1]] = cyc[0]
         return cls(images)
 
     @classmethod
@@ -202,9 +203,6 @@ class Permutation(tuple):
     def inverse(self) -> "Permutation":
         return Permutation(_inv(self))
 
-    def __call__(self, point: int) -> int:
-        return self[point]
-
     @property
     def is_identity(self) -> bool:
         return _first_moved(self) is None
@@ -221,7 +219,15 @@ class Permutation(tuple):
     __str__ = cycle_string
 
     def __repr__(self) -> str:
-        return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
+        return f"Permutation({self.cycle_string()!r}, degree={len(self)})"
+
+
+def _element(g, degree):
+    """g, a Permutation or any image sequence, validated as a Permutation of ``degree``."""
+    g = g if isinstance(g, Permutation) else Permutation(g)
+    if len(g) != degree:
+        raise DegreeMismatch(f"element degree {len(g)}, group degree {degree}")
+    return g
 
 
 class _Level:
@@ -394,25 +400,26 @@ class PermGroup:
     thread-safety is promised.  Closures and the Fitting subgroup are
     not memoised.
 
-    ``generators`` are kept as given, each a ``Permutation``: the chain
-    is built from them, and the coset walk acts by them.  The loops that
+    ``generators`` are kept in the order given, each converted to a
+    validated ``Permutation`` and the identity dropped: the chain is built
+    from them, and the coset walk acts by them.  The loops that
     need only some generating set (the class partition, normal and
     commutator closures, ``is_normal_in`` and the cores' tests) conjugate
     by ``_gen_pairs``, a generating set as (t, t^-1) pairs in which
     commuting generators of coprime orders are merged into their product.
     """
 
-    def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
+    def __init__(self, generators: Iterable[Sequence[int]], degree: Optional[int] = None):
         gens = tuple(generators)
         if degree is None:
             if not gens:
                 raise RegulaError("need generators or an explicit degree")
-            degree = gens[0].degree
+            degree = len(gens[0])
+        if not isinstance(degree, int):
+            raise RegulaError(f"degree {degree!r} is not an integer")
         if degree < 1 or degree > DEGREE_CAP:
             raise CapExceeded(f"degree {degree} outside [1, {DEGREE_CAP}]")
-        for g in gens:
-            if g.degree != degree:
-                raise DegreeMismatch(f"generator degree {g.degree}, expected {degree}")
+        gens = [_element(g, degree) for g in gens]
         gens = tuple(g for g in gens if not g.is_identity)
         self._setup(degree, gens, _merged_pairs(gens), _schreier_sims(degree, gens))
 
@@ -424,10 +431,7 @@ class PermGroup:
         self.generators = generators
         self._gen_pairs = gen_pairs
         self._levels = levels
-        o = 1
-        for lvl in self._levels:
-            o *= len(lvl.transversal)
-        self.order = o
+        self.order = prod(len(lvl.transversal) for lvl in levels)
         self._cache = {}
 
     # -- basic data ------------------------------------------------------
@@ -458,9 +462,7 @@ class PermGroup:
 
     def contains(self, g: Sequence[int]) -> bool:
         """Whether the permutation whose images are g, a Permutation or a sequence, is a member."""
-        if len(g) != self.degree:
-            raise DegreeMismatch(f"element degree {len(g)}, group degree {self.degree}")
-        return _strip(self._levels, tuple(g))[0] == self._ident
+        return _strip(self._levels, _element(g, self.degree))[0] == self._ident
 
     __contains__ = contains
 
@@ -488,7 +490,7 @@ class PermGroup:
         and appends its (t, t^-1) pair unmerged, t wrapped once as a Permutation."""
         H = self
         for t in tuples:
-            if not H.contains(t):
+            if _strip(H._levels, t)[0] != H._ident:
                 t = Permutation(t)
                 G, H = H, PermGroup.__new__(PermGroup)
                 H._setup(G.degree, G.generators + (t,), G._gen_pairs + ((t, _inv(t)),),
@@ -496,11 +498,11 @@ class PermGroup:
         return H
 
     def normal_closure(self, seeds: Iterable[Sequence[int]]) -> "PermGroup":
-        """Smallest normal subgroup containing ``seeds``, permutations or image tuples."""
-        seeds = tuple(seeds)
+        """Smallest normal subgroup containing ``seeds``, permutations or image sequences."""
+        seeds = [_element(s, self.degree) for s in seeds]
         for s in seeds:
             if not self.contains(s):
-                raise NotInGroup(f"seed {Permutation(s)} is not in the group")
+                raise NotInGroup(f"seed {s} is not in the group")
         H = PermGroup([], degree=self.degree)._grown_by(seeds)
         # generators are only appended, so each one's conjugates are tested once
         i = 0
@@ -556,11 +558,8 @@ class PermGroup:
     def is_normal_in(self, G: "PermGroup") -> bool:
         if self.degree != G.degree or not G.contains_subgroup(self):
             return False
-        for h in self.generators:
-            for g, ginv in G._gen_pairs:
-                if not self.contains(_conj(h, g, ginv)):
-                    return False
-        return True
+        return all(_strip(self._levels, _conj(h, g, ginv))[0] == self._ident
+                   for h in self.generators for g, ginv in G._gen_pairs)
 
     def _coset_canonical(self, t):
         # Greedy lexicographic minimisation of base-point images over the
@@ -608,7 +607,7 @@ class PermGroup:
         index = self.order // N.order
         if len(reps) != index:
             raise RegulaError("coset enumeration disagrees with the index")
-        Q = PermGroup([Permutation(img) for img in images], degree=index)
+        Q = PermGroup(images, degree=index)
         if Q.order * N.order != self.order:
             raise RegulaError("quotient order check failed")
         return Q

@@ -79,6 +79,18 @@ class TestLoading:
         with pytest.raises(GroupDataError):
             load_generator_file(str(dst), expect_name="M12")
 
+    @pytest.mark.parametrize("line, why", [
+        ("(1,2", "cannot parse permutation '(1,2'"),
+        ("(1,2)(2,3)", "cycles are not disjoint in '(1,2)(2,3)'"),
+        ("(1,5)", "degree 3 too small for '(1,5)'"),
+    ])
+    def test_malformed_generator_line_names_the_file(self, tmp_path, line, why):
+        dst = tmp_path / "S3.txt"
+        dst.write_text(f"name: S3\ndegree: 3\norder: 6\nclass_sizes: 1,2,3\n(1,2,3)\n{line}\n")
+        with pytest.raises(GroupDataError) as exc:
+            load_generator_file(str(dst))
+        assert str(exc.value) == f"{dst}: {why}"
+
 
 class TestMathieu:
     def test_m11_class_structure(self):

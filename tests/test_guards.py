@@ -7,6 +7,9 @@ and no module keeps a tolerance constant (a name ending in ``_SLACK``).
 A ``Permutation`` is its image tuple, so neither the package nor the
 build script reads ``.images``, and the second generator list and the
 tuple-only membership test are gone from the source, tools and tests.
+``Permutation`` keeps no alias of a tuple operation (``__call__`` for
+``g[x]``, ``degree`` for ``len(g)``), and ``perm_core._element`` alone
+checks an element's length against a group.
 """
 
 import ast
@@ -23,8 +26,8 @@ from regula.ffield import make_field
 from regula.numtheory import lewis_riedl_p_part, part_split
 
 
-def prime_refusals(tree):
-    """(line, function) of every raise whose message says "is not prime"."""
+def refusals(tree, phrase):
+    """(line, function) of every raise whose message says ``phrase``."""
     found = []
 
     def visit(node, function):
@@ -34,7 +37,7 @@ def prime_refusals(tree):
                 continue
             if isinstance(child, ast.Raise) and child.exc is not None and any(
                     isinstance(c, ast.Constant) and isinstance(c.value, str)
-                    and "is not prime" in c.value for c in ast.walk(child.exc)):
+                    and phrase in c.value for c in ast.walk(child.exc)):
                 found.append((child.lineno, function))
             visit(child, function)
 
@@ -83,6 +86,21 @@ def removed_names(tree):
             if (value := getattr(node, field, None)) in REMOVED_NAMES]
 
 
+def class_names(tree, cls):
+    """(line, name) of every name the body of class ``cls`` binds: a method,
+    a property or an assignment."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found.append((stmt.lineno, stmt.name))
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    found += [(t.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
 def source_trees(folder):
     modules = sorted(f for f in os.listdir(folder) if f.endswith(".py"))
     for name in modules:
@@ -106,11 +124,11 @@ class TestOnePrimeGuard:
                          "        if p < 2:\n"
                          "            raise ValueError('%d is not prime' % p)\n"
                          "        raise RegulaError('needs a prime p')\n")
-        assert prime_refusals(tree) == [(3, "check_prime"), (7, "counts")]
+        assert refusals(tree, "is not prime") == [(3, "check_prime"), (7, "counts")]
 
     def test_only_check_prime_refuses(self):
         found = [(name, function) for name, tree in package_trees()
-                 for _, function in prime_refusals(tree)]
+                 for _, function in refusals(tree, "is not prime")]
         assert found == [("numtheory.py", "check_prime")]
 
     def test_detects_slack_names(self):
@@ -155,6 +173,43 @@ class TestOneElementFormat:
         assert "test_guards.py" in dict(trees)
         for name, tree in trees:
             assert removed_names(tree) == [], name
+
+
+class TestOneWayIn:
+    def test_detects_class_names(self):
+        tree = ast.parse("class Permutation(tuple):\n"
+                         "    __slots__ = ()\n"
+                         "    def __call__(self, x):\n"
+                         "        return self[x]\n"
+                         "    @property\n"
+                         "    def degree(self):\n"
+                         "        return len(self)\n"
+                         "    size: int = 0\n"
+                         "class Other:\n"
+                         "    def degree(self):\n"
+                         "        return 0\n")
+        assert class_names(tree, "Permutation") == [
+            (2, "__slots__"), (3, "__call__"), (6, "degree"), (8, "size")]
+
+    def test_permutation_keeps_no_alias(self):
+        tree = dict(package_trees())["perm_core.py"]
+        names = {name for _, name in class_names(tree, "Permutation")}
+        assert "cycle_string" in names
+        assert names.isdisjoint({"__call__", "degree"})
+
+    def test_detects_length_checks(self):
+        tree = ast.parse("def _element(g, degree):\n"
+                         "    if len(g) != degree:\n"
+                         "        raise DegreeMismatch(f'group degree {degree}')\n"
+                         "def contains(self, g):\n"
+                         "    if len(g) != self.degree:\n"
+                         "        raise DegreeMismatch('wrong group degree')\n")
+        assert refusals(tree, "group degree") == [(3, "_element"), (6, "contains")]
+
+    def test_only_element_checks_a_length(self):
+        found = [(name, function) for name, tree in package_trees()
+                 for _, function in refusals(tree, "group degree")]
+        assert found == [("perm_core.py", "_element")]
 
 
 def _classes_command(p):

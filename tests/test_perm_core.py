@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from regula import CapExceeded, DegreeMismatch, NotInGroup, NotNormal, PermGroup, Permutation, RegulaError
 from regula import perm_core
+from regula.classes import conjugacy_classes
 from regula.constructors import alternating, cyclic, dihedral, symmetric
 from regula.numtheory import is_p_power
 
@@ -110,7 +111,7 @@ class TestOneFormat:
         assert g == t and t == g and hash(g) == hash(t)
         assert {t: "found"}[g] == "found"
         assert g.images is g
-        assert g.degree == len(g) == 5
+        assert len(g) == 5
 
     def test_contains_takes_a_tuple(self):
         A4 = alternating(4)
@@ -139,6 +140,85 @@ class TestOneFormat:
             gens = G.commutator_subgroup().generators
             assert gens and all(type(g) is Permutation and g.images is g for g in gens)
             assert all(P(g.cycle_string(), G.degree) == g for g in gens)
+
+    def test_a_group_takes_image_sequences(self):
+        assert PermGroup([(1, 0, 2)], degree=3).order == 2
+        G = PermGroup([[1, 2, 0], (1, 0, 2)])
+        assert G.order == 6 and G.generators == ((1, 2, 0), (1, 0, 2))
+        assert all(type(g) is Permutation and g.images is g for g in G.generators)
+
+    @pytest.mark.parametrize("x", [(1, 7, 0), (0, 0, 0), (-3, 1, 2), (1.0, 0, 2)])
+    def test_not_a_permutation_is_refused(self, x):
+        S3 = symmetric(3)
+        for call in (S3.contains, lambda x: x in S3, lambda x: S3.normal_closure([x])):
+            with pytest.raises(RegulaError) as exc:
+                call(x)
+            assert exc.type is RegulaError and str(exc.value) == f"not a permutation: {x!r}"
+
+    def test_a_wrong_generator_length_is_the_contains_message(self):
+        with pytest.raises(DegreeMismatch) as built:
+            PermGroup([(1, 0), (1, 0, 2)])
+        with pytest.raises(DegreeMismatch) as tested:
+            PermGroup([(1, 0)]).contains((1, 0, 2))
+        assert str(built.value) == str(tested.value) == "element degree 3, group degree 2"
+
+    @pytest.mark.parametrize("degree", [2.0, "2"])
+    def test_a_degree_that_is_not_an_int_is_refused(self, degree):
+        with pytest.raises(RegulaError) as exc:
+            PermGroup([], degree=degree)
+        assert exc.type is RegulaError and str(exc.value) == f"degree {degree!r} is not an integer"
+
+    def test_a_list_seed_is_a_tuple_seed(self):
+        S4 = symmetric(4)
+        N = S4.normal_closure([[1, 0, 3, 2]])
+        assert N.generators == S4.normal_closure([(1, 0, 3, 2)]).generators
+        # an identity seed, as a list, is no generator
+        assert S4.normal_closure([[0, 1, 2, 3]]).generators == ()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(same_degree))
+    def test_tuples_build_the_group_permutations_build(self, images):
+        tuples = [tuple(t) for t in images]
+        G, H = PermGroup(tuples), PermGroup(map(Permutation, tuples))
+        assert (G.base, G.fundamental_orbit_lengths(), G.order) == \
+            (H.base, H.fundamental_orbit_lengths(), H.order)
+        assert [g.images for g in G.generators] == [h.images for h in H.generators]
+        assert conjugacy_classes(G).to_json_dict() == conjugacy_classes(H).to_json_dict()
+
+
+# an element as a short list or tuple of ints and floats, or of a
+# permutation's images; a degree of any type
+FUZZ_ELEMENT = st.one_of(
+    st.lists(st.one_of(st.integers(-3, 8), st.integers(), st.floats()), max_size=6),
+    st.integers(0, 6).flatmap(lambda n: st.permutations(range(n))),
+).flatmap(lambda xs: st.sampled_from([xs, tuple(xs)]))
+FUZZ_DEGREE = st.one_of(st.none(), st.integers(-3, 8), st.integers(), st.floats(),
+                        st.text(max_size=2), st.booleans())
+FUZZ_GROUPS = (symmetric(3), cyclic(5), PermGroup([], degree=1))
+
+
+def returns_or_refuses(call, *args):
+    try:
+        call(*args)
+    except RegulaError:
+        pass
+
+
+class TestBoundaryFuzz:
+    """Each way into a group returns or raises a ``RegulaError``, whatever it is given."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(FUZZ_ELEMENT, max_size=3), FUZZ_DEGREE)
+    def test_permgroup(self, gens, degree):
+        returns_or_refuses(PermGroup, gens, degree)
+        returns_or_refuses(PermGroup, gens)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(FUZZ_ELEMENT, st.sampled_from(FUZZ_GROUPS))
+    def test_membership_and_closure(self, x, G):
+        returns_or_refuses(G.contains, x)
+        returns_or_refuses(lambda: x in G)
+        returns_or_refuses(G.normal_closure, [x])
 
 
 class TestBuildGroup:

@@ -77,11 +77,10 @@ def build_m12():
             out.append(c)
         else:
             out.insert(0, c)
-    images = [0] * 12
+    shuffle = [0] * 12
     for pos, card in enumerate(out):
-        images[card] = pos
-    shuffle = Permutation(images)
-    rev = Permutation([11 - i for i in range(12)])
+        shuffle[card] = pos
+    rev = [11 - i for i in range(12)]
     G = PermGroup([shuffle, rev])
     assert G.order == 95040, G.order
     assert G.fundamental_orbit_lengths()[:5] == (12, 11, 10, 9, 8)
@@ -92,7 +91,7 @@ def build_m11(M12):
     # the chain below the first base point is a chain of the stabilizer of 0
     assert M12.base[0] == 0
     st_gens = dict.fromkeys(g for lvl in M12._levels[1:] for g in lvl.gens)
-    gens11 = [Permutation([g[j + 1] - 1 for j in range(11)]) for g in st_gens]
+    gens11 = [[g[j + 1] - 1 for j in range(11)] for g in st_gens]
     M11 = reduce_generators(PermGroup(gens11))
     assert M11.order == 7920
     t = conjugacy_classes(M11)
@@ -188,7 +187,7 @@ def build_m12_2(M12):
     H = find_transitive_m11(M12)
     # the action on the right cosets of H (not normal)
     reps, images = M12._coset_walk(H)
-    copy2 = PermGroup([Permutation(img) for img in images], degree=12)
+    copy2 = PermGroup(images, degree=12)
     assert copy2.order == 95040
 
     hex1 = hexad_system(M12.generators)
@@ -217,9 +216,9 @@ def build_m12_2(M12):
     assert w is not None
 
     def stack(a, b):
-        return Permutation(a + tuple(12 + x for x in b))
+        return a + tuple(12 + x for x in b)
 
-    tau = Permutation([12 + x for x in w] + list(range(12)))
+    tau = [12 + x for x in w] + list(range(12))
     K = PermGroup([stack(g1, s1), stack(g2, s2), tau], degree=24)
     assert K.order == 190080, K.order
     return reduce_generators(K)
@@ -255,7 +254,7 @@ def build_l34_family():
     assert l34.order == 20160, l34.order
 
     frob = collineation(lambda v: tuple(frobenius(F, c) for c in v))
-    dual = Permutation([21 + i for i in range(21)] + list(range(21)))
+    dual = [21 + i for i in range(21)] + list(range(21))
     # diagonal automorphism: any matrix whose determinant is not a cube
     diag = matrix_perm(((g, 0, 0), (0, 1, 0), (0, 0, 1)))
 
@@ -346,7 +345,7 @@ def build_u33():
     assert G.order == 6048, G.order
     U33 = reduce_generators(G)
 
-    frob = Permutation([index[_normalize_point(F, tuple(conj(c) for c in v))] for v in iso])
+    frob = [index[_normalize_point(F, tuple(conj(c) for c in v))] for v in iso]
     U33_2 = PermGroup(list(U33.generators) + [frob], degree=28)
     assert U33_2.order == 12096, U33_2.order
     return U33, reduce_generators(U33_2)
@@ -397,12 +396,11 @@ def build_sz8():
     g, g5 = exp[1], exp[5]  # the torus (x, y) -> (g x, g^(theta + 1) y), theta + 1 = 5
 
     # coordinate reversal on the projective ovoid
-    rev_images = [0] * 65
+    rev = [0] * 65
     for i, p in enumerate(points):
         v4 = inf4 if p == INF else _normalize_point(F, embed(*p))
         r = _normalize_point(F, tuple(reversed(v4)))
-        rev_images[i] = embed_index[r]
-    rev = Permutation(rev_images)
+        rev[i] = embed_index[r]
 
     gens = []
     for a in exp[:3]:  # 1, g, g^2
