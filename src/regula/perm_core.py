@@ -26,9 +26,6 @@ the largest index of a coset walk, whose action has one point per coset.
 conjugation maps of a class table hold; the CLI refuses a larger
 ``REGULA_ELEMENT_CAP``.
 
-Every way into a group (``PermGroup``, ``contains``, ``in``,
-``normal_closure``) validates an element, any image sequence, once in
-``_element``; the chain's loops sift the tuples they build unchecked.
 A permutation's degree is ``len(g)``, its image of x is ``g[x]``, and
 composition is left-to-right: ``(a * b)[x] == b[a[x]]``.  A product
 of image tuples is one C-level gather, ``itemgetter(*a)(b)``.  Each
@@ -41,7 +38,7 @@ generators inverts only the new ones.
 from __future__ import annotations
 
 import re
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import index, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -160,8 +157,10 @@ class Permutation(tuple):
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         images = list(range(degree))
         for cyc in cycles:
-            for a, b in zip(cyc, [*cyc[1:], *cyc[:1]]):
+            for a, b in zip(cyc, cyc[1:]):
                 images[a] = b
+            if cyc:
+                images[cyc[-1]] = cyc[0]
         return cls(images)
 
     @classmethod
@@ -223,7 +222,9 @@ class Permutation(tuple):
 
 
 def _element(g, degree):
-    """g, a Permutation or any image sequence, validated as a Permutation of ``degree``."""
+    """g, a Permutation or any image sequence, validated as a Permutation of ``degree``:
+    the one check at each way into a group (``PermGroup``, ``contains``, ``in``,
+    ``normal_closure``).  The chain's loops sift the tuples they build unchecked."""
     g = g if isinstance(g, Permutation) else Permutation(g)
     if len(g) != degree:
         raise DegreeMismatch(f"element degree {len(g)}, group degree {degree}")
@@ -414,7 +415,7 @@ class PermGroup:
         if degree is None:
             if not gens:
                 raise RegulaError("need generators or an explicit degree")
-            degree = len(gens[0])
+            degree = len(Permutation(gens[0]))
         if not isinstance(degree, int):
             raise RegulaError(f"degree {degree!r} is not an integer")
         if degree < 1 or degree > DEGREE_CAP:
@@ -431,7 +432,10 @@ class PermGroup:
         self.generators = generators
         self._gen_pairs = gen_pairs
         self._levels = levels
-        self.order = prod(len(lvl.transversal) for lvl in levels)
+        o = 1
+        for lvl in self._levels:
+            o *= len(lvl.transversal)
+        self.order = o
         self._cache = {}
 
     # -- basic data ------------------------------------------------------
@@ -487,11 +491,12 @@ class PermGroup:
         one at a time and in order; the identity and members never become
         generators.  Each addition extends a copy of the verified chain by
         that one generator, sifting only the Schreier pairs not yet checked,
-        and appends its (t, t^-1) pair unmerged, t wrapped once as a Permutation."""
+        and appends its (t, t^-1) pair unmerged, t wrapped once as a Permutation
+        unless it is one."""
         H = self
         for t in tuples:
             if _strip(H._levels, t)[0] != H._ident:
-                t = Permutation(t)
+                t = t if isinstance(t, Permutation) else Permutation(t)
                 G, H = H, PermGroup.__new__(PermGroup)
                 H._setup(G.degree, G.generators + (t,), G._gen_pairs + ((t, _inv(t)),),
                          _schreier_sims(G.degree, (t,), chain=G._levels))
@@ -503,7 +508,12 @@ class PermGroup:
         for s in seeds:
             if not self.contains(s):
                 raise NotInGroup(f"seed {s} is not in the group")
-        H = PermGroup([], degree=self.degree)._grown_by(seeds)
+        return self._closure(seeds)
+
+    def _closure(self, tuples):
+        """Smallest normal subgroup containing ``tuples``, members of this
+        group that the package built, so none of them is validated."""
+        H = PermGroup([], degree=self.degree)._grown_by(tuples)
         # generators are only appended, so each one's conjugates are tested once
         i = 0
         while i < len(H.generators):
@@ -517,7 +527,7 @@ class PermGroup:
         this group with the generators b of H."""
         comms = dict.fromkeys(_mult(_mult(ainv, binv), _mult(a, b))
                               for a, ainv in self._gen_pairs for b, binv in H._gen_pairs)
-        return self.normal_closure(comms)
+        return self._closure(comms)
 
     def commutator_subgroup(self) -> "PermGroup":
         """Normal closure of the pairwise generator commutators."""
@@ -558,8 +568,11 @@ class PermGroup:
     def is_normal_in(self, G: "PermGroup") -> bool:
         if self.degree != G.degree or not G.contains_subgroup(self):
             return False
-        return all(_strip(self._levels, _conj(h, g, ginv))[0] == self._ident
-                   for h in self.generators for g, ginv in G._gen_pairs)
+        for h in self.generators:
+            for g, ginv in G._gen_pairs:
+                if _strip(self._levels, _conj(h, g, ginv))[0] != self._ident:
+                    return False
+        return True
 
     def _coset_canonical(self, t):
         # Greedy lexicographic minimisation of base-point images over the

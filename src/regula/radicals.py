@@ -45,7 +45,7 @@ from typing import Optional
 from .classes import conjugacy_classes
 from .errors import RegulaError
 from .numtheory import is_p_power, is_prime, prime_factors
-from .perm_core import PermGroup, _conj, _inv, _mult, _order_of, _strip, check_element_cap
+from .perm_core import PermGroup, _conj, _inv, _mult, _order_of, check_element_cap
 
 CORE_KINDS = ("p-core", "p-prime-core", "solvable-radical")
 
@@ -115,7 +115,7 @@ def _solvable_radical(G: PermGroup, D: PermGroup) -> PermGroup:
     for c in classes:
         x = c.representative
         xinv = _inv(x)
-        if all(_strip(RD._levels, _mult(_mult(xinv, dinv), _mult(x, d)))[0] == RD._ident
+        if all(RD.contains(_mult(_mult(xinv, dinv), _mult(x, d)))
                for d, dinv in D._gen_pairs):
             passing.append(c)
     R = G.normal_closure([c.representative for c in passing])

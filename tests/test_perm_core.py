@@ -187,11 +187,14 @@ class TestOneFormat:
 
 
 # an element as a short list or tuple of ints and floats, or of a
-# permutation's images; a degree of any type
+# permutation's images, or not a sequence at all; a degree of any type
 FUZZ_ELEMENT = st.one_of(
-    st.lists(st.one_of(st.integers(-3, 8), st.integers(), st.floats()), max_size=6),
-    st.integers(0, 6).flatmap(lambda n: st.permutations(range(n))),
-).flatmap(lambda xs: st.sampled_from([xs, tuple(xs)]))
+    st.one_of(
+        st.lists(st.one_of(st.integers(-3, 8), st.integers(), st.floats()), max_size=6),
+        st.integers(0, 6).flatmap(lambda n: st.permutations(range(n))),
+    ).flatmap(lambda xs: st.sampled_from([xs, tuple(xs)])),
+    st.none(), st.integers(),
+)
 FUZZ_DEGREE = st.one_of(st.none(), st.integers(-3, 8), st.integers(), st.floats(),
                         st.text(max_size=2), st.booleans())
 FUZZ_GROUPS = (symmetric(3), cyclic(5), PermGroup([], degree=1))
