@@ -59,10 +59,11 @@ def _cmd_classes(args) -> int:
         check_prime(args.p)    # before the class table is built
     G = group_from_text(args.expr)
     table = conjugacy_classes(G)
-    doc = table.to_json_dict(descriptor=args.expr)
-    if args.p is not None:
-        doc["counts"] = dataclasses.asdict(table.counts(args.p))
+    counts = None if args.p is None else table.counts(args.p)
     if args.json:
+        doc = table.to_json_dict(descriptor=args.expr)
+        if args.p is not None:
+            doc["counts"] = dataclasses.asdict(counts)
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"{args.expr}: order {G.order}, {table.k_total} classes")
@@ -70,8 +71,7 @@ def _cmd_classes(args) -> int:
             print(f"  order {c.element_order:>4}  size {c.class_size:>8}  "
                   f"centralizer {c.centralizer_order:>8}  {c.representative}")
         if args.p is not None:
-            print(f"  p = {args.p}: regular {doc['counts']['k_regular']}, "
-                  f"singular {doc['counts']['k_singular']}")
+            print(f"  p = {args.p}: regular {counts.k_regular}, singular {counts.k_singular}")
     return 0
 
 

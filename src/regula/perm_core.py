@@ -134,13 +134,23 @@ def _cycles_of(t):
     return cycles
 
 
+def _int_degree(degree):
+    """``degree``, refused unless it is an int."""
+    if not isinstance(degree, int):
+        raise RegulaError(f"degree {degree!r} is not an integer")
+    return degree
+
+
 class Permutation(tuple):
     """A bijection of {0, ..., degree-1}: the validated tuple of its images,
-    compared and hashed as that tuple; ``images`` is a read-only alias of it."""
+    compared and hashed as that tuple; ``images`` is a read-only alias of it.
+    A Permutation converts to itself, unchecked."""
 
     __slots__ = ()
 
     def __new__(cls, images: Sequence[int]):
+        if type(images) is cls:
+            return images  # validated when it was made
         try:  # integer images only: 1.0 sorts equal to 1 but indexes nothing
             t = tuple.__new__(cls, images)
             if sorted(map(index, t)) == list(range(len(t))):
@@ -155,12 +165,15 @@ class Permutation(tuple):
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        images = list(range(degree))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:]):
-                images[a] = b
-            if cyc:
-                images[cyc[-1]] = cyc[0]
+        images = list(range(_int_degree(degree)))
+        try:  # a point outside range(degree) or not an int indexes nothing
+            for cyc in cycles:
+                for a, b in zip(cyc, cyc[1:]):
+                    images[a] = b
+                if cyc:
+                    images[cyc[-1]] = cyc[0]
+        except (IndexError, TypeError):
+            raise RegulaError(f"cycles {cycles!r} are not on {degree} points") from None
         return cls(images)
 
     @classmethod
@@ -187,7 +200,7 @@ class Permutation(tuple):
             if need == 0:
                 raise RegulaError("the identity needs an explicit degree")
             degree = need
-        elif degree < need:
+        elif _int_degree(degree) < need:
             raise RegulaError(f"degree {degree} too small for {text!r}")
         flat = [p for c in cycles for p in c]
         if len(set(flat)) != len(flat):
@@ -195,6 +208,7 @@ class Permutation(tuple):
         return cls.from_cycles(degree, cycles)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
+        other = Permutation(other)
         if len(self) != len(other):
             raise DegreeMismatch(f"degree {len(self)} vs {len(other)}")
         return Permutation(_mult(self, other))
@@ -225,7 +239,7 @@ def _element(g, degree):
     """g, a Permutation or any image sequence, validated as a Permutation of ``degree``:
     the one check at each way into a group (``PermGroup``, ``contains``, ``in``,
     ``normal_closure``).  The chain's loops sift the tuples they build unchecked."""
-    g = g if isinstance(g, Permutation) else Permutation(g)
+    g = Permutation(g)
     if len(g) != degree:
         raise DegreeMismatch(f"element degree {len(g)}, group degree {degree}")
     return g
@@ -411,14 +425,12 @@ class PermGroup:
     """
 
     def __init__(self, generators: Iterable[Sequence[int]], degree: Optional[int] = None):
-        gens = tuple(generators)
+        gens = [Permutation(g) for g in generators]  # a one-shot sequence is read once
         if degree is None:
             if not gens:
                 raise RegulaError("need generators or an explicit degree")
-            degree = len(Permutation(gens[0]))
-        if not isinstance(degree, int):
-            raise RegulaError(f"degree {degree!r} is not an integer")
-        if degree < 1 or degree > DEGREE_CAP:
+            degree = len(gens[0])
+        if _int_degree(degree) < 1 or degree > DEGREE_CAP:
             raise CapExceeded(f"degree {degree} outside [1, {DEGREE_CAP}]")
         gens = [_element(g, degree) for g in gens]
         gens = tuple(g for g in gens if not g.is_identity)
@@ -491,12 +503,11 @@ class PermGroup:
         one at a time and in order; the identity and members never become
         generators.  Each addition extends a copy of the verified chain by
         that one generator, sifting only the Schreier pairs not yet checked,
-        and appends its (t, t^-1) pair unmerged, t wrapped once as a Permutation
-        unless it is one."""
+        and appends its (t, t^-1) pair unmerged, t as a Permutation."""
         H = self
         for t in tuples:
             if _strip(H._levels, t)[0] != H._ident:
-                t = t if isinstance(t, Permutation) else Permutation(t)
+                t = Permutation(t)
                 G, H = H, PermGroup.__new__(PermGroup)
                 H._setup(G.degree, G.generators + (t,), G._gen_pairs + ((t, _inv(t)),),
                          _schreier_sims(G.degree, (t,), chain=G._levels))

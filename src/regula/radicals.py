@@ -1,20 +1,22 @@
 """Structural normal subgroups: p-core, p'-core, solvable radical, Fitting.
 
-A p-core or p'-core is the join of the normal closures of single
-elements whose closure has the defining property.  The property is
-constant on conjugacy classes, so one representative per class is
-tested.
+A core is the join of the normal closures of the class representatives
+whose closure qualifies: the property is constant on classes, and a
+representative already in the join adds nothing.  A p-core or p'-core
+qualifies by its order.
 
 The solvable radical R is read off the solvable residual D = G^(inf),
 the last term of the derived series, which is memoised on the group:
 
 - If D = 1, G is solvable and R = G.
-- Otherwise R(D), the solvable radical of D, is the join above taken
-  over the classes of G that lie in D only.  It equals R & D: R(D) is
-  characteristic in D, which is normal in G, so R(D) <= R & D <= R(D).
-  D is non-solvable, so a closure that contains D, or contains any
-  closure already found non-solvable, is skipped without a derived
-  series.
+- Otherwise R & D = R(D), the solvable radical of D, as R(D) is
+  characteristic in D, normal in G.  R & D = 1 exactly when F & D = 1
+  for the Fitting subgroup F: the last non-trivial derived term of
+  R & D is abelian and normal in G, and F & D is solvable and normal.
+  A non-trivial F & D has a non-trivial Sylow subgroup, characteristic
+  in it, so normal in G and inside a p-core.  So R(D) is joined, over
+  the classes in D with a solvable closure, only when a non-identity
+  class of G inside D meets a memoised p-core.
 - An element x of G lies in R exactly when [x, d] lies in R(D) for
   every generator d of D.  If x is in R, each [x, d] is in R & D.
   Conversely, if each [x, d] is in R, the image of x in G/R lies in the
@@ -71,46 +73,42 @@ def _qualifies(N: PermGroup, kind: str, p: Optional[int]) -> bool:
     return _order_test(kind, p)(N.order)
 
 
-def _p_join(G: PermGroup, kind: str, p: int) -> PermGroup:
-    """O_p(G) or O_p'(G): the join of the normal closures of the class
-    representatives whose closure order passes the order test."""
-    ok = _order_test(kind, p)
+def _join(G: PermGroup, reps, qualifies) -> PermGroup:
+    """The join of the normal closures N of ``reps`` with qualifies(N);
+    a rep already inside the running join adds nothing."""
     join = PermGroup([], degree=G.degree)
-    for cls in conjugacy_classes(G).classes:
-        x = cls.representative
-        # reps already inside the running join contribute nothing
-        if cls.element_order == 1 or join.contains(x) or not ok(cls.element_order):
-            continue
-        # x * x^g and x^-1 * x^g lie in the closure, so their orders must pass
-        xinv = _inv(x)
-        if not all(ok(_order_of(_mult(x, xg))) and ok(_order_of(_mult(xinv, xg)))
-                   for xg in (_conj(x, g, ginv) for g, ginv in G._gen_pairs)):
-            continue
-        N = G.normal_closure([x])
-        if ok(N.order):
-            join = join._grown_by(N.generators)
+    for x in reps:
+        if not join.contains(x):
+            N = G.normal_closure([x])
+            if qualifies(N):
+                join = join._grown_by(N.generators)
     return join
 
 
+def _p_join(G: PermGroup, kind: str, p: int) -> PermGroup:
+    """O_p(G) or O_p'(G), over the representatives x that pass the order
+    test, as x * x^g and x^-1 * x^g must: both lie in x's closure."""
+    ok = _order_test(kind, p)
+
+    def passes(x):
+        xinv = _inv(x)
+        return all(ok(_order_of(_mult(x, xg))) and ok(_order_of(_mult(xinv, xg)))
+                   for xg in (_conj(x, g, ginv) for g, ginv in G._gen_pairs))
+    reps = (c.representative for c in conjugacy_classes(G).classes
+            if c.element_order != 1 and ok(c.element_order) and passes(c.representative))
+    return _join(G, reps, lambda N: ok(N.order))
+
+
 def _solvable_radical(G: PermGroup, D: PermGroup) -> PermGroup:
-    """R from a non-trivial solvable residual D: R(D) by the join over the
-    classes in D, then one commutator test per class of G (see the module
-    notes)."""
+    """R from a non-trivial solvable residual D: R(D), trivial unless a class
+    inside D meets a p-core, then a commutator test per class (module notes)."""
     classes = conjugacy_classes(G).classes
+    in_D = [c.representative for c in classes
+            if c.element_order != 1 and D.contains(c.representative)]
+    cores = [core(G, "p-core", p) for p in prime_factors(D.order)]
     RD = PermGroup([], degree=G.degree)
-    nonsolvable = [D]
-    for c in classes:
-        rep = c.representative
-        if c.element_order == 1 or not D.contains(rep) or RD.contains(rep):
-            continue
-        N = G.normal_closure([rep])
-        # a subgroup containing a non-solvable one is non-solvable
-        if any(N.contains_subgroup(B) for B in nonsolvable):
-            continue
-        if N.derived_series()[-1].is_trivial:
-            RD = RD._grown_by(N.generators)
-        else:
-            nonsolvable.append(N)
+    if any(O.contains(x) for O in cores for x in in_D):
+        RD = _join(G, in_D, lambda N: _qualifies(N, "solvable-radical", None))
     passing = []
     for c in classes:
         x = c.representative

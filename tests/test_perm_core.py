@@ -168,6 +168,21 @@ class TestOneFormat:
             PermGroup([], degree=degree)
         assert exc.type is RegulaError and str(exc.value) == f"degree {degree!r} is not an integer"
 
+    def test_a_one_shot_first_generator_is_read_once(self):
+        G = PermGroup([iter((1, 0))])
+        assert G.order == 2 and G.generators == ((1, 0),)
+
+    @pytest.mark.parametrize("call", [
+        lambda: Permutation.from_cycles(3, [[0, 5]]),
+        lambda: Permutation.from_cycles(3, [[0, 1.0]]),
+        lambda: Permutation.from_cycles("3", [[0, 1]]),
+        lambda: Permutation.parse("(1,2)", "3"),
+        lambda: Permutation((0, 1)) * 5,
+    ], ids=["point-outside", "float-point", "str-degree", "parse-str-degree", "times-int"])
+    def test_a_bad_constructor_argument_is_refused(self, call):
+        with pytest.raises(RegulaError):
+            call()
+
     def test_a_list_seed_is_a_tuple_seed(self):
         S4 = symmetric(4)
         N = S4.normal_closure([[1, 0, 3, 2]])

@@ -11,6 +11,7 @@ from regula.constructors import (
     symmetric,
     wreath,
 )
+from regula.corpus import corpus_groups
 from regula.exprs import group_from_text
 from regula.numtheory import prime_factors
 from regula.radicals import certify_core, certify_fitting, core, fitting, structure_summary
@@ -122,6 +123,28 @@ class TestResidualCases:
     def test_solvable_group_is_its_radical(self):
         G = symmetric(4)
         assert core(G, "solvable-radical") is G
+
+
+class TestRadicalClosures:
+    """R & D = 1 is read off the memoised p-cores, so the radical then
+    builds one closure: R itself."""
+
+    @pytest.mark.parametrize("expr", ["x(C(12), S(5))", "PSL2(7)"])
+    def test_one_closure_when_r_meets_d_trivially(self, expr, monkeypatch):
+        G = PermGroup(group_from_text(expr).generators)  # not the shared, memoised group
+        G.derived_series()
+        for p in prime_factors(G.order):
+            core(G, "p-core", p)
+        built = []
+        closure = PermGroup._closure
+        monkeypatch.setattr(PermGroup, "_closure",
+                            lambda self, tuples: built.append(1) or closure(self, tuples))
+        assert core(G, "solvable-radical").order == (12 if expr.startswith("x") else 1)
+        assert len(built) == 1
+
+    def test_every_corpus_radical_is_certified(self):
+        for expr, G in corpus_groups():
+            certify_core(G, core(G, "solvable-radical"), "solvable-radical")
 
 
 class TestCapBeforeMemo:
