@@ -213,6 +213,11 @@ class Permutation(tuple):
             raise DegreeMismatch(f"degree {len(self)} vs {len(other)}")
         return Permutation(_mult(self, other))
 
+    def __add__(self, other):
+        raise RegulaError("a permutation has no sum or repeat; p * q composes")
+
+    __radd__ = __rmul__ = __add__
+
     def inverse(self) -> "Permutation":
         return Permutation(_inv(self))
 

@@ -108,7 +108,9 @@ def _solvable_radical(G: PermGroup, D: PermGroup) -> PermGroup:
     cores = [core(G, "p-core", p) for p in prime_factors(D.order)]
     RD = PermGroup([], degree=G.degree)
     if any(O.contains(x) for O in cores for x in in_D):
-        RD = _join(G, in_D, lambda N: _qualifies(N, "solvable-radical", None))
+        # a closure of D's order is the perfect D: not solvable, at no cost
+        RD = _join(G, in_D, lambda N: N.order != D.order
+                   and _qualifies(N, "solvable-radical", None))
     passing = []
     for c in classes:
         x = c.representative

@@ -1,9 +1,11 @@
 """Claim suites: execute every registered check and assemble a report.
 
-Value claims live in the bundled ``data/claims.json`` registry; the
-``bounds``, ``numtheory`` and ``properties`` suites generate their
-checks programmatically over the fixed corpus.  Reports are plain dicts
-with a stable ordering, so serialising one twice gives identical bytes.
+``SUITES`` maps each suite name to its description and the runner that
+records its rows, each through ``VerificationReport.check``; the CLI,
+``run_suite`` and the tests read it.  A registry suite's description and
+value claims come from ``data/claims.json``; the others check closed
+forms and the corpus.  Reports are plain dicts with a stable ordering,
+so serialising one twice gives identical bytes.
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ from .numtheory import (
 )
 from . import perm_core
 from .radicals import core
-
-SUITE_NAMES = ("theorem-b", "ninomiya-3", "five-classes", "families",
-               "bounds", "numtheory", "properties")
 
 _KNOWN_SCAN_17 = (11, 13, 16, 19, 23, 25, 27, 31, 32, 37, 47, 49, 53, 73, 81, 97, 128)
 
@@ -81,14 +80,14 @@ class VerificationReport:
     description: str
     checks: list = field(default_factory=list)
 
-    def add(self, check: ClaimCheck):
-        self.checks.append(check)
-
-    def check(self, claim_id: str, statement: str, ok: bool,
-              expected=None, computed=None):
-        """Record a check whose status is ``pass`` exactly when ``ok``."""
-        self.add(ClaimCheck(claim_id, statement, "pass" if ok else "fail",
-                            expected=expected, computed=computed))
+    def check(self, claim_id: str, statement: str, status,
+              expected=None, computed=None, detail: str = ""):
+        """Record one row: a truth value is a ``pass`` or a ``fail``, and a
+        row that only reports names its status, ``flagged`` or ``out_of_scope``."""
+        if not isinstance(status, str):
+            status = "pass" if status else "fail"
+        self.checks.append(ClaimCheck(claim_id, statement, status,
+                                      expected, computed, detail))
 
     def summary(self) -> dict:
         out = {"pass": 0, "fail": 0, "out_of_scope": 0, "flagged": 0}
@@ -141,8 +140,8 @@ def _value_check(report: VerificationReport, claim: dict):
     cid = claim["id"]
     statement = claim.get("statement", "")
     if kind == "out_of_scope":
-        report.add(ClaimCheck(cid, claim.get("reason", statement), "out_of_scope",
-                              detail=claim.get("group", "")))
+        report.check(cid, claim.get("reason", statement), "out_of_scope",
+                     detail=claim.get("group", ""))
         return
     G = group_from_text(claim["expr"])
     p = claim["p"]
@@ -154,9 +153,8 @@ def _value_check(report: VerificationReport, claim: dict):
         computed = conjugacy_classes(G).p_power_class_count(p)
     elif kind == "singular_elements_flagged":
         computed = singular_element_count(G, p)
-        report.add(ClaimCheck(cid, statement, "flagged",
-                              expected=claim["stated"], computed=computed,
-                              detail="recorded discrepancy; neither value adopted"))
+        report.check(cid, statement, "flagged", claim["stated"], computed,
+                     detail="recorded discrepancy; neither value adopted")
         return
     else:
         raise RegulaError(f"unknown claim kind {kind!r}")
@@ -169,23 +167,21 @@ def _k_regular_rows(spec: dict) -> list:
     return [(c["expr"], c["p"]) for c in spec["claims"] if c["kind"] == "k_regular"]
 
 
-def _run_registry_suite(name: str, spec: dict) -> VerificationReport:
-    report = VerificationReport(suite=name, description=spec["description"])
-    for claim in spec["claims"]:
+def _run_registry(report: VerificationReport, suites: dict):
+    for claim in suites[report.suite]["claims"]:
         _value_check(report, claim)
-    if name == "theorem-b":
-        _converse_scan(report, _k_regular_rows(spec))
-    return report
 
 
-def _converse_scan(report: VerificationReport, positive_rows: list):
-    """Corpus-limited converse: every corpus group with trivial solvable
-    radical and exactly four p-regular classes matches a positive row.
+def _run_theorem_b(report: VerificationReport, suites: dict):
+    """The registry rows, then the corpus-limited converse: every corpus
+    group with trivial solvable radical and exactly four p-regular classes
+    matches a positive row.
 
     Groups are matched by (order, class-size multiset, p), the package's
     stand-in for isomorphism at desk scale."""
+    _run_registry(report, suites)
     listed = set()
-    for expr, p in positive_rows:
+    for expr, p in _k_regular_rows(suites["theorem-b"]):
         G = group_from_text(expr)
         listed.add((G.order, conjugacy_classes(G).class_size_multiset(), p))
     for expr, G in corpus_groups():
@@ -205,12 +201,7 @@ def _converse_scan(report: VerificationReport, positive_rows: list):
 
 # -- bounds suite ------------------------------------------------------------
 
-def _run_bounds() -> VerificationReport:
-    report = VerificationReport(
-        suite="bounds",
-        description="Closed-form lower bounds for class counts, centralizer "
-                    "orders and singular proportions, against exact counts.")
-
+def _run_bounds(report: VerificationReport, suites: dict):
     def check(cid, statement, bound, exact):
         report.check(cid, statement, exact >= bound, expected=bound, computed=exact)
 
@@ -252,18 +243,11 @@ def _run_bounds() -> VerificationReport:
             check(f"bound.regprop.{expr}.p{p}",
                   f"proportion of p-regular elements of {expr} meets its lower bound",
                   regular_proportion_bound(n), 1 - exact)
-    return report
 
 
 # -- numtheory suite -----------------------------------------------------------
 
-def _run_numtheory() -> VerificationReport:
-    report = VerificationReport(
-        suite="numtheory",
-        description="Closed-form number theory: part splits, the growth "
-                    "quantity, the two-part formula, isolated prime searches "
-                    "and the rank-1 candidate scan.")
-
+def _run_numtheory(report: VerificationReport, suites: dict):
     def check(cid, statement, expected, computed):
         report.check(cid, statement, expected == computed, expected, computed)
 
@@ -313,25 +297,17 @@ def _run_numtheory() -> VerificationReport:
           "the divisor-count scan contains all seventeen known candidates",
           [], missing)
     extras = sorted(set(scan) - set(_KNOWN_SCAN_17))
-    report.add(ClaimCheck(
+    report.check(
         "nt.psl2scan.extras",
         "candidates passing the divisor-count and inequality filter beyond "
         "the known seventeen (the published list also used Diophantine "
         "information, so extras are expected and only reported)",
-        "flagged", expected=list(_KNOWN_SCAN_17), computed=extras))
-    return report
+        "flagged", list(_KNOWN_SCAN_17), extras)
 
 
 # -- properties suite -----------------------------------------------------------
 
-def _run_properties() -> VerificationReport:
-    report = VerificationReport(
-        suite="properties",
-        description="Structural invariants over the whole corpus: the class "
-                    "equation, centralizer products, quotient and subgroup "
-                    "counting inequalities, fusion monotonicity and radical "
-                    "hypotheses.")
-
+def _run_properties(report: VerificationReport, suites: dict):
     for expr, G in corpus_groups():
         table = conjugacy_classes(G)
         ok = (sum(c.class_size for c in table.classes) == G.order
@@ -384,7 +360,6 @@ def _run_properties() -> VerificationReport:
 
     # the classification rows assume a trivial solvable radical (theorem-b)
     # or a trivial p-core (ninomiya-3, five-classes); each is a claim here
-    suites = _registry()["suites"]
     hypotheses = [(expr, "solvable-radical", None)
                   for expr, _ in _k_regular_rows(suites["theorem-b"])]
     hypotheses += [(expr, "p-core", p) for name in ("ninomiya-3", "five-classes")
@@ -399,25 +374,40 @@ def _run_properties() -> VerificationReport:
             N.is_trivial,
             expected=1, computed=N.order)
 
-    report.add(ClaimCheck(
+    report.check(
         "prop.boundedness-statements",
         "the order-boundedness statements themselves are non-constructive "
         "and cannot be reproduced by finite computation at any scale; their "
         "checkable ingredients are exactly the inequality and bound checks "
         "in this suite and in the bounds suite",
-        "out_of_scope", detail="covered via proof-ingredient property checks"))
-    return report
+        "out_of_scope", detail="covered via proof-ingredient property checks")
+
+
+# name -> (description, or None for the one in claims.json; runner)
+SUITES = {
+    "theorem-b": (None, _run_theorem_b),
+    "ninomiya-3": (None, _run_registry),
+    "five-classes": (None, _run_registry),
+    "families": (None, _run_registry),
+    "bounds": ("Closed-form lower bounds for class counts, centralizer "
+               "orders and singular proportions, against exact counts.", _run_bounds),
+    "numtheory": ("Closed-form number theory: part splits, the growth "
+                  "quantity, the two-part formula, isolated prime searches "
+                  "and the rank-1 candidate scan.", _run_numtheory),
+    "properties": ("Structural invariants over the whole corpus: the class "
+                   "equation, centralizer products, quotient and subgroup "
+                   "counting inequalities, fusion monotonicity and radical "
+                   "hypotheses.", _run_properties),
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str) -> VerificationReport:
     """Execute a named suite and return its report."""
-    if name not in SUITE_NAMES:
+    if name not in SUITES:
         raise RegulaError(f"unknown suite {name!r}; one of {SUITE_NAMES}")
-    if name == "bounds":
-        return _run_bounds()
-    if name == "numtheory":
-        return _run_numtheory()
-    if name == "properties":
-        return _run_properties()
-    registry = _registry()
-    return _run_registry_suite(name, registry["suites"][name])
+    description, runner = SUITES[name]
+    suites = _registry()["suites"]
+    report = VerificationReport(name, description or suites[name]["description"])
+    runner(report, suites)
+    return report

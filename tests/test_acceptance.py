@@ -25,24 +25,12 @@ from regula.numtheory import (
     zsigmondy_primes,
 )
 from regula.radicals import core, fitting
-from regula.suites import run_suite
 
 
 def _line(criterion, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion} {name}: {status}" + (f" ({detail})" if detail else ""))
     return ok
-
-
-@pytest.fixture(scope="session")
-def reports():
-    out = {}
-    for name in ("theorem-b", "ninomiya-3", "five-classes", "families",
-                 "bounds", "numtheory", "properties"):
-        t0 = time.monotonic()
-        out[name] = run_suite(name)
-        print(f"suite {name}: {time.monotonic() - t0:.1f}s")
-    return out
 
 
 # -- criterion 1: exactly four p-regular classes ---------------------------

@@ -178,7 +178,13 @@ class TestOneFormat:
         lambda: Permutation.from_cycles("3", [[0, 1]]),
         lambda: Permutation.parse("(1,2)", "3"),
         lambda: Permutation((0, 1)) * 5,
-    ], ids=["point-outside", "float-point", "str-degree", "parse-str-degree", "times-int"])
+        lambda: 5 * Permutation((1, 0)),
+        lambda: Permutation((1, 0)) + Permutation((0, 1)),
+        lambda: Permutation((1, 0)) + (2,),
+        lambda: (2,) + Permutation((1, 0)),
+        lambda: 1 + Permutation((1, 0)),
+    ], ids=["point-outside", "float-point", "str-degree", "parse-str-degree", "times-int",
+            "int-times", "plus-permutation", "plus-tuple", "tuple-plus", "int-plus"])
     def test_a_bad_constructor_argument_is_refused(self, call):
         with pytest.raises(RegulaError):
             call()

@@ -129,8 +129,10 @@ class TestRadicalClosures:
     """R & D = 1 is read off the memoised p-cores, so the radical then
     builds one closure: R itself."""
 
-    @pytest.mark.parametrize("expr,radical", [("x(C(12), S(5))", 12), ("PSL2(7)", 1)])
-    def test_one_closure_when_r_meets_d_trivially(self, expr, radical, monkeypatch):
+    @staticmethod
+    def radical_and_closures(expr, monkeypatch):
+        """The radical's order and the closures it builds, from a fresh group
+        with its derived series and p-cores memoised."""
         G = PermGroup(group_from_text(expr).generators)  # not the shared, memoised group
         G.derived_series()
         for p in prime_factors(G.order):
@@ -139,8 +141,16 @@ class TestRadicalClosures:
         closure = PermGroup._closure
         monkeypatch.setattr(PermGroup, "_closure",
                             lambda self, tuples: built.append(1) or closure(self, tuples))
-        assert core(G, "solvable-radical").order == radical
-        assert len(built) == 1
+        return core(G, "solvable-radical").order, len(built)
+
+    @pytest.mark.parametrize("expr,radical", [("x(C(12), S(5))", 12), ("PSL2(7)", 1)])
+    def test_one_closure_when_r_meets_d_trivially(self, expr, radical, monkeypatch):
+        assert self.radical_and_closures(expr, monkeypatch) == (radical, 1)
+
+    def test_closures_of_d_order_are_not_tested(self, monkeypatch):
+        # R & D has order 16 here; a closure equal to the perfect D is refused
+        # by its order, so the join builds 12 closures, not 21
+        assert self.radical_and_closures("wr(C(2), A(5))", monkeypatch) == (32, 12)
 
     def test_every_corpus_radical_is_certified(self):
         for expr, G in corpus_groups():

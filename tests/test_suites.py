@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -14,23 +15,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regula import RegulaError
-from regula.cli import main
-from regula.suites import SUITE_NAMES, run_suite
+from regula.cli import build_parser, main
+from regula.suites import SUITE_NAMES, SUITES, _registry, run_suite
 from test_exprs import EXPRESSIONS
 
 
 BIG_SEMIPRIME = 210000000000000000000000009007400000000000000000000014337989
 
 
-@pytest.fixture(scope="module")
-def reports():
-    return {name: run_suite(name) for name in SUITE_NAMES}
-
-
 class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(RegulaError):
             run_suite("everything")
+
+    def test_table_matches_registry_and_cli(self):
+        # a registry suite with no table row would never run
+        registry = _registry()["suites"]
+        assert set(registry) <= set(SUITES)
+        assert {name for name, (description, _) in SUITES.items()
+                if description is None} <= set(registry)
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == SUITE_NAMES
 
     def test_summary_matches_statuses(self, reports):
         for rep in reports.values():

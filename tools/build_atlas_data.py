@@ -216,7 +216,7 @@ def build_m12_2(M12):
     assert w is not None
 
     def stack(a, b):
-        return a + tuple(12 + x for x in b)
+        return (*a, *(12 + x for x in b))
 
     tau = [12 + x for x in w] + list(range(12))
     K = PermGroup([stack(g1, s1), stack(g2, s2), tau], degree=24)
