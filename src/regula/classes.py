@@ -26,19 +26,21 @@ stabiliser rows grouped by head key, the images of a row at the head
 points moved by the generator: a group builds its tail columns once and
 drops them when it is done, so they add at most degree*A entries at a
 time, no more than the table itself.  Only the class representatives
-are built in full.
+are built in full; each is walked once, for its order and sort key,
+and becomes a ``Permutation`` unchecked.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from math import lcm
 from operator import add, getitem, itemgetter
 
 from .errors import NotNormal, RegulaError
 from .numtheory import check_prime, is_p_power
-from .perm_core import (PermGroup, Permutation, _chain_elements, _inv, _mult, _order_of,
-                        check_element_cap)
+from .perm_core import (PermGroup, Permutation, _chain_elements, _cycle_text, _cycles_of, _inv,
+                        _mult, _wrap, check_element_cap)
 
 
 @dataclass(frozen=True)
@@ -227,16 +229,17 @@ def conjugacy_classes(G: PermGroup) -> ClassTable:
 
 
 def _class_table(G: PermGroup) -> ClassTable:
-    orbits = _partition_into_orbits(G)
-    infos = []
-    for rep, size in orbits:
+    rows = []
+    for rep, size in _partition_into_orbits(G):
         if G.order % size != 0:
             raise RegulaError("class size does not divide the group order")
-        infos.append(ClassInfo(Permutation(rep), _order_of(rep), size, G.order // size))
-    if sum(c.class_size for c in infos) != G.order:
+        cycles = _cycles_of(rep)
+        rows.append((lcm(*map(len, cycles)), size, _cycle_text(cycles), rep))
+    if sum(row[1] for row in rows) != G.order:
         raise RegulaError("class equation failed")
-    infos.sort(key=lambda c: (c.element_order, c.class_size, c.representative.cycle_string()))
-    return ClassTable(group_order=G.order, classes=tuple(infos))
+    rows.sort()  # by (order, size, cycle string); distinct classes, distinct strings
+    return ClassTable(group_order=G.order, classes=tuple(
+        ClassInfo(_wrap(rep), order, size, G.order // size) for order, size, _, rep in rows))
 
 
 def class_counts(G: PermGroup, p: int) -> ClassCounts:

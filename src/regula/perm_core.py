@@ -26,6 +26,10 @@ the largest index of a coset walk, whose action has one point per coset.
 conjugation maps of a class table hold; the CLI refuses a larger
 ``REGULA_ELEMENT_CAP``.
 
+A permutation is checked once, where it comes in: ``Permutation(...)``
+of an outside value, and ``_element`` at each way into a group; a tuple
+the package builds becomes one through ``_wrap``, unchecked.  Its order
+and its cycle string read one walk of its cycles, ``_cycles_of``.
 A permutation's degree is ``len(g)``, its image of x is ``g[x]``, and
 composition is left-to-right: ``(a * b)[x] == b[a[x]]``.  A product
 of image tuples is one C-level gather, ``itemgetter(*a)(b)``.  Each
@@ -74,22 +78,30 @@ def _conj(x, g, ginv):
     return _mult(_mult(ginv, x), g)
 
 
-def _order_of(t):
-    n = len(t)
-    seen = bytearray(n)
-    o = 1
-    for i in range(n):
-        if seen[i]:
+def _cycles_of(t):
+    """The cycles of t that move a point, each from its least point, in
+    the order of those points: the one walk over a permutation's cycles."""
+    seen = bytearray(len(t))
+    cycles = []
+    for i, j in enumerate(t):
+        if j == i or seen[i]:
             continue
-        length = 0
-        j = i
-        while not seen[j]:
+        cyc = [i]
+        while j != i:
             seen[j] = 1
+            cyc.append(j)
             j = t[j]
-            length += 1
-        if length > 1:
-            o = lcm(o, length)
-    return o
+        cycles.append(cyc)
+    return cycles
+
+
+def _order_of(t):
+    return lcm(*map(len, _cycles_of(t)))
+
+
+def _cycle_text(cycles):
+    """``_cycles_of``'s cycles in 1-based notation; the identity is "()"."""
+    return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cycles) or "()"
 
 
 def _merged_pairs(tuples):
@@ -113,25 +125,6 @@ def _merged_pairs(tuples):
         else:
             i += 1
     return tuple((t, _inv(t)) for t, _ in gens)
-
-
-def _cycles_of(t):
-    n = len(t)
-    seen = bytearray(n)
-    cycles = []
-    for i in range(n):
-        if seen[i] or t[i] == i:
-            seen[i] = 1
-            continue
-        cyc = [i]
-        seen[i] = 1
-        j = t[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = 1
-            j = t[j]
-        cycles.append(cyc)
-    return cycles
 
 
 def _int_degree(degree):
@@ -211,7 +204,7 @@ class Permutation(tuple):
         other = Permutation(other)
         if len(self) != len(other):
             raise DegreeMismatch(f"degree {len(self)} vs {len(other)}")
-        return Permutation(_mult(self, other))
+        return _wrap(_mult(self, other))
 
     def __add__(self, other):
         raise RegulaError("a permutation has no sum or repeat; p * q composes")
@@ -219,7 +212,7 @@ class Permutation(tuple):
     __radd__ = __rmul__ = __add__
 
     def inverse(self) -> "Permutation":
-        return Permutation(_inv(self))
+        return _wrap(_inv(self))
 
     @property
     def is_identity(self) -> bool:
@@ -229,10 +222,7 @@ class Permutation(tuple):
         return _order_of(self)
 
     def cycle_string(self) -> str:
-        cycles = _cycles_of(self)
-        if not cycles:
-            return "()"
-        return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cycles)
+        return _cycle_text(_cycles_of(self))
 
     __str__ = cycle_string
 
@@ -248,6 +238,11 @@ def _element(g, degree):
     if len(g) != degree:
         raise DegreeMismatch(f"element degree {len(g)}, group degree {degree}")
     return g
+
+
+def _wrap(t):
+    """t, an image tuple the package built from permutations, as a Permutation, unchecked."""
+    return tuple.__new__(Permutation, t)
 
 
 class _Level:
@@ -499,7 +494,7 @@ class PermGroup:
     def elements(self) -> Iterator[Permutation]:
         """Yield each element exactly once; raises CapExceeded if order > ELEMENT_CAP."""
         for t in self._raw_elements():
-            yield Permutation(t)
+            yield _wrap(t)
 
     # -- subgroup constructions ------------------------------------------
 
@@ -512,7 +507,7 @@ class PermGroup:
         H = self
         for t in tuples:
             if _strip(H._levels, t)[0] != H._ident:
-                t = Permutation(t)
+                t = _wrap(t)
                 G, H = H, PermGroup.__new__(PermGroup)
                 H._setup(G.degree, G.generators + (t,), G._gen_pairs + ((t, _inv(t)),),
                          _schreier_sims(G.degree, (t,), chain=G._levels))

@@ -151,6 +151,21 @@ class TestRepresentatives:
                            for _, ginv in G._gen_pairs)
         self.check(G)
 
+    @pytest.mark.parametrize("text", ["C(300)", "AGL1(17)", "GLQ(l=1, q=5)", "x(C(12), S(5))",
+                                      "wr(C(2), S(3))"])
+    def test_rows_of_many_class_groups(self, text):
+        # representatives are wrapped unchecked, and each row's order and
+        # sort key come from one walk: both must still match the permutation
+        G = group_from_text(text)
+        rows = conjugacy_classes(G).classes
+        keys = [(c.element_order, c.class_size, c.representative.cycle_string()) for c in rows]
+        assert keys == sorted(keys)
+        for c in rows:
+            assert c.element_order == c.representative.order()
+            assert c.class_size * c.centralizer_order == G.order
+            assert type(c.representative) is Permutation and len(c.representative) == G.degree
+            assert G.contains(c.representative)
+
     def test_trivial_group(self):
         G = PermGroup([], degree=3)
         self.check(G)

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,11 +91,34 @@ class TestPermutation:
         a, b = ab
         pa, pb = Permutation(a), Permutation(b)
         assert (pa * pb).images == oracles.mult(tuple(a), tuple(b))
+        assert type(pa * pb) is Permutation
 
     @given(same_degree(1))
     def test_inverse_matches_oracle(self, a):
         (a,) = a
         assert Permutation(a).inverse().images == oracles.inv(tuple(a))
+        assert type(Permutation(a).inverse()) is Permutation
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 60).flatmap(lambda n: st.permutations(list(range(n)))))
+    def test_order_and_cycle_string_against_oracle(self, images):
+        # n is the least k >= 1 with p^k = 1 exactly when p^n = 1 and
+        # p^(n/q) != 1 for every prime q dividing n
+        p = Permutation(images)
+        ident = tuple(range(len(p)))
+
+        def power(k):
+            out, sq = ident, tuple(p)
+            while k:
+                if k & 1:
+                    out = oracles.mult(out, sq)
+                sq, k = oracles.mult(sq, sq), k >> 1
+            return out
+        n = p.order()
+        assert power(n) == ident
+        assert all(power(n // q) != ident for q in sympy.primefactors(n))
+        if len(p):
+            assert Permutation.parse(p.cycle_string(), len(p)) == p
 
     @given(same_degree(3))
     def test_associativity(self, abc):
