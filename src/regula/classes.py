@@ -4,7 +4,10 @@ Classes are found exactly: every element is visited and the group is
 partitioned by a depth-first walk under conjugation by the group
 generators.  Representatives are the first member of each class in
 ``PermGroup.elements()`` order, so repeated runs produce identical
-tables.  The orbits of G on a normal subgroup N are the classes of G
+tables.  A table is a ``ClassTable``, |G| and a tuple of ``ClassInfo``
+rows, and the counts at a prime are a ``ClassCounts``; all three are
+namedtuples, which need neither ``dataclasses`` nor ``inspect``.
+The orbits of G on a normal subgroup N are the classes of G
 that lie in N, so fused counts are read off G's table.  A table is
 refused when |G| exceeds ``perm_core.ELEMENT_CAP`` as it stands at the
 call, before the memo is read, so a table computed under a larger cap
@@ -33,7 +36,7 @@ and becomes a ``Permutation`` unchecked.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 from operator import add, getitem, itemgetter
 
@@ -43,24 +46,21 @@ from .perm_core import (PermGroup, Permutation, _chain_elements, _cycle_text, _c
                         _mult, _wrap, check_element_cap)
 
 
-@dataclass(frozen=True)
-class ClassInfo:
-    representative: Permutation
-    element_order: int
-    class_size: int
-    centralizer_order: int
+ClassInfo = namedtuple("ClassInfo", "representative element_order class_size centralizer_order")
+ClassCounts = namedtuple("ClassCounts", "p k_total k_regular k_singular")
 
 
-@dataclass(frozen=True)
-class ClassTable:
-    group_order: int
-    classes: tuple[ClassInfo, ...]
+class ClassTable(namedtuple("ClassTable", "group_order classes")):
+    """|G| and its ``ClassInfo`` rows, sorted by element order, class size
+    and representative cycle string."""
+
+    __slots__ = ()
 
     @property
     def k_total(self) -> int:
         return len(self.classes)
 
-    def counts(self, p: int) -> "ClassCounts":
+    def counts(self, p: int) -> ClassCounts:
         check_prime(p)
         return _counts(p, [c.element_order for c in self.classes])
 
@@ -96,14 +96,6 @@ class ClassTable:
                 for c in self.classes
             ],
         }
-
-
-@dataclass(frozen=True)
-class ClassCounts:
-    p: int
-    k_total: int
-    k_regular: int
-    k_singular: int
 
 
 def _counts(p: int, orders: list) -> ClassCounts:

@@ -17,7 +17,6 @@ suite with a failed check is exit 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import json
 import os
@@ -63,7 +62,7 @@ def _cmd_classes(args) -> int:
     if args.json:
         doc = table.to_json_dict(descriptor=args.expr)
         if args.p is not None:
-            doc["counts"] = dataclasses.asdict(counts)
+            doc["counts"] = counts._asdict()
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"{args.expr}: order {G.order}, {table.k_total} classes")

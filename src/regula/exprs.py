@@ -13,19 +13,21 @@ a function of the integers the expression gives, and the function's
 parameter names are the argument keys.  ``_NAMED`` holds the names
 written without arguments, the bundled atlas groups and ``M10``.  One
 binder, ``_bind``, reads the arguments of every family, so adding a
-family is one table entry.
+family is one table entry; the parameter names come from the function's
+code object.
 
-Parsed expressions round-trip through ``str`` and evaluate to PermGroup
-instances.  ``evaluate`` keeps the one memo of named groups, keyed by
-the text and the element cap: the constructors it calls build a new
-group each time, and data derived from a group is memoised on it.
+A parsed expression is a ``GroupExpr``, a ``__slots__`` class that
+compares and hashes by its head and args.  It is not a tuple, since a
+keyed argument is the one tuple among its args.  Parsed expressions
+round-trip through ``str`` and evaluate to PermGroup instances.
+``evaluate`` keeps the one memo of named groups, keyed by the text and
+the element cap: the constructors it calls build a new group each time,
+and data derived from a group is memoised on it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from inspect import signature
 from typing import Optional
 
 from . import constructors as C
@@ -64,10 +66,26 @@ _MAX_NESTING = 200
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_.^]*|\d+|[(),=])")
 
 
-@dataclass(frozen=True)
 class GroupExpr:
-    head: str                      # constructor name, atlas name, or x/wr/q
-    args: tuple = ()               # integers (possibly keyed) or GroupExpr
+    """``head`` is a constructor name, an atlas name or x/wr/q; ``args`` are
+    its integers, (key, integer) pairs, or sub-expressions."""
+
+    __slots__ = ("head", "args")
+
+    def __init__(self, head: str, args: tuple = ()):
+        self.head = head
+        self.args = args
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.head == other.head and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.head, self.args))
+
+    def __repr__(self) -> str:
+        return f"GroupExpr(head={self.head!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         if not self.args:
@@ -231,7 +249,8 @@ def _evaluate(expr: GroupExpr):
         return _NAMED[head]()
     if head in _FAMILIES:
         build = _FAMILIES[head]
-        return build(*_bind(expr, tuple(signature(build).parameters)))
+        code = build.__code__
+        return build(*_bind(expr, code.co_varnames[:code.co_argcount]))
     if head not in ("x", "wr", "q"):
         raise ExprParseError(f"unknown constructor {head!r}", 0, set(_CONSTRUCTOR_HEADS))
     G, H = (evaluate(a) for a in expr.args)

@@ -59,6 +59,10 @@ _MR_BOUND = 3317044064679887385961981   # least strong pseudoprime to all of _MR
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is a prime int; a value of any other type is not one,
+    even one equal to a prime, such as 2.0."""
+    if not isinstance(n, int):
+        return False
     for p in _SMALL_PRIMES:
         if p * p > n:
             return n > 1

@@ -1,7 +1,8 @@
 """Claim suites: execute every registered check and assemble a report.
 
 ``SUITES`` maps each suite name to its description and the runner that
-records its rows, each through ``VerificationReport.check``; the CLI,
+records its rows, each a ``ClaimCheck`` made by
+``VerificationReport.check`` (both plain ``__slots__`` classes); the CLI,
 ``run_suite`` and the tests read it.  A registry suite's description and
 value claims come from ``data/claims.json``; the others check closed
 forms and the corpus.  Reports are plain dicts with a stable ordering,
@@ -13,7 +14,6 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -44,14 +44,19 @@ from .radicals import core
 _KNOWN_SCAN_17 = (11, 13, 16, 19, 23, 25, 27, 31, 32, 37, 47, 49, 53, 73, 81, 97, 128)
 
 
-@dataclass
 class ClaimCheck:
-    claim_id: str
-    statement: str
-    status: str                  # pass | fail | out_of_scope | flagged
-    expected: object = None
-    computed: object = None
-    detail: str = ""
+    """One report row; ``status`` is pass, fail, out_of_scope or flagged."""
+
+    __slots__ = ("claim_id", "statement", "status", "expected", "computed", "detail")
+
+    def __init__(self, claim_id: str, statement: str, status: str,
+                 expected=None, computed=None, detail: str = ""):
+        self.claim_id = claim_id
+        self.statement = statement
+        self.status = status
+        self.expected = expected
+        self.computed = computed
+        self.detail = detail
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,11 +79,15 @@ def _jsonable(v):
     return v
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    description: str
-    checks: list = field(default_factory=list)
+    """A suite's rows, recorded in order by ``check``."""
+
+    __slots__ = ("suite", "description", "checks")
+
+    def __init__(self, suite: str, description: str):
+        self.suite = suite
+        self.description = description
+        self.checks = []
 
     def check(self, claim_id: str, statement: str, status,
               expected=None, computed=None, detail: str = ""):

@@ -32,6 +32,17 @@ class TestParsing:
         expr = parse_group_expr(text)
         assert parse_group_expr(str(expr)) == expr
 
+    def test_equal_and_hashed_by_head_and_args(self):
+        texts = ["GLQ(2, 3)", "GLQ(l=2, q=3)", "GLQ(q=3, l=2)", "x(A(5), C(2))", "x(C(2), A(5))",
+                 "M11"]
+        for t in texts:
+            for u in texts:
+                assert (parse_group_expr(t) == parse_group_expr(u)) == (t == u)
+            assert hash(parse_group_expr(t)) == hash(parse_group_expr(t))
+        expr = parse_group_expr("C(2)")
+        assert repr(expr) == "GroupExpr(head='C', args=(2,))"
+        assert not isinstance(expr, tuple) and expr != ("C", (2,))
+
     def test_positional_and_keyword_glq_agree(self):
         assert str(parse_group_expr("GLQ(2, 3)")) == "GLQ(2, 3)"
         a = evaluate(parse_group_expr("GLQ(2, 3)"))

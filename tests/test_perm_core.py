@@ -1,5 +1,6 @@
 import hashlib
 import json
+import string
 
 import pytest
 import sympy
@@ -241,7 +242,7 @@ FUZZ_ELEMENT = st.one_of(
     st.none(), st.integers(),
 )
 FUZZ_DEGREE = st.one_of(st.none(), st.integers(-3, 8), st.integers(), st.floats(),
-                        st.text(max_size=2), st.booleans())
+                        st.text(alphabet=string.printable, max_size=2), st.booleans())
 FUZZ_GROUPS = (symmetric(3), cyclic(5), PermGroup([], degree=1))
 
 
