@@ -310,10 +310,7 @@ def from_generator_data(name: str) -> PermGroup:
     order and class-size multiset (hard failure on any mismatch)."""
     if name not in ATLAS_NAMES:
         raise UnknownGroupName(f"no bundled data for {name!r}; known: {ATLAS_NAMES}")
-    path = _data_path(name)
-    if not os.path.exists(path):
-        raise GroupDataError(f"data file missing for {name!r}: {path}")
-    return load_generator_file(path, expect_name=name)
+    return load_generator_file(_data_path(name), expect_name=name)
 
 
 def load_generator_file(path: str, expect_name: str | None = None) -> PermGroup:
@@ -324,6 +321,8 @@ def load_generator_file(path: str, expect_name: str | None = None) -> PermGroup:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise GroupDataError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+    except OSError as exc:
+        raise GroupDataError(f"{path}: cannot read: {exc.strerror}") from None
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -26,7 +26,8 @@ class UnknownGroupName(RegulaError):
 
 
 class GroupDataError(RegulaError):
-    """Bundled generator data failed its order or fingerprint certification."""
+    """A generator data file could not be read, or failed its order or
+    fingerprint certification."""
 
 
 class ExprParseError(RegulaError):

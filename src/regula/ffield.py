@@ -7,8 +7,11 @@ an element's label.  The modulus is the lexicographically smallest monic
 irreducible in the same encoding of its non-leading coefficients, which
 makes field construction deterministic with no external tables.  A monic
 candidate of degree k is irreducible when no monic polynomial of degree
-1 .. k//2 divides it; trial division is enough because no field here has
-more than 2000 elements.
+1 .. k//2 divides it; trial division is enough because no field has more
+elements than ``perm_core.DEGREE_CAP`` (2000), the degree cap read when
+``make_field`` runs: a larger p^k, however large k is, is refused with
+``CapExceeded`` before any work.  The extension degree k passes
+``numtheory.check_int`` and the characteristic p ``check_prime``.
 
 A field is the tuple ``(p, k, exp, log)`` of two tables of length q.
 ``exp[i]`` is the label of g^i, where g = ``exp[1]`` is the first label of
@@ -26,8 +29,9 @@ returns GF(q).
 
 from __future__ import annotations
 
-from .errors import RegulaError
-from .numtheory import check_prime, factorize
+from . import perm_core
+from .errors import CapExceeded, RegulaError
+from .numtheory import check_int, check_prime, factorize
 
 
 def _poly_trim(c):
@@ -95,10 +99,16 @@ def modulus(p: int, k: int) -> tuple:
 
 
 def make_field(p: int, k: int) -> tuple:
-    """GF(p^k) as ``(p, k, exp, log)`` under the smallest irreducible modulus."""
+    """GF(p^k) as ``(p, k, exp, log)`` under the smallest irreducible
+    modulus; p^k may be at most ``perm_core.DEGREE_CAP``."""
     check_prime(p)
-    if k < 1:
+    if check_int("k", k) < 1:
         raise RegulaError("extension degree must be >= 1")
+    cap = perm_core.DEGREE_CAP
+    # p^k >= 2^k > cap once k reaches the bit length of cap, so p^k is
+    # built only for a k below it
+    if k >= cap.bit_length() or p ** k > cap:
+        raise CapExceeded(f"field size {p}^{k} exceeds the degree cap {cap}")
     m = modulus(p, k)
     q = p ** k
     for g in range(1, q):

@@ -22,9 +22,12 @@ that: ``is_prime`` of an integer at or above the Miller-Rabin bound, or
 ``factorize`` of a number with two or more prime factors above 2048
 (a large ``zsigmondy_primes`` cofactor, say).
 
-Helpers whose cost grows with their input refuse a large one with
-``CapExceeded`` before any work, against the input bounds below; no
-call overrides them.
+Every integer argument of a public function here passes ``check_int``,
+the package's one integer check, so a float such as 2.5 is refused with
+a ``RegulaError`` rather than given a wrong answer; an argument that
+must be prime passes ``check_prime`` instead.  Helpers whose cost grows with their input
+refuse a large one with ``CapExceeded`` before any work, against the
+input bounds below; no call overrides them.
 """
 
 from __future__ import annotations
@@ -93,9 +96,26 @@ def check_prime(p: int) -> None:
         raise RegulaError(f"{p} is not prime")
 
 
+def check_int(name: str, n):
+    """``n``, refused unless it is an int: the one check of an integer
+    argument, with the one message "{name} {n!r} is not an integer"."""
+    if not isinstance(n, int):
+        raise RegulaError(f"{name} {n!r} is not an integer")
+    return n
+
+
+def _check_bits(r: int, e: int, most: int, power: str) -> None:
+    """Refuse r^e, written ``power``, with more than ``most`` bits.
+    r^e has e*(bitlength(r) - 1) + 1 to e*bitlength(r) bits; only when the
+    bound falls between the two is r^e built to count them."""
+    bits = r.bit_length()
+    if e * bits > most and (e * (bits - 1) >= most or (r ** e).bit_length() > most):
+        raise CapExceeded(f"{power} needs more than {most} bits")
+
+
 def factorize(n: int) -> dict:
     """Prime factorization as {prime: exponent}, keys ascending."""
-    if n < 1:
+    if check_int("n", n) < 1:
         raise RegulaError("factorize needs a positive integer")
     out = {}
     for p in _SMALL_PRIMES:
@@ -119,7 +139,7 @@ def factorize(n: int) -> dict:
 
 
 def prime_factors(n: int) -> list:
-    return sorted(factorize(n)) if n > 1 else []
+    return sorted(factorize(n)) if check_int("n", n) > 1 else []
 
 
 def is_p_power(n: int, p: int) -> bool:
@@ -127,6 +147,7 @@ def is_p_power(n: int, p: int) -> bool:
 
     p is not checked: callers pass a prime that ``check_prime`` has passed.
     """
+    check_int("n", n)
     while n % p == 0:
         n //= p
     return n == 1
@@ -134,7 +155,7 @@ def is_p_power(n: int, p: int) -> bool:
 
 def part_split(n: int, p: int) -> tuple[int, int]:
     """(n_p, n_p'): the p-part and p'-part of n."""
-    if n < 1:
+    if check_int("n", n) < 1:
         raise RegulaError("n must be positive")
     check_prime(p)
     np_ = 1
@@ -146,14 +167,9 @@ def part_split(n: int, p: int) -> tuple[int, int]:
 
 def landau_quantity(r: int, a: int, p: int) -> Fraction:
     """(r^a - 1)_{p'} / (a * a_p), exactly; r^a may have at most 4096 bits."""
-    if r <= 1 or a < 1:
+    if check_int("r", r) <= 1 or check_int("a", a) < 1:
         raise RegulaError("need r > 1 and a >= 1")
-    # r^a has a*(bitlength(r) - 1) + 1 to a*bitlength(r) bits; only when
-    # the cap falls between the two is r^a built to count them
-    bits = r.bit_length()
-    if a * bits > _LANDAU_MAX_BITS and (a * (bits - 1) >= _LANDAU_MAX_BITS
-                                        or (r ** a).bit_length() > _LANDAU_MAX_BITS):
-        raise CapExceeded(f"r^a needs more than {_LANDAU_MAX_BITS} bits")
+    _check_bits(r, a, _LANDAU_MAX_BITS, "r^a")
     _, num = part_split(r ** a - 1, p)
     ap, _ = part_split(a, p)
     return Fraction(num, a * ap)
@@ -167,7 +183,7 @@ def lewis_riedl_p_part(r: int, c: int, p: int) -> int:
     otherwise.
     """
     check_prime(p)
-    if c < 1 or r <= 1:
+    if check_int("c", c) < 1 or check_int("r", r) <= 1:
         raise RegulaError("need r > 1 and c >= 1")
     if (r - 1) % p != 0:
         raise RegulaError(f"{p} does not divide r - 1 = {r - 1}")
@@ -181,12 +197,9 @@ def lewis_riedl_p_part(r: int, c: int, p: int) -> int:
 def zsigmondy_primes(r: int, b: int) -> frozenset:
     """Primes dividing r^b - 1 but no r^j - 1 with 1 <= j < b; r^b may
     have at most 256 bits."""
-    if r <= 1 or b < 1:
+    if check_int("r", r) <= 1 or check_int("b", b) < 1:
         raise RegulaError("need r > 1 and b >= 1")
-    bits = r.bit_length()    # as in landau_quantity
-    if b * bits > _ZSIGMONDY_MAX_BITS and (b * (bits - 1) >= _ZSIGMONDY_MAX_BITS
-                                           or (r ** b).bit_length() > _ZSIGMONDY_MAX_BITS):
-        raise CapExceeded(f"r^b needs more than {_ZSIGMONDY_MAX_BITS} bits")
+    _check_bits(r, b, _ZSIGMONDY_MAX_BITS, "r^b")
     m = r ** b - 1
     if m == 1:
         return frozenset()
@@ -208,7 +221,7 @@ def prime_family(kind: str, bound: int) -> list:
     if kind not in _FAMILY_CAPS:
         raise RegulaError(f"unknown family {kind!r}; one of {tuple(_FAMILY_CAPS)}")
     cap = _FAMILY_CAPS[kind]
-    if bound > cap:
+    if check_int("bound", bound) > cap:
         raise CapExceeded(f"bound {bound} exceeds cap {cap}")
     if kind in ("fermat", "mersenne"):
         values = ((2 ** (2 ** m) + 1 for m in count()) if kind == "fermat"
@@ -241,6 +254,7 @@ _COXETER = {
 def coxeter_number(family: str, rank: int = 0) -> int:
     """Coxeter number of the Weyl group of the given Lie family."""
     fam = family.upper()
+    check_int("rank", rank)
     if fam in _COXETER:
         return _COXETER[fam]
     if rank < 1:
@@ -261,12 +275,16 @@ def coxeter_number(family: str, rank: int = 0) -> int:
 def regular_class_bound_linear(n: int, q: int) -> Fraction:
     """Lower bound q^(n-1) / (6 n^3) for the number of p-regular classes of
     PSL_n(q) or PSU_n(q)."""
+    check_int("n", n)
+    check_int("q", q)
     return Fraction(q ** (n - 1), 6 * n ** 3)
 
 
 def regular_class_bound_rank1(q: int, f: int) -> float:
     """Lower bound q / (4 e f (1 + log_q 3) gcd(2, q-1)) for the number of
     p-regular classes of PSL2(q), q = r^f."""
+    check_int("q", q)
+    check_int("f", f)
     return q / (4 * math.e * f * (1 + math.log(3, q)) * math.gcd(2, q - 1))
 
 
@@ -274,24 +292,30 @@ def min_centralizer_bound_linear(n: int, q: int) -> float:
     """Lower bound q^(n-1) / (e (1 + log_q(n+1)) gcd(q-1, n)) for the
     smallest centralizer order of PSL_n(q).  At n = 2 it is the rank-1
     bound q / (e (1 + log_q 3) gcd(2, q-1)), float for float."""
+    check_int("n", n)
+    check_int("q", q)
     return q ** (n - 1) / (math.e * (1 + math.log(n + 1, q)) * math.gcd(q - 1, n))
 
 
 def singular_proportion_bound_defining(q: int) -> Fraction:
     """Lower bound 2/(5q) for the proportion of p-singular elements of a
     group of Lie type over GF(q), p the defining characteristic."""
+    check_int("q", q)
     return Fraction(2, 5 * q)
 
 
 def singular_proportion_bound_cross(h: int, p: int) -> Fraction:
     """Lower bound (1/h)(1 - 1/p) for the proportion of p-singular elements,
     p a cross characteristic and h the Coxeter number."""
+    check_int("h", h)
+    check_int("p", p)
     return Fraction(1, h) * (1 - Fraction(1, p))
 
 
 def regular_proportion_bound(m: int) -> Fraction:
     """Lower bound 1/(2m) for the proportion of p-regular elements (any p)
     of a classical group of natural projective dimension m."""
+    check_int("m", m)
     return Fraction(1, 2 * m)
 
 
@@ -302,7 +326,7 @@ def psl2_candidate_scan(bound: int) -> list:
     prime divisors and q / (4 e f (1 + log_q 3) gcd(2, q-1)^2) <= 5; the
     bound is at least 97 and at most 10^6.
     """
-    if bound < 97:
+    if check_int("bound", bound) < 97:
         raise RegulaError("bound must be at least 97")
     if bound > _PSL2_SCAN_CAP:
         raise CapExceeded(f"bound {bound} exceeds cap {_PSL2_SCAN_CAP}")

@@ -47,6 +47,7 @@ from operator import index, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, DegreeMismatch, NotInGroup, NotNormal, RegulaError
+from .numtheory import check_int
 
 ELEMENT_CAP = 2_000_000
 DEGREE_CAP = 2000
@@ -127,13 +128,6 @@ def _merged_pairs(tuples):
     return tuple((t, _inv(t)) for t, _ in gens)
 
 
-def _int_degree(degree):
-    """``degree``, refused unless it is an int."""
-    if not isinstance(degree, int):
-        raise RegulaError(f"degree {degree!r} is not an integer")
-    return degree
-
-
 class Permutation(tuple):
     """A bijection of {0, ..., degree-1}: the validated tuple of its images,
     compared and hashed as that tuple; ``images`` is a read-only alias of it.
@@ -158,7 +152,7 @@ class Permutation(tuple):
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        images = list(range(_int_degree(degree)))
+        images = list(range(check_int("degree", degree)))
         try:  # a point outside range(degree) or not an int indexes nothing
             for cyc in cycles:
                 for a, b in zip(cyc, cyc[1:]):
@@ -193,7 +187,7 @@ class Permutation(tuple):
             if need == 0:
                 raise RegulaError("the identity needs an explicit degree")
             degree = need
-        elif _int_degree(degree) < need:
+        elif check_int("degree", degree) < need:
             raise RegulaError(f"degree {degree} too small for {text!r}")
         flat = [p for c in cycles for p in c]
         if len(set(flat)) != len(flat):
@@ -430,7 +424,7 @@ class PermGroup:
             if not gens:
                 raise RegulaError("need generators or an explicit degree")
             degree = len(gens[0])
-        if _int_degree(degree) < 1 or degree > DEGREE_CAP:
+        if check_int("degree", degree) < 1 or degree > DEGREE_CAP:
             raise CapExceeded(f"degree {degree} outside [1, {DEGREE_CAP}]")
         gens = [_element(g, degree) for g in gens]
         gens = tuple(g for g in gens if not g.is_identity)

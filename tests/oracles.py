@@ -1,10 +1,16 @@
 """Set-based brute-force oracles, independent of the stabilizer chain.
 
-Everything here works on plain image tuples with explicit set closure,
-so a bug in the chain machinery cannot hide: the same quantity is
-recomputed a second way and compared.
+This is the one place where a test computes a reference value, with one
+implementation of each quantity.  Everything here works on plain image
+tuples with explicit set closure and imports nothing from ``regula``
+(``test_guards`` checks this), so a bug in the chain machinery cannot
+hide: the same quantity is recomputed a second way and compared.  A
+group is read only through its ``generators``, each with ``images``,
+and its ``degree``.
 """
 
+import hashlib
+import json
 from math import lcm
 
 
@@ -18,6 +24,16 @@ def inv(a):
     for i, j in enumerate(a):
         out[j] = i
     return tuple(out)
+
+
+def power(t, k):
+    """t^k, by repeated squaring."""
+    out, sq = tuple(range(len(t))), tuple(t)
+    while k:
+        if k & 1:
+            out = mult(out, sq)
+        sq, k = mult(sq, sq), k >> 1
+    return out
 
 
 def order_of(t):
@@ -36,7 +52,21 @@ def order_of(t):
     return o
 
 
-def closure(gen_tuples, limit=None):
+def prime_divisors(n):
+    """The primes dividing n, ascending, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def closure(gen_tuples):
     """All products of the generators, by breadth-first multiplication."""
     if not gen_tuples:
         return set()
@@ -52,31 +82,18 @@ def closure(gen_tuples, limit=None):
                 if u not in elems:
                     elems.add(u)
                     new.append(u)
-                    if limit is not None and len(elems) > limit:
-                        raise OverflowError("closure exceeded the oracle limit")
         frontier = new
     return elems
 
 
-def conj_classes(elements, gen_tuples):
-    """Partition a set of tuples into conjugation orbits (set-based)."""
-    pairs = [(g, inv(g)) for g in gen_tuples]
-    remaining = set(elements)
-    classes = []
-    while remaining:
-        x = min(remaining)
-        orbit = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g, gi in pairs:
-                z = mult(mult(gi, y), g)
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        remaining -= orbit
-        classes.append(orbit)
-    return classes
+def generator_tuples(G):
+    return [g.images for g in G.generators]
+
+
+def elements_of(G):
+    """The element set of G, closed from its generators; the identity
+    alone when G has none."""
+    return closure(generator_tuples(G)) or {tuple(range(G.degree))}
 
 
 def _conj_orbit(seeds, gen_tuples):
@@ -92,6 +109,31 @@ def _conj_orbit(seeds, gen_tuples):
                 orbit.add(z)
                 queue.append(z)
     return orbit
+
+
+def conj_classes(elements, gen_tuples):
+    """Partition a set of tuples into conjugation orbits (set-based)."""
+    remaining = set(elements)
+    classes = []
+    while remaining:
+        orbit = _conj_orbit([min(remaining)], gen_tuples)
+        remaining -= orbit
+        classes.append(orbit)
+    return classes
+
+
+def class_table(G):
+    """G's (element order, class size) pairs, sorted."""
+    classes = conj_classes(elements_of(G), generator_tuples(G))
+    return sorted((order_of(min(c)), len(c)) for c in classes)
+
+
+def fused_counts(G, N, p):
+    """(p, k_total, k_regular, k_singular) of the orbits of G on the normal
+    subgroup N by conjugation."""
+    orbits = conj_classes(elements_of(N), generator_tuples(G))
+    regular = sum(1 for c in orbits if order_of(min(c)) % p != 0)
+    return p, len(orbits), regular, len(orbits) - regular
 
 
 def _generated(items):
@@ -110,7 +152,7 @@ def _generated(items):
     return sub, gens
 
 
-def normal_closure_set(elements, seed, gen_tuples):
+def normal_closure_set(seed, gen_tuples):
     """<seed^G> as an element set: conjugate orbit, then subgroup closure."""
     orbit = _conj_orbit([seed], gen_tuples)
     sub, _ = _generated(orbit)
@@ -130,18 +172,7 @@ def nilpotent_set(elements):
     normal Sylow subgroup)."""
     n = len(elements)
     orders = [order_of(t) for t in elements]
-    m = n
-    p = 2
-    primes = []
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    for p in primes:
+    for p in prime_divisors(n):
         ppart = 1
         q = n
         while q % p == 0:
@@ -172,3 +203,41 @@ def solvable_set(elements, max_steps=20):
             return False
         cur = nxt
     raise RuntimeError("derived series did not stabilise")
+
+
+def core_orders(G):
+    """The order of every core of G, from one closure of G: keys
+    ("p-core", p) and ("p-prime-core", p) for each prime p dividing |G|,
+    "solvable-radical" and "fitting".
+
+    Each core is the join of the normal closures <x^G> that have its
+    defining property: a p-group, a p'-group, solvable or nilpotent.
+    """
+    gens = generator_tuples(G)
+    elems = elements_of(G)
+    primes = prime_divisors(len(elems))
+    closures = {frozenset(normal_closure_set(min(c), gens))
+                for c in conj_classes(elems, gens) if order_of(min(c)) != 1}
+    members = {}
+    for cl in closures:
+        n = len(cl)
+        kinds = [("p-core", p) for p in primes if is_p_group_order(n, p)]
+        kinds += [("p-prime-core", p) for p in primes if n % p]
+        if solvable_set(cl):
+            kinds.append("solvable-radical")
+        if nilpotent_set(cl):
+            kinds.append("fitting")
+        for kind in kinds:
+            members.setdefault(kind, set()).update(cl)
+    keys = [(kind, p) for p in primes for kind in ("p-core", "p-prime-core")]
+    return {key: len(_generated(members[key])[0]) if key in members else 1
+            for key in keys + ["solvable-radical", "fitting"]}
+
+
+def json_digest(docs):
+    """The sha256 hex digest of the docs' JSON texts, sorted keys, one
+    after another: one pinned string fixes a whole table."""
+    digest = hashlib.sha256()
+    for doc in docs:
+        digest.update(json.dumps(doc, sort_keys=True).encode("utf-8"))
+    return digest.hexdigest()

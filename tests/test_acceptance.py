@@ -127,52 +127,13 @@ def test_criterion_4_families(expr, p, kind, expected):
 
 # -- criterion 5: structural correctness ----------------------------------
 
-def _oracle_cores(G):
-    gens = [g.images for g in G.generators]
-    elems = oracles.closure(gens) or {tuple(range(G.degree))}
-    classes = oracles.conj_classes(elems, gens)
-    closures = {}
-    for cls in classes:
-        rep = min(cls)
-        if oracles.order_of(rep) == 1:
-            continue
-        key = frozenset(cls)
-        if key not in closures:
-            closures[key] = oracles.normal_closure_set(None, rep, gens)
-    distinct = {}
-    for cl in closures.values():
-        distinct[frozenset(cl)] = cl
-    out = {"solvable": set(), "nilpotent": set(), "p": {}}
-    for cl in distinct.values():
-        n = len(cl)
-        if oracles.solvable_set(cl):
-            out["solvable"] |= cl
-        if oracles.nilpotent_set(cl):
-            out["nilpotent"] |= cl
-        for p in prime_factors(len(elems)):
-            if oracles.is_p_group_order(n, p):
-                out["p"].setdefault(p, set()).update(cl)
-            if n % p != 0:
-                out["p"].setdefault(("prime-to", p), set()).update(cl)
-    def span(s):
-        return len(oracles.closure(sorted(s))) if s else 1
-    result = {"solvable-radical": span(out["solvable"])}
-    fitting_members = set()
-    for p in prime_factors(len(elems)):
-        result[("p-core", p)] = span(out["p"].get(p, set()))
-        result[("p-prime-core", p)] = span(out["p"].get(("prime-to", p), set()))
-        fitting_members |= out["p"].get(p, set())
-    result["fitting"] = span(fitting_members)
-    return result
-
-
 def test_criterion_5_structure_oracle():
     t0 = time.monotonic()
     checked = 0
     for expr, G in corpus_groups():
         if G.order > 2000:
             continue
-        want = _oracle_cores(G)
+        want = oracles.core_orders(G)
         assert core(G, "solvable-radical").order == want["solvable-radical"], expr
         for p in prime_factors(G.order):
             assert core(G, "p-core", p).order == want[("p-core", p)], (expr, p)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from regula import CapExceeded, GroupDataError, RegulaError, UnknownGroupName
-from regula import corpus, perm_core
+from regula import constructors, corpus, perm_core
 from regula.classes import class_counts, conjugacy_classes
 from regula.constructors import ATLAS_NAMES, _data_path, from_generator_data, load_generator_file
 from regula.exprs import group_from_text
@@ -30,6 +30,16 @@ class TestLoading:
     def test_unknown_name(self):
         with pytest.raises(UnknownGroupName):
             from_generator_data("Monster")
+
+    def test_missing_file_names_the_path(self, tmp_path, monkeypatch):
+        missing = str(tmp_path / "M11.txt")
+        with pytest.raises(GroupDataError) as exc:
+            load_generator_file(missing)
+        assert exc.type is GroupDataError
+        assert str(exc.value) == f"{missing}: cannot read: No such file or directory"
+        monkeypatch.setattr(constructors, "_DATA_DIR", str(tmp_path))
+        with pytest.raises(GroupDataError, match=f"^{re.escape(missing)}: cannot read"):
+            from_generator_data("M11")
 
     def test_tampered_order_detected(self, tmp_path):
         src = _data_path("M11")

@@ -3,9 +3,8 @@ call runs (``perm_core.ELEMENT_CAP``, ``perm_core.DEGREE_CAP``, the input
 bounds of ``numtheory``), and no function takes a cap of its own."""
 
 import ast
-import os
 
-import regula
+from sources import package_trees
 
 
 def cap_parameters(tree):
@@ -31,10 +30,5 @@ class TestOneCap:
                                         (3, "h", "max_bits")]
 
     def test_no_cap_parameters(self):
-        package = os.path.dirname(regula.__file__)
-        modules = sorted(f for f in os.listdir(package) if f.endswith(".py"))
-        assert "numtheory.py" in modules
-        for name in modules:
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=name)
+        for name, tree in package_trees():
             assert cap_parameters(tree) == [], name

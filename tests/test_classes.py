@@ -1,4 +1,3 @@
-import hashlib
 import json
 import random
 import tracemalloc
@@ -11,7 +10,6 @@ import oracles
 from regula import CapExceeded, NotNormal, PermGroup, Permutation, RegulaError
 from regula import perm_core
 from regula.classes import (
-    ClassCounts,
     _partition_into_orbits,
     _RankSplit,
     class_counts,
@@ -25,28 +23,12 @@ from regula.exprs import group_from_text
 from regula.numtheory import prime_factors
 
 
-def oracle_table(G):
-    """(order, size) multiset computed fully set-based."""
-    elems = oracles.closure([g.images for g in G.generators]) or {tuple(range(G.degree))}
-    classes = oracles.conj_classes(elems, [g.images for g in G.generators])
-    return sorted((oracles.order_of(min(c)), len(c)) for c in classes)
-
-
-def oracle_fused_counts(G, N, p):
-    """Fused counts from a set-based partition of N under G's generators."""
-    elems = oracles.closure([h.images for h in N.generators]) or {tuple(range(N.degree))}
-    orbits = oracles.conj_classes(elems, [g.images for g in G.generators])
-    regular = sum(1 for c in orbits if oracles.order_of(min(c)) % p != 0)
-    return ClassCounts(p=p, k_total=len(orbits), k_regular=regular,
-                       k_singular=len(orbits) - regular)
-
-
 class TestConjugacyClasses:
     def test_a5_against_brute_force(self):
         A5 = alternating(5)
         table = conjugacy_classes(A5)
         got = sorted((c.element_order, c.class_size) for c in table.classes)
-        assert got == oracle_table(A5)
+        assert got == oracles.class_table(A5)
         assert table.element_order_multiset() == (1, 2, 3, 5, 5)
         assert table.class_size_multiset() == (1, 12, 12, 15, 20)
 
@@ -59,7 +41,7 @@ class TestConjugacyClasses:
         G = projective_group("psl2", 7)
         table = conjugacy_classes(G)
         assert table.element_order_multiset() == (1, 2, 3, 4, 7, 7)
-        assert sorted((c.element_order, c.class_size) for c in table.classes) == oracle_table(G)
+        assert sorted((c.element_order, c.class_size) for c in table.classes) == oracles.class_table(G)
 
     def test_class_equation_and_centralizers(self):
         for G in (symmetric(4), symmetric(5), alternating(5), cyclic(8),
@@ -110,10 +92,9 @@ class TestRepresentatives:
     @staticmethod
     def check(G):
         order = [e.images for e in G.elements()]
-        assert set(order) == (oracles.closure([g.images for g in G.generators])
-                              or {tuple(range(G.degree))})
+        assert set(order) == oracles.elements_of(G)
         rank = {x: i for i, x in enumerate(order)}
-        classes = oracles.conj_classes(order, [g.images for g in G.generators])
+        classes = oracles.conj_classes(order, oracles.generator_tuples(G))
         want = sorted(((min(c, key=rank.__getitem__), len(c)) for c in classes),
                       key=lambda pair: rank[pair[0]])
         assert _partition_into_orbits(G) == want
@@ -173,16 +154,13 @@ class TestRepresentatives:
     def test_fused_s4_over_a4(self):
         G, N = symmetric(4), alternating(4)
         for p in (2, 3):
-            assert fused_counts(G, N, p) == oracle_fused_counts(G, N, p)
+            assert fused_counts(G, N, p) == oracles.fused_counts(G, N, p)
 
     def test_corpus_tables_pinned(self):
         # every corpus table, representatives included: a new partition
         # scheme must keep the enumeration-order representatives
-        digest = hashlib.sha256()
-        for expr, G in corpus_groups():
-            doc = conjugacy_classes(G).to_json_dict(expr)
-            digest.update(json.dumps(doc, sort_keys=True).encode("utf-8"))
-        assert digest.hexdigest() == \
+        docs = (conjugacy_classes(G).to_json_dict(expr) for expr, G in corpus_groups())
+        assert oracles.json_digest(docs) == \
             "1f5845b3ce550845d81399a6e213dad97d8ac069d0e34d85a7ce9a46c8779661"
 
     @pytest.mark.parametrize("text", ["AGL1(257)", "M12.2", "L34.2^2", "Sz8"])
@@ -260,11 +238,7 @@ class TestFusedCounts:
 
     def test_fused_orbits_against_brute_force(self):
         S5, A5 = symmetric(5), alternating(5)
-        elems = oracles.closure([g.images for g in A5.generators])
-        classes = oracles.conj_classes(elems, [g.images for g in S5.generators])
-        regular = sum(1 for c in classes if oracles.order_of(min(c)) % 2 != 0)
-        assert fused_counts(S5, A5, 2).k_regular == regular
-        assert fused_counts(S5, A5, 2).k_total == len(classes)
+        assert fused_counts(S5, A5, 2) == oracles.fused_counts(S5, A5, 2)
 
     def test_corpus_pairs_against_oracle(self):
         checked = 0
@@ -272,7 +246,7 @@ class TestFusedCounts:
             if N.order > 6048:
                 continue
             for p in prime_factors(G.order):
-                assert fused_counts(G, N, p) == oracle_fused_counts(G, N, p), (gexpr, ndesc, p)
+                assert fused_counts(G, N, p) == oracles.fused_counts(G, N, p), (gexpr, ndesc, p)
             checked += 1
         assert checked == 20
 
@@ -289,7 +263,7 @@ class TestSingularElements:
 
     def test_matches_direct_enumeration(self):
         for G, p in ((symmetric(5), 2), (alternating(5), 3)):
-            direct = sum(1 for e in G.elements() if e.order() % p == 0)
+            direct = sum(1 for t in oracles.elements_of(G) if oracles.order_of(t) % p == 0)
             assert singular_element_count(G, p) == direct
 
 

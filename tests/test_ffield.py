@@ -3,7 +3,7 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_pow_mod, gf_rem
 
-from regula import RegulaError, ffield
+from regula import CapExceeded, RegulaError, ffield, perm_core
 from regula.ffield import add, field_of_size, frobenius, inv, make_field, modulus, mul
 
 # every field of order at most 64
@@ -46,6 +46,19 @@ class TestMakeField:
     def test_composite_characteristic(self):
         with pytest.raises(RegulaError):
             make_field(4, 1)
+
+    def test_size_above_the_degree_cap_refused(self, monkeypatch):
+        # refused before any work, and before p^k is built for a huge k
+        for p, k in ((2, 11), (3, 7), (2, 30), (2, 10 ** 18), (2003, 1)):
+            with pytest.raises(CapExceeded, match=f"^field size {p}\\^{k} exceeds the degree cap 2000$"):
+                make_field(p, k)
+        # the cap is read when the call runs
+        monkeypatch.setattr(perm_core, "DEGREE_CAP", 100)
+        assert len(make_field(2, 6)[2]) == 64
+        with pytest.raises(CapExceeded, match="2\\^7 exceeds the degree cap 100"):
+            make_field(2, 7)
+        with pytest.raises(CapExceeded):
+            field_of_size(101)
 
     def test_moduli_are_irreducible_no_small_roots(self):
         for p, k in ((2, 2), (2, 3), (3, 2), (5, 2), (7, 2)):

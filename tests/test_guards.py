@@ -7,42 +7,52 @@ and no module keeps a tolerance constant (a name ending in ``_SLACK``).
 A ``Permutation`` is its image tuple, so neither the package nor the
 build script reads ``.images``, and the second generator list and the
 tuple-only membership test are gone from the source, tools and tests.
-``Permutation`` keeps no alias of a tuple operation (``__call__`` for
-``g[x]``, ``degree`` for ``len(g)``), and ``perm_core._element`` alone
-checks an element's length against a group.
+Every integer argument of ``numtheory``, ``make_field``'s k and a
+group's degree pass ``numtheory.check_int``, the one raise that says
+"is not an integer".  ``Permutation`` keeps no alias of a tuple
+operation (``__call__`` for ``g[x]``, ``degree`` for ``len(g)``), and
+``perm_core._element`` alone checks an element's length against a group.
+The test oracles import only the standard library, so no package code
+computes a reference value.
 """
 
 import ast
-import os
+import sys
 
 import pytest
 
-import regula
-from regula import RegulaError
+from regula import PermGroup, RegulaError
 from regula.classes import conjugacy_classes, fused_counts
 from regula.cli import build_parser
 from regula.constructors import alternating, cyclic, symmetric
 from regula.ffield import make_field
-from regula.numtheory import lewis_riedl_p_part, part_split
+from regula.numtheory import (
+    coxeter_number,
+    factorize,
+    is_p_power,
+    landau_quantity,
+    lewis_riedl_p_part,
+    min_centralizer_bound_linear,
+    part_split,
+    prime_factors,
+    prime_family,
+    psl2_candidate_scan,
+    regular_class_bound_linear,
+    regular_class_bound_rank1,
+    regular_proportion_bound,
+    singular_proportion_bound_cross,
+    singular_proportion_bound_defining,
+    zsigmondy_primes,
+)
+from sources import TESTS, TOOLS, in_functions, package_trees, source_trees
 
 
-def prime_refusals(tree):
-    """(line, function) of every raise whose message says "is not prime"."""
-    found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Raise) and child.exc is not None and any(
-                    isinstance(c, ast.Constant) and isinstance(c.value, str)
-                    and "is not prime" in c.value for c in ast.walk(child.exc)):
-                found.append((child.lineno, function))
-            visit(child, function)
-
-    visit(tree, None)
-    return found
+def refusals(tree, message):
+    """(line, function) of every raise whose message says ``message``."""
+    return [(node.lineno, function) for node, function in in_functions(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None and any(
+                isinstance(c, ast.Constant) and isinstance(c.value, str)
+                and message in c.value for c in ast.walk(node.exc))]
 
 
 def slack_names(tree):
@@ -56,26 +66,11 @@ def slack_names(tree):
 # so that the names occur nowhere in the tree, this file included
 REMOVED_NAMES = ("_gen" "_tuples", "_contains" "_tuple")
 
-PACKAGE = os.path.dirname(regula.__file__)
-TESTS = os.path.dirname(os.path.abspath(__file__))
-TOOLS = os.path.join(os.path.dirname(TESTS), "tools")
-
 
 def images_reads(tree):
     """(line, function) of every ``.images`` attribute in the tree."""
-    found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Attribute) and child.attr == "images":
-                found.append((child.lineno, function))
-            visit(child, function)
-
-    visit(tree, None)
-    return found
+    return [(node.lineno, function) for node, function in in_functions(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "images"]
 
 
 def removed_names(tree):
@@ -108,19 +103,6 @@ def class_names(tree, cls):
     return found
 
 
-def source_trees(folder):
-    modules = sorted(f for f in os.listdir(folder) if f.endswith(".py"))
-    for name in modules:
-        with open(os.path.join(folder, name), encoding="utf-8") as fh:
-            yield name, ast.parse(fh.read(), filename=name)
-
-
-def package_trees():
-    trees = list(source_trees(PACKAGE))
-    assert "numtheory.py" in dict(trees)
-    return trees
-
-
 class TestOnePrimeGuard:
     def test_detects_prime_refusals(self):
         tree = ast.parse("def check_prime(p):\n"
@@ -131,12 +113,17 @@ class TestOnePrimeGuard:
                          "        if p < 2:\n"
                          "            raise ValueError('%d is not prime' % p)\n"
                          "        raise RegulaError('needs a prime p')\n")
-        assert prime_refusals(tree) == [(3, "check_prime"), (7, "counts")]
+        assert refusals(tree, "is not prime") == [(3, "check_prime"), (7, "counts")]
 
     def test_only_check_prime_refuses(self):
         found = [(name, function) for name, tree in package_trees()
-                 for _, function in prime_refusals(tree)]
+                 for _, function in refusals(tree, "is not prime")]
         assert found == [("numtheory.py", "check_prime")]
+
+    def test_only_check_int_refuses(self):
+        found = [(name, function) for name, tree in package_trees()
+                 for _, function in refusals(tree, "is not an integer")]
+        assert found == [("numtheory.py", "check_int")]
 
     def test_detects_slack_names(self):
         tree = ast.parse("ROW_SLACK = 1e-9\n"
@@ -219,6 +206,35 @@ class TestOneWayIn:
         assert found == [("perm_core.py", "_element")]
 
 
+def outside_imports(tree):
+    """(line, module) of every import of a module outside the standard
+    library, a relative import included."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+    return [(line, name) for line, name in found
+            if name.split(".")[0] not in sys.stdlib_module_names]
+
+
+class TestIndependentOracles:
+    def test_detects_outside_imports(self):
+        tree = ast.parse("import hashlib, regula.perm_core\n"
+                         "from math import lcm\n"
+                         "from regula import Permutation\n"
+                         "def f():\n"
+                         "    import sources\n"
+                         "    from . import oracles\n")
+        assert sorted(outside_imports(tree)) == [
+            (1, "regula.perm_core"), (3, "regula"), (5, "sources"), (6, ".")]
+
+    def test_oracles_import_only_the_standard_library(self):
+        # not regula, and not another test module that imports it
+        assert outside_imports(dict(source_trees(TESTS))["oracles.py"]) == []
+
+
 def _classes_command(p):
     args = build_parser().parse_args(["classes", "C(6)", "--p", str(p)])
     return args.func(args)
@@ -250,3 +266,45 @@ def test_refuses_a_p_that_is_not_prime(entry, p):
         ENTRY_POINTS[entry](p)
     assert exc.type is RegulaError
     assert str(exc.value) == f"{p} is not prime"
+
+
+# every integer argument of a public numtheory function, make_field's k and
+# a group's degree, each given 2.5: (the argument's name, the call)
+INT_ENTRY_POINTS = {
+    "numtheory.factorize(n)": ("n", factorize),
+    "numtheory.prime_factors(n)": ("n", prime_factors),
+    "numtheory.is_p_power(n)": ("n", lambda x: is_p_power(x, 2)),
+    "numtheory.part_split(n)": ("n", lambda x: part_split(x, 2)),
+    "numtheory.landau_quantity(r)": ("r", lambda x: landau_quantity(x, 2, 3)),
+    "numtheory.landau_quantity(a)": ("a", lambda x: landau_quantity(3, x, 2)),
+    "numtheory.lewis_riedl_p_part(r)": ("r", lambda x: lewis_riedl_p_part(x, 1, 2)),
+    "numtheory.lewis_riedl_p_part(c)": ("c", lambda x: lewis_riedl_p_part(3, x, 2)),
+    "numtheory.zsigmondy_primes(r)": ("r", lambda x: zsigmondy_primes(x, 2)),
+    "numtheory.zsigmondy_primes(b)": ("b", lambda x: zsigmondy_primes(2, x)),
+    "numtheory.prime_family(bound)": ("bound", lambda x: prime_family("fermat", x)),
+    "numtheory.coxeter_number(rank)": ("rank", lambda x: coxeter_number("A", x)),
+    "numtheory.psl2_candidate_scan(bound)": ("bound", psl2_candidate_scan),
+    "numtheory.regular_class_bound_linear(n)": ("n", lambda x: regular_class_bound_linear(x, 3)),
+    "numtheory.regular_class_bound_linear(q)": ("q", lambda x: regular_class_bound_linear(2, x)),
+    "numtheory.regular_class_bound_rank1(q)": ("q", lambda x: regular_class_bound_rank1(x, 1)),
+    "numtheory.regular_class_bound_rank1(f)": ("f", lambda x: regular_class_bound_rank1(4, x)),
+    "numtheory.min_centralizer_bound_linear(n)": ("n", lambda x: min_centralizer_bound_linear(x, 3)),
+    "numtheory.min_centralizer_bound_linear(q)": ("q", lambda x: min_centralizer_bound_linear(2, x)),
+    "numtheory.singular_proportion_bound_defining(q)": ("q", singular_proportion_bound_defining),
+    "numtheory.singular_proportion_bound_cross(h)":
+        ("h", lambda x: singular_proportion_bound_cross(x, 2)),
+    "numtheory.singular_proportion_bound_cross(p)":
+        ("p", lambda x: singular_proportion_bound_cross(3, x)),
+    "numtheory.regular_proportion_bound(m)": ("m", regular_proportion_bound),
+    "ffield.make_field(k)": ("k", lambda x: make_field(2, x)),
+    "PermGroup(degree)": ("degree", lambda x: PermGroup([], degree=x)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INT_ENTRY_POINTS))
+def test_refuses_an_argument_that_is_not_an_int(entry):
+    name, call = INT_ENTRY_POINTS[entry]
+    with pytest.raises(RegulaError) as exc:
+        call(2.5)
+    assert exc.type is RegulaError
+    assert str(exc.value) == f"{name} 2.5 is not an integer"

@@ -5,12 +5,11 @@ that is read again is memoised: the class table, the cores and the
 derived series, not closures or the Fitting subgroup."""
 
 import ast
-import os
 
-import regula
 from regula.exprs import group_from_text
 from regula.perm_core import PermGroup
 from regula.radicals import fitting, structure_summary
+from sources import package_trees
 
 FUNCTOOLS_CACHES = {"lru_cache", "cache", "cached_property"}
 
@@ -36,12 +35,7 @@ class TestOneMemo:
         assert functools_caches(tree) == [(1, "lru_cache"), (3, "cached_property")]
 
     def test_no_functools_caches(self):
-        package = os.path.dirname(regula.__file__)
-        modules = sorted(f for f in os.listdir(package) if f.endswith(".py"))
-        assert "perm_core.py" in modules
-        for name in modules:
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=name)
+        for name, tree in package_trees():
             assert functools_caches(tree) == [], name
 
 

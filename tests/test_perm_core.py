@@ -1,18 +1,21 @@
-import hashlib
-import json
 import string
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation as SymPerm
+from sympy.combinatorics import PermutationGroup as SymGroup
 
 import oracles
 from regula import CapExceeded, DegreeMismatch, NotInGroup, NotNormal, PermGroup, Permutation, RegulaError
 from regula import perm_core
 from regula.classes import conjugacy_classes
-from regula.constructors import alternating, cyclic, dihedral, symmetric
+from regula.constructors import alternating, cyclic, dihedral, projective_group, symmetric
+from regula.corpus import corpus_groups
+from regula.exprs import group_from_text
 from regula.numtheory import is_p_power
+from regula.radicals import core
 
 
 def P(text, degree=None):
@@ -107,17 +110,9 @@ class TestPermutation:
         # p^(n/q) != 1 for every prime q dividing n
         p = Permutation(images)
         ident = tuple(range(len(p)))
-
-        def power(k):
-            out, sq = ident, tuple(p)
-            while k:
-                if k & 1:
-                    out = oracles.mult(out, sq)
-                sq, k = oracles.mult(sq, sq), k >> 1
-            return out
         n = p.order()
-        assert power(n) == ident
-        assert all(power(n // q) != ident for q in sympy.primefactors(n))
+        assert oracles.power(p, n) == ident
+        assert all(oracles.power(p, n // q) != ident for q in sympy.primefactors(n))
         if len(p):
             assert Permutation.parse(p.cycle_string(), len(p)) == p
 
@@ -282,7 +277,6 @@ class TestBuildGroup:
         assert G.order == 60
 
     def test_psl27_order_formula(self):
-        from regula.constructors import projective_group
         q = 7
         assert projective_group("psl2", q).order == q * (q * q - 1) // 2 == 168
 
@@ -350,15 +344,13 @@ class TestNormalClosure:
     def test_klein_four_in_s4(self):
         S4 = symmetric(4)
         N = S4.normal_closure([P("(1,2)(3,4)", 4)])
-        want = oracles.normal_closure_set(
-            None, P("(1,2)(3,4)", 4).images, [g.images for g in S4.generators])
+        want = oracles.normal_closure_set(P("(1,2)(3,4)", 4).images, oracles.generator_tuples(S4))
         assert N.order == len(want) == 4
 
     def test_transposition_generates_s4(self):
         S4 = symmetric(4)
         N = S4.normal_closure([P("(1,2)", 4)])
-        want = oracles.normal_closure_set(
-            None, P("(1,2)", 4).images, [g.images for g in S4.generators])
+        want = oracles.normal_closure_set(P("(1,2)", 4).images, oracles.generator_tuples(S4))
         assert N.order == len(want) == 24
 
     def test_identity_seed(self):
@@ -401,9 +393,6 @@ MIXED = ["x(C(12), S(5))", "x(D(6), S(5))", "x(S(4), S(5))", "x(x(S(3), S(3)), S
 
 def corpus_and_mixed():
     """The 55 corpus groups and the six structure-mixed products, by expression."""
-    from regula.corpus import corpus_groups
-    from regula.exprs import group_from_text
-
     return corpus_groups() + [(expr, group_from_text(expr)) for expr in MIXED]
 
 
@@ -469,25 +458,17 @@ class TestChainExtension:
         # representatives: base, base points and every (u, uinv) stay as they are
         groups = corpus_and_mixed()
         assert len(groups) == 61
-        digest = hashlib.sha256()
-        for expr, G in groups:
-            doc = [expr, G.base, [[lvl.point, sorted(lvl.transversal.items())]
-                                  for lvl in G._levels]]
-            digest.update(json.dumps(doc).encode("utf-8"))
-        assert digest.hexdigest() == \
+        docs = ([expr, G.base, [[lvl.point, sorted(lvl.transversal.items())] for lvl in G._levels]]
+                for expr, G in groups)
+        assert oracles.json_digest(docs) == \
             "1ba0d5e321f176c92bc0af14fd5a833a3a768d465d1e5bcdba55ff5bf29430e9"
 
     def test_mixed_class_tables_pinned(self):
         # the products conjugate by merged pairs; their tables stay as they were
-        from regula.classes import conjugacy_classes
-        from regula.exprs import group_from_text
-
-        digest = hashlib.sha256()
-        for expr in MIXED:
-            doc = [expr, [[c.element_order, c.class_size, c.representative.cycle_string()]
-                          for c in conjugacy_classes(group_from_text(expr)).classes]]
-            digest.update(json.dumps(doc).encode("utf-8"))
-        assert digest.hexdigest() == \
+        docs = ([expr, [[c.element_order, c.class_size, c.representative.cycle_string()]
+                        for c in conjugacy_classes(group_from_text(expr)).classes]]
+                for expr in MIXED)
+        assert oracles.json_digest(docs) == \
             "0556873b5fddb817e35e1dc683b6c79cc57ebe88c53b4012c5c49c543bf401c3"
 
 
@@ -520,19 +501,19 @@ class TestConjugatingPairs:
             assert G.generators == tuple(P(g, 7).images for g in gens)
 
 
+def sympy_group(G):
+    """G as a sympy permutation group on the same generators."""
+    return SymGroup([SymPerm(list(g.images)) for g in G.generators])
+
+
 class TestAgainstSympy:
     """Normal-closure and series orders against sympy.combinatorics."""
 
     @pytest.mark.parametrize("expr", ["S(5)", "AGL1(17)", "x(S(3), S(4))",
                                       "x(S(5), AGL1(5))", "x(A(5), A(5))"])
     def test_closures_and_series(self, expr):
-        from sympy.combinatorics import Permutation as SymPerm
-        from sympy.combinatorics import PermutationGroup as SymGroup
-        from regula.classes import conjugacy_classes
-        from regula.exprs import group_from_text
-
         G = group_from_text(expr)
-        S = SymGroup([SymPerm(list(g.images)) for g in G.generators])
+        S = sympy_group(G)
         assert S.order() == G.order
         for cls in conjugacy_classes(G).classes:
             seed = cls.representative
@@ -547,30 +528,20 @@ class TestAgainstSympy:
 
     def test_solvability_over_corpus(self):
         # the radical is G exactly when sympy finds G solvable
-        from sympy.combinatorics import Permutation as SymPerm
-        from sympy.combinatorics import PermutationGroup as SymGroup
-        from regula.corpus import corpus_groups
-        from regula.radicals import core
-
         groups = corpus_groups()
         assert len(groups) == 55
         for expr, G in groups:
-            S = SymGroup([SymPerm(list(g.images)) for g in G.generators])
+            S = sympy_group(G)
             assert S.order() == G.order, expr
             assert (core(G, "solvable-radical").order == G.order) == S.is_solvable, expr
 
     def test_class_tables_over_corpus(self):
         # k(G) and the class sizes against sympy's own class partition
-        from sympy.combinatorics import Permutation as SymPerm
-        from sympy.combinatorics import PermutationGroup as SymGroup
-        from regula.classes import conjugacy_classes
-        from regula.corpus import corpus_groups
-
         checked = 0
         for expr, G in corpus_groups():
             if G.order > 10_000:
                 continue
-            S = SymGroup([SymPerm(list(g.images)) for g in G.generators])
+            S = sympy_group(G)
             theirs = sorted(len(c) for c in S.conjugacy_classes())
             table = conjugacy_classes(G)
             assert table.k_total == len(theirs), expr
@@ -589,8 +560,7 @@ class TestSeries:
     def test_derived_subgroup_matches_set_oracle(self):
         for G in (symmetric(4), alternating(4), dihedral(6)):
             got = G.commutator_subgroup().order
-            elems = oracles.closure([g.images for g in G.generators])
-            want = len(oracles.derived_subgroup_set(elems))
+            want = len(oracles.derived_subgroup_set(oracles.elements_of(G)))
             assert got == want
 
     def test_lower_central_series_d4(self):

@@ -2,7 +2,6 @@ import pytest
 
 import oracles
 from regula import CapExceeded, PermGroup, Permutation, RegulaError, perm_core
-from regula.classes import conjugacy_classes
 from regula.constructors import (
     affine_semilinear,
     alternating,
@@ -15,35 +14,6 @@ from regula.corpus import corpus_groups
 from regula.exprs import group_from_text
 from regula.numtheory import prime_factors
 from regula.radicals import certify_core, certify_fitting, core, fitting, structure_summary
-
-
-def oracle_core(G, kind, p=None):
-    """Join of qualifying single-element normal closures, fully set-based."""
-    gens = [g.images for g in G.generators]
-    elems = oracles.closure(gens) or {tuple(range(G.degree))}
-    classes = oracles.conj_classes(elems, gens)
-    member = set()
-    for cls in classes:
-        rep = min(cls)
-        if oracles.order_of(rep) == 1:
-            continue
-        closure = oracles.normal_closure_set(None, rep, gens)
-        n = len(closure)
-        if kind == "p-core":
-            ok = oracles.is_p_group_order(n, p)
-        elif kind == "p-prime-core":
-            ok = n % p != 0
-        elif kind == "solvable-radical":
-            ok = oracles.solvable_set(closure)
-        elif kind == "fitting":
-            ok = oracles.nilpotent_set(closure)
-        else:
-            raise ValueError(kind)
-        if ok:
-            member |= closure
-    if not member:
-        return 1
-    return len(oracles.closure(sorted(member)))
 
 
 SMALL_CORPUS = [
@@ -118,7 +88,8 @@ class TestResidualCases:
 
     def test_wreath_against_oracle(self):
         G = group_from_text("wr(C(2), A(5))")
-        assert core(G, "solvable-radical").order == oracle_core(G, "solvable-radical") == 32
+        assert core(G, "solvable-radical").order == \
+            oracles.core_orders(G)["solvable-radical"] == 32
 
     def test_solvable_group_is_its_radical(self):
         G = symmetric(4)
@@ -188,14 +159,15 @@ class TestFittingExamples:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("name,G", SMALL_CORPUS, ids=[n for n, _ in SMALL_CORPUS])
     def test_cores_match_brute_force(self, name, G):
+        want = oracles.core_orders(G)
         for p in prime_factors(G.order):
-            assert core(G, "p-core", p).order == oracle_core(G, "p-core", p)
-            assert core(G, "p-prime-core", p).order == oracle_core(G, "p-prime-core", p)
-        assert core(G, "solvable-radical").order == oracle_core(G, "solvable-radical")
+            assert core(G, "p-core", p).order == want[("p-core", p)]
+            assert core(G, "p-prime-core", p).order == want[("p-prime-core", p)]
+        assert core(G, "solvable-radical").order == want["solvable-radical"]
 
     @pytest.mark.parametrize("name,G", SMALL_CORPUS, ids=[n for n, _ in SMALL_CORPUS])
     def test_fitting_matches_brute_force(self, name, G):
-        assert fitting(G).order == oracle_core(G, "fitting")
+        assert fitting(G).order == oracles.core_orders(G)["fitting"]
 
 
 class TestMaximality:
