@@ -1,17 +1,17 @@
 """Conjugacy classes and the regular/singular class-counting statistics.
 
 Classes are found exactly: every element is visited and the group is
-partitioned by a depth-first walk under conjugation by the group
-generators.  Representatives are the first member of each class in
-``PermGroup.elements()`` order, so repeated runs produce identical
-tables.  A table is a ``ClassTable``, |G| and a tuple of ``ClassInfo``
-rows, and the counts at a prime are a ``ClassCounts``; all three are
-namedtuples, which need neither ``dataclasses`` nor ``inspect``.
-The orbits of G on a normal subgroup N are the classes of G
-that lie in N, so fused counts are read off G's table.  A table is
-refused when |G| exceeds ``perm_core.ELEMENT_CAP`` as it stands at the
-call, before the memo is read, so a table computed under a larger cap
-is never returned under a smaller one.
+partitioned by a breadth-first walk of each class, one frontier at a
+time, under conjugation by the group generators.  Representatives are
+the first member of each class in ``PermGroup.elements()`` order, so
+repeated runs produce identical tables.  A table is a ``ClassTable``,
+|G| and a tuple of ``ClassInfo`` rows, and the counts at a prime are a
+``ClassCounts``; all three are namedtuples, which need neither
+``dataclasses`` nor ``inspect``.  The orbits of G on a normal subgroup
+N are the classes of G that lie in N, so fused counts are read off G's
+table.  A table is refused when |G| exceeds ``perm_core.ELEMENT_CAP`` as
+it stands at the call, before the memo is read, so a table computed
+under a larger cap is never returned under a smaller one.
 
 Memory: an element is named by its rank in that order, which its base
 images determine.  The chain splits after its first j levels: element
@@ -21,16 +21,18 @@ representatives.  The partition keeps one visited byte per element and,
 per generator, a conjugation map of one 4-byte rank per element, so
 1 + 4k bytes per element for k generators.  The stabiliser is kept as
 |G|/A image tuples with a dict from their base images to A*t, 1/A of a
-full element list.  The head grows by a level while the table of its A
+full element list; the tail base images name a row, a one-point tail
+by the bare image.  The head grows by a level while the table of its A
 cosets times one generator, A*degree images, stays within a quarter of
 |G| entries; a one-level head is the level-0 transversal itself, so its
 A*degree can reach |G| without a copy.  A map is built over the
 stabiliser rows grouped by head key, the images of a row at the head
 points moved by the generator: a group builds its tail columns once and
 drops them when it is done, so they add at most degree*A entries at a
-time, no more than the table itself.  Only the class representatives
-are built in full; each is walked once, for its order and sort key,
-and becomes a ``Permutation`` unchecked.
+time, no more than the table itself.  The walk of a class keeps two
+frontiers of ranks, the last one and the one it builds.  Only the class
+representatives are built in full; each is walked once, for its order
+and sort key, and becomes a ``Permutation`` unchecked.
 """
 
 from __future__ import annotations
@@ -131,12 +133,13 @@ class _RankSplit:
             winv = list(map(_inv, w))
         base = [lvl.point for lvl in levels]
         self.j, self.A, self.w, self.winv, self.base = j, A, w, winv, base
-        # head base images of w[a] -> a (one image for a one-level head);
-        # tail base images of stab[t] -> A*t
+        # head base images of w[a] -> a (one image for a one-level head)
         self.head_of = {x[base[0]] if j == 1 else tuple(map(x.__getitem__, base[:j])): a
                         for a, x in enumerate(w)}
         self.stab = list(_chain_elements(levels[j:], G._ident))
-        self.row_of = {tuple(map(s.__getitem__, base[j:])): A * t
+        # tail base images of stab[t] -> A*t (one image for a one-point tail)
+        tail = base[j:]
+        self.row_of = {s[tail[0]] if len(tail) == 1 else tuple(map(s.__getitem__, tail)): A * t
                        for t, s in enumerate(self.stab)}
 
     def conjugation_map(self, g, ginv) -> array:
@@ -162,7 +165,7 @@ class _RankSplit:
                       for c in {stab[t][p] for t in ts for p in tail}}
             for t in ts:
                 s = stab[t]
-                keys = zip(*[column[s[p]] for p in tail])
+                keys = column[s[tail[0]]] if len(tail) == 1 else zip(*[column[s[p]] for p in tail])
                 conj[A * t:A * t + A] = array("i", map(add, heads, map(row_of.__getitem__, keys)))
         return conj
 
@@ -185,8 +188,12 @@ def _partition_into_orbits(G: PermGroup):
     the g^-1(b) of the head points, and a tail column also on its index,
     so the rows are grouped by head key: a group builds its a' and
     w[a']^-1 once and each tail column once, writes each row's A ranks as
-    one slice, and then drops its columns.  Phase 2 walks the classes on
-    the integer maps, depth first.
+    one slice, and then drops its columns.  A one-point tail names t' by
+    the bare image, so its column is the row keys themselves.  Phase 2
+    walks each class on the integer maps breadth first: every map is
+    applied to the whole frontier, which forms the next one, so only two
+    frontiers are kept, and the class size is the sum of the frontiers'
+    lengths.
     """
     if not G._levels:
         return [(G._ident, 1)]
@@ -199,15 +206,17 @@ def _partition_into_orbits(G: PermGroup):
     while r >= 0:
         visited[r] = 1
         size = 1
-        stack = [r]
-        while stack:
-            x = stack.pop()
+        frontier = [r]
+        while frontier:
+            new = []
             for m in maps:
-                y = m[x]
-                if not visited[y]:
-                    visited[y] = 1
-                    size += 1
-                    stack.append(y)
+                for x in frontier:
+                    y = m[x]
+                    if not visited[y]:
+                        visited[y] = 1
+                        new.append(y)
+            size += len(new)
+            frontier = new
         t, a = divmod(r, A)
         out.append((_mult(stab[t], w[a]), size))
         r = visited.find(0, r + 1)
@@ -226,7 +235,7 @@ def _class_table(G: PermGroup) -> ClassTable:
         if G.order % size != 0:
             raise RegulaError("class size does not divide the group order")
         cycles = _cycles_of(rep)
-        rows.append((lcm(*map(len, cycles)), size, _cycle_text(cycles), rep))
+        rows.append((lcm(*map(len, cycles)), size, _cycle_text(cycles, G.degree), rep))
     if sum(row[1] for row in rows) != G.order:
         raise RegulaError("class equation failed")
     rows.sort()  # by (order, size, cycle string); distinct classes, distinct strings

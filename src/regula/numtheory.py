@@ -25,9 +25,12 @@ that: ``is_prime`` of an integer at or above the Miller-Rabin bound, or
 Every integer argument of a public function here passes ``check_int``,
 the package's one integer check, so a float such as 2.5 is refused with
 a ``RegulaError`` rather than given a wrong answer; an argument that
-must be prime passes ``check_prime`` instead.  Helpers whose cost grows with their input
-refuse a large one with ``CapExceeded`` before any work, against the
-input bounds below; no call overrides them.
+must be prime passes ``check_prime`` instead.  The class-count bounds
+also refuse, with a one-line ``RegulaError``, parameters outside the
+domain of their formula, where it would divide by zero, take a logarithm
+to base 1 or read a non-prime characteristic.  Helpers whose cost grows
+with their input refuse a large one with ``CapExceeded`` before any
+work, against the input bounds below; no call overrides them.
 """
 
 from __future__ import annotations
@@ -275,16 +278,16 @@ def coxeter_number(family: str, rank: int = 0) -> int:
 def regular_class_bound_linear(n: int, q: int) -> Fraction:
     """Lower bound q^(n-1) / (6 n^3) for the number of p-regular classes of
     PSL_n(q) or PSU_n(q)."""
-    check_int("n", n)
-    check_int("q", q)
+    if check_int("n", n) < 1 or check_int("q", q) < 2:
+        raise RegulaError("need n >= 1 and q >= 2")
     return Fraction(q ** (n - 1), 6 * n ** 3)
 
 
 def regular_class_bound_rank1(q: int, f: int) -> float:
     """Lower bound q / (4 e f (1 + log_q 3) gcd(2, q-1)) for the number of
     p-regular classes of PSL2(q), q = r^f."""
-    check_int("q", q)
-    check_int("f", f)
+    if check_int("q", q) < 2 or check_int("f", f) < 1:
+        raise RegulaError("need q >= 2 and f >= 1")
     return q / (4 * math.e * f * (1 + math.log(3, q)) * math.gcd(2, q - 1))
 
 
@@ -292,30 +295,34 @@ def min_centralizer_bound_linear(n: int, q: int) -> float:
     """Lower bound q^(n-1) / (e (1 + log_q(n+1)) gcd(q-1, n)) for the
     smallest centralizer order of PSL_n(q).  At n = 2 it is the rank-1
     bound q / (e (1 + log_q 3) gcd(2, q-1)), float for float."""
-    check_int("n", n)
-    check_int("q", q)
+    if check_int("n", n) < 1 or check_int("q", q) < 2:
+        raise RegulaError("need n >= 1 and q >= 2")
     return q ** (n - 1) / (math.e * (1 + math.log(n + 1, q)) * math.gcd(q - 1, n))
 
 
 def singular_proportion_bound_defining(q: int) -> Fraction:
     """Lower bound 2/(5q) for the proportion of p-singular elements of a
     group of Lie type over GF(q), p the defining characteristic."""
-    check_int("q", q)
+    if check_int("q", q) < 2:
+        raise RegulaError("need q >= 2")
     return Fraction(2, 5 * q)
 
 
 def singular_proportion_bound_cross(h: int, p: int) -> Fraction:
     """Lower bound (1/h)(1 - 1/p) for the proportion of p-singular elements,
     p a cross characteristic and h the Coxeter number."""
-    check_int("h", h)
+    if check_int("h", h) < 1:
+        raise RegulaError("need h >= 1")
     check_int("p", p)
+    check_prime(p)
     return Fraction(1, h) * (1 - Fraction(1, p))
 
 
 def regular_proportion_bound(m: int) -> Fraction:
     """Lower bound 1/(2m) for the proportion of p-regular elements (any p)
     of a classical group of natural projective dimension m."""
-    check_int("m", m)
+    if check_int("m", m) < 1:
+        raise RegulaError("need m >= 1")
     return Fraction(1, 2 * m)
 
 

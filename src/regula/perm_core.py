@@ -29,7 +29,8 @@ conjugation maps of a class table hold; the CLI refuses a larger
 A permutation is checked once, where it comes in: ``Permutation(...)``
 of an outside value, and ``_element`` at each way into a group; a tuple
 the package builds becomes one through ``_wrap``, unchecked.  Its order
-and its cycle string read one walk of its cycles, ``_cycles_of``.
+and its cycle string read one walk of its cycles, ``_cycles_of``, and
+``_cycle_text`` writes the string from one table of point labels.
 A permutation's degree is ``len(g)``, its image of x is ``g[x]``, and
 composition is left-to-right: ``(a * b)[x] == b[a[x]]``.  A product
 of image tuples is one C-level gather, ``itemgetter(*a)(b)``.  Each
@@ -100,9 +101,21 @@ def _order_of(t):
     return lcm(*map(len, _cycles_of(t)))
 
 
-def _cycle_text(cycles):
-    """``_cycles_of``'s cycles in 1-based notation; the identity is "()"."""
-    return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cycles) or "()"
+_LABELS = ()    # _LABELS[x] is point x's 1-based label, str(x + 1)
+
+
+def _cycle_text(cycles, degree):
+    """``_cycles_of``'s cycles, of a permutation of this degree, in 1-based
+    notation; the identity is "()".  A cycle's labels are one gather from
+    the one label table, which every caller reads alike, since its entry
+    at x is always str(x + 1); it is rebuilt whole when a larger degree
+    first needs it.  A cycle has two points or more, so the gather is
+    always a tuple."""
+    global _LABELS
+    labels = _LABELS
+    if len(labels) < degree:
+        labels = _LABELS = tuple(map(str, range(1, degree + 1)))
+    return "(" + ")(".join([",".join(itemgetter(*c)(labels)) for c in cycles]) + ")"
 
 
 def _merged_pairs(tuples):
@@ -216,7 +229,7 @@ class Permutation(tuple):
         return _order_of(self)
 
     def cycle_string(self) -> str:
-        return _cycle_text(_cycles_of(self))
+        return _cycle_text(_cycles_of(self), len(self))
 
     __str__ = cycle_string
 

@@ -178,7 +178,8 @@ class TestRepresentatives:
 
 
 class TestConjugationMaps:
-    @pytest.mark.parametrize("text", ["PSL2(7)", "x(S(4), S(5))", "M11"])
+    # AGL1(17) has a one-point tail and a head key per row
+    @pytest.mark.parametrize("text", ["PSL2(7)", "x(S(4), S(5))", "M11", "AGL1(17)"])
     def test_map_against_element_ranks(self, text):
         # map[r] is the rank of g^-1 * y * g for the r-th element y
         G = group_from_text(text)

@@ -291,6 +291,21 @@ class TestBounds:
         # the bounds suite passes m = 2 for PSL2(q)
         assert regular_proportion_bound(2) == Fraction(1, 4)
 
+    OUTSIDE = [(regular_class_bound_linear, (0, 3)), (regular_class_bound_linear, (2, 1)),
+               (regular_class_bound_rank1, (1, 1)), (regular_class_bound_rank1, (0, 1)),
+               (regular_class_bound_rank1, (4, 0)), (min_centralizer_bound_linear, (2, 1)),
+               (min_centralizer_bound_linear, (0, 3)), (singular_proportion_bound_defining, (0,)),
+               (singular_proportion_bound_cross, (0, 2)), (singular_proportion_bound_cross, (3, 4)),
+               (regular_proportion_bound, (0,))]
+
+    @pytest.mark.parametrize("bound, args", OUTSIDE,
+                             ids=[f"{bound.__name__}{args}" for bound, args in OUTSIDE])
+    def test_outside_the_domain_refused(self, bound, args):
+        # each is outside its formula's domain: one error line, not a traceback or a number
+        with pytest.raises(RegulaError) as refused:
+            bound(*args)
+        assert "\n" not in str(refused.value)
+
 
 class TestPsl2Scan:
     def test_contains_all_seventeen(self):
