@@ -7,11 +7,13 @@ the first member of each class in ``PermGroup.elements()`` order, so
 repeated runs produce identical tables.  A table is a ``ClassTable``,
 |G| and a tuple of ``ClassInfo`` rows, and the counts at a prime are a
 ``ClassCounts``; all three are namedtuples, which need neither
-``dataclasses`` nor ``inspect``.  The orbits of G on a normal subgroup
-N are the classes of G that lie in N, so fused counts are read off G's
-table.  A table is refused when |G| exceeds ``perm_core.ELEMENT_CAP`` as
-it stands at the call, before the memo is read, so a table computed
-under a larger cap is never returned under a smaller one.
+``dataclasses`` nor ``inspect``.  Class data is read through a table's
+methods.  The orbits of G on a normal subgroup N are the classes of G
+that lie in N, so ``fused_counts``, the one function that needs a second
+group, reads them off G's table.  A table is refused when |G| exceeds
+``perm_core.ELEMENT_CAP`` as it stands at the call, before the memo is
+read, so a table computed under a larger cap is never returned under a
+smaller one.
 
 Memory: an element is named by its rank in that order, which its base
 images determine.  The chain splits after its first j levels: element
@@ -105,6 +107,10 @@ def _counts(p: int, orders: list) -> ClassCounts:
     regular = sum(1 for o in orders if o % p != 0)
     return ClassCounts(p=p, k_total=len(orders), k_regular=regular,
                        k_singular=len(orders) - regular)
+
+
+# the largest rank the array("i") conjugation maps hold: the largest ELEMENT_CAP
+RANK_LIMIT = 2**31 - 1
 
 
 class _RankSplit:
@@ -243,11 +249,6 @@ def _class_table(G: PermGroup) -> ClassTable:
         ClassInfo(_wrap(rep), order, size, G.order // size) for order, size, _, rep in rows))
 
 
-def class_counts(G: PermGroup, p: int) -> ClassCounts:
-    """k(G), k_regular and k_singular with respect to the prime p."""
-    return conjugacy_classes(G).counts(p)
-
-
 def fused_counts(G: PermGroup, N: PermGroup, p: int) -> ClassCounts:
     """Counts of G-conjugation orbits on the elements of normal N <= G.
 
@@ -259,8 +260,3 @@ def fused_counts(G: PermGroup, N: PermGroup, p: int) -> ClassCounts:
         raise NotNormal("fused counts need a normal subgroup")
     return _counts(p, [c.element_order for c in conjugacy_classes(G).classes
                        if N.contains(c.representative)])
-
-
-def singular_element_count(G: PermGroup, p: int) -> int:
-    """Number of elements of G whose order is divisible by p."""
-    return conjugacy_classes(G).singular_element_total(p)

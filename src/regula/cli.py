@@ -25,16 +25,12 @@ import stat
 import sys
 
 from . import perm_core
-from .classes import conjugacy_classes
+from .classes import RANK_LIMIT, conjugacy_classes
 from .errors import RegulaError
 from .exprs import group_from_text
 from .numtheory import check_prime, landau_quantity, prime_family, psl2_candidate_scan
 from .radicals import structure_summary
 from .suites import SUITE_NAMES, run_suite
-
-
-# the largest rank the int32 maps of a class table hold
-_CAP_LIMIT = 2**31 - 1
 
 
 def _clip(message):
@@ -47,9 +43,9 @@ def _apply_cap_env():
     if cap is not None:
         # the length test keeps int() inside its digit limit
         if not (cap.isascii() and cap.isdigit() and len(cap.lstrip("0")) <= 10
-                and 0 < int(cap) <= _CAP_LIMIT):
+                and 0 < int(cap) <= RANK_LIMIT):
             raise RegulaError(_clip(f"REGULA_ELEMENT_CAP must be a positive integer up to "
-                                    f"{_CAP_LIMIT}, got {cap!r}"))
+                                    f"{RANK_LIMIT}, got {cap!r}"))
         perm_core.ELEMENT_CAP = int(cap)
 
 

@@ -374,7 +374,7 @@ def m10() -> PermGroup:
     have four 2-regular classes and M10 has three; that count and the
     order are its certificate.
     """
-    from .classes import class_counts
+    from .classes import conjugacy_classes
 
     N = projective_group("psl2", 9)
     F = make_field(3, 2)
@@ -383,7 +383,7 @@ def m10() -> PermGroup:
     # the coset's canonical element, not delta_phi itself, is the generator
     # the M10 class representatives are pinned with
     G = PermGroup(N.generators + (N._coset_canonical(delta_phi),))
-    if G.order != 720 or class_counts(G, 2).k_regular != 3:
+    if G.order != 720 or conjugacy_classes(G).counts(2).k_regular != 3:
         raise RegulaError("M10 certificate failed: expected order 720 and "
                           "three 2-regular classes")
     return G

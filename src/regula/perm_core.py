@@ -494,14 +494,11 @@ class PermGroup:
 
     # -- enumeration -----------------------------------------------------
 
-    def _raw_elements(self) -> Iterator[tuple]:
-        check_element_cap(self)
-        return _chain_elements(self._levels, self._ident)
-
     def elements(self) -> Iterator[Permutation]:
-        """Yield each element exactly once; raises CapExceeded if order > ELEMENT_CAP."""
-        for t in self._raw_elements():
-            yield _wrap(t)
+        """Each element exactly once, in chain order; raises CapExceeded at
+        the call if order > ELEMENT_CAP."""
+        check_element_cap(self)
+        return map(_wrap, _chain_elements(self._levels, self._ident))
 
     # -- subgroup constructions ------------------------------------------
 

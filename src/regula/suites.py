@@ -1,12 +1,13 @@
 """Claim suites: execute every registered check and assemble a report.
 
 ``SUITES`` maps each suite name to its description and the runner that
-records its rows, each a ``ClaimCheck`` made by
-``VerificationReport.check`` (both plain ``__slots__`` classes); the CLI,
-``run_suite`` and the tests read it.  A registry suite's description and
-value claims come from ``data/claims.json``; the others check closed
-forms and the corpus.  Reports are plain dicts with a stable ordering,
-so serialising one twice gives identical bytes.
+records its rows in a ``VerificationReport`` (a ``__slots__`` class),
+each row a ``ClaimCheck`` namedtuple made by ``VerificationReport.check``;
+the CLI, ``run_suite`` and the tests read it.  A registry suite's
+description and value claims come from ``data/claims.json``; the others
+check closed forms and the corpus.  The JSON and CSV reports are both
+written from one list of the rows ordered by claim id, so serialising a
+report twice gives identical bytes.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from __future__ import annotations
 import io
 import json
 import os
+from collections import namedtuple
 from fractions import Fraction
+from operator import attrgetter
 
 from . import __version__
-from .classes import class_counts, conjugacy_classes, fused_counts, singular_element_count
+from .classes import conjugacy_classes, fused_counts
 from .corpus import CORPUS_EXPRS, corpus_groups, normal_pairs
 from .errors import RegulaError
 from .exprs import group_from_text
@@ -44,29 +47,8 @@ from .radicals import core
 _KNOWN_SCAN_17 = (11, 13, 16, 19, 23, 25, 27, 31, 32, 37, 47, 49, 53, 73, 81, 97, 128)
 
 
-class ClaimCheck:
-    """One report row; ``status`` is pass, fail, out_of_scope or flagged."""
-
-    __slots__ = ("claim_id", "statement", "status", "expected", "computed", "detail")
-
-    def __init__(self, claim_id: str, statement: str, status: str,
-                 expected=None, computed=None, detail: str = ""):
-        self.claim_id = claim_id
-        self.statement = statement
-        self.status = status
-        self.expected = expected
-        self.computed = computed
-        self.detail = detail
-
-    def to_json_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "statement": self.statement,
-            "status": self.status,
-            "expected": _jsonable(self.expected),
-            "computed": _jsonable(self.computed),
-            "detail": self.detail,
-        }
+# one report row; status is pass, fail, out_of_scope or flagged
+ClaimCheck = namedtuple("ClaimCheck", "claim_id statement status expected computed detail")
 
 
 def _jsonable(v):
@@ -108,8 +90,12 @@ class VerificationReport:
     def failed(self) -> bool:
         return any(c.status == "fail" for c in self.checks)
 
+    def _rows(self) -> list:
+        """The rows by claim id, values made plain: what JSON and CSV both write."""
+        return [c._replace(expected=_jsonable(c.expected), computed=_jsonable(c.computed))
+                for c in sorted(self.checks, key=attrgetter("claim_id"))]
+
     def to_json_dict(self) -> dict:
-        ordered = sorted(self.checks, key=lambda c: c.claim_id)
         return {
             "suite": self.suite,
             "description": self.description,
@@ -117,7 +103,7 @@ class VerificationReport:
             "element_cap": perm_core.ELEMENT_CAP,
             "corpus_size": len(CORPUS_EXPRS),
             "summary": self.summary(),
-            "checks": [c.to_json_dict() for c in ordered],
+            "checks": [c._asdict() for c in self._rows()],
         }
 
     def to_json(self) -> str:
@@ -132,9 +118,7 @@ class VerificationReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("claim_id", "status", "expected", "computed"))
-        for c in sorted(self.checks, key=lambda c: c.claim_id):
-            writer.writerow((c.claim_id, c.status,
-                             _jsonable(c.expected), _jsonable(c.computed)))
+        writer.writerows((c.claim_id, c.status, c.expected, c.computed) for c in self._rows())
         return out.getvalue()
 
 
@@ -152,16 +136,16 @@ def _value_check(report: VerificationReport, claim: dict):
         report.check(cid, claim.get("reason", statement), "out_of_scope",
                      detail=claim.get("group", ""))
         return
-    G = group_from_text(claim["expr"])
+    table = conjugacy_classes(group_from_text(claim["expr"]))
     p = claim["p"]
     if kind == "k_regular":
-        computed = class_counts(G, p).k_regular
+        computed = table.counts(p).k_regular
     elif kind == "k_singular":
-        computed = class_counts(G, p).k_singular
+        computed = table.counts(p).k_singular
     elif kind == "p_power_classes":
-        computed = conjugacy_classes(G).p_power_class_count(p)
+        computed = table.p_power_class_count(p)
     elif kind == "singular_elements_flagged":
-        computed = singular_element_count(G, p)
+        computed = table.singular_element_total(p)
         report.check(cid, statement, "flagged", claim["stated"], computed,
                      detail="recorded discrepancy; neither value adopted")
         return
@@ -196,9 +180,10 @@ def _run_theorem_b(report: VerificationReport, suites: dict):
     for expr, G in corpus_groups():
         if not core(G, "solvable-radical").is_trivial:
             continue
+        table = conjugacy_classes(G)
         for p in prime_factors(G.order):
-            if class_counts(G, p).k_regular == 4:
-                fp = (G.order, conjugacy_classes(G).class_size_multiset(), p)
+            if table.counts(p).k_regular == 4:
+                fp = (G.order, table.class_size_multiset(), p)
                 report.check(
                     f"converse.{expr}.p{p}",
                     "corpus-limited converse: a corpus group with trivial solvable "
@@ -331,12 +316,10 @@ def _run_properties(report: VerificationReport, suites: dict):
             ok, expected=True, computed=ok)
 
     for gexpr, ndesc, G, N in normal_pairs():
-        primes = prime_factors(G.order)
         Q = G.quotient(N)
-        for p in primes:
-            gc = class_counts(G, p)
-            qc = class_counts(Q, p)
-            nc = class_counts(N, p)
+        tables = [conjugacy_classes(H) for H in (G, Q, N)]
+        for p in prime_factors(G.order):
+            gc, qc, nc = (table.counts(p) for table in tables)
             index = G.order // N.order
             ok_q = qc.k_regular <= gc.k_regular and qc.k_singular <= gc.k_singular
             report.check(

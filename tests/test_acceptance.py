@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from regula import perm_core
-from regula.classes import class_counts, conjugacy_classes
+from regula.classes import conjugacy_classes
 from regula.corpus import corpus_groups
 from regula.exprs import group_from_text
 from regula.numtheory import (
@@ -43,7 +43,7 @@ CRIT1 = [
 
 @pytest.mark.parametrize("expr,p", CRIT1, ids=[f"{e}-p{p}" for e, p in CRIT1])
 def test_criterion_1_four_regular_classes(expr, p):
-    got = class_counts(group_from_text(expr), p).k_regular
+    got = conjugacy_classes(group_from_text(expr)).counts(p).k_regular
     assert _line(1, f"k_{p}'({expr}) = 4", got == 4, f"computed {got}")
 
 
@@ -62,7 +62,7 @@ CRIT2 = [
 
 @pytest.mark.parametrize("expr,p", CRIT2, ids=[f"{e}-p{p}" for e, p in CRIT2])
 def test_criterion_2_three_regular_classes(expr, p):
-    got = class_counts(group_from_text(expr), p).k_regular
+    got = conjugacy_classes(group_from_text(expr)).counts(p).k_regular
     assert _line(2, f"k_{p}'({expr}) = 3", got == 3, f"computed {got}")
 
 
@@ -74,7 +74,7 @@ CRIT3 = ["S(7)", "M11", "M12.2", "PGL2(11)", "L34.2_2", "L34.2_3"]
 @pytest.mark.parametrize("expr", CRIT3)
 def test_criterion_3_five_regular_classes(expr):
     t0 = time.monotonic()
-    got = class_counts(group_from_text(expr), 2).k_regular
+    got = conjugacy_classes(group_from_text(expr)).counts(2).k_regular
     assert _line(3, f"k_2'({expr}) = 5", got == 5,
                  f"computed {got} in {time.monotonic() - t0:.1f}s")
 
@@ -107,19 +107,19 @@ CRIT4 = [
                          ids=[f"{e}-{k}{p}" for e, p, k, _ in CRIT4])
 def test_criterion_4_families(expr, p, kind, expected):
     t0 = time.monotonic()
-    G = group_from_text(expr)
+    table = conjugacy_classes(group_from_text(expr))
     if kind == "k_regular":
-        got = class_counts(G, p).k_regular
+        got = table.counts(p).k_regular
     elif kind == "k_singular":
-        got = class_counts(G, p).k_singular
+        got = table.counts(p).k_singular
     else:
-        got = conjugacy_classes(G).p_power_class_count(p)
+        got = table.p_power_class_count(p)
     detail = f"computed {got} in {time.monotonic() - t0:.1f}s"
     if expr == "GLQ(l=2, q=3)" and got != expected:
         # independent recount: odd-order elements are the 81 vector
         # translations and their classes are the monomial-group orbits,
         # which a direct Burnside count also puts at 6, not 2^2+1 = 5
-        odd = [c for c in conjugacy_classes(G).classes if c.element_order % 2]
+        odd = [c for c in table.classes if c.element_order % 2]
         detail += (f"; stated value 2^l+1 = {expected} but the {sum(c.class_size for c in odd)}"
                    f" odd-order elements fall into {len(odd)} classes")
     assert _line(4, f"{kind}(p={p}) of {expr} = {expected}", got == expected, detail)

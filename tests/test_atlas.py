@@ -8,7 +8,7 @@ import pytest
 
 from regula import CapExceeded, GroupDataError, RegulaError, UnknownGroupName
 from regula import constructors, corpus, perm_core
-from regula.classes import class_counts, conjugacy_classes
+from regula.classes import conjugacy_classes
 from regula.constructors import ATLAS_NAMES, _data_path, from_generator_data, load_generator_file
 from regula.exprs import group_from_text
 
@@ -109,7 +109,7 @@ class TestMathieu:
         assert t.class_size_multiset() == (1, 165, 440, 720, 720, 990, 990, 990, 1320, 1584)
 
     def test_m11_regular_classes(self):
-        assert class_counts(group_from_text("M11"), 2).k_regular == 5
+        assert conjugacy_classes(group_from_text("M11")).counts(2).k_regular == 5
 
     def test_m12_sharply_five_transitive(self):
         G = group_from_text("M12")
@@ -172,10 +172,10 @@ class TestLinearFamily:
         assert t.element_order_multiset() == (1, 2, 3, 4, 4, 4, 5, 5, 7, 7)
 
     def test_extension_regular_counts(self):
-        assert class_counts(group_from_text("L34.2_1"), 2).k_regular == 4
-        assert class_counts(group_from_text("L34.2_2"), 2).k_regular == 5
-        assert class_counts(group_from_text("L34.2_3"), 2).k_regular == 5
-        assert class_counts(group_from_text("L34.2^2"), 2).k_regular == 4
+        assert conjugacy_classes(group_from_text("L34.2_1")).counts(2).k_regular == 4
+        assert conjugacy_classes(group_from_text("L34.2_2")).counts(2).k_regular == 5
+        assert conjugacy_classes(group_from_text("L34.2_3")).counts(2).k_regular == 5
+        assert conjugacy_classes(group_from_text("L34.2^2")).counts(2).k_regular == 4
 
     def test_extensions_distinct(self):
         prints = {name: conjugacy_classes(group_from_text(name)).class_size_multiset()
@@ -192,19 +192,19 @@ class TestUnitaryAndSuzuki:
     def test_u33(self):
         t = conjugacy_classes(group_from_text("U33"))
         assert t.k_total == 14
-        assert class_counts(group_from_text("U33"), 2).k_regular == 5
+        assert conjugacy_classes(group_from_text("U33")).counts(2).k_regular == 5
 
     def test_u33_2(self):
         G = group_from_text("U33.2")
         assert group_from_text("U33").is_normal_in(G)
-        assert class_counts(G, 2).k_regular == 4
+        assert conjugacy_classes(G).counts(2).k_regular == 4
 
     def test_sz8_class_structure(self):
         t = conjugacy_classes(group_from_text("Sz8"))
         assert t.element_order_multiset() == (1, 2, 4, 4, 5, 7, 7, 7, 13, 13, 13)
 
     def test_sz8_two_singular(self):
-        assert class_counts(group_from_text("Sz8"), 2).k_singular == 3
+        assert conjugacy_classes(group_from_text("Sz8")).counts(2).k_singular == 3
 
     def test_sz8_order_coprime_to_three(self):
         assert group_from_text("Sz8").order % 3 != 0

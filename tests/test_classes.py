@@ -12,15 +12,14 @@ from regula import perm_core
 from regula.classes import (
     _partition_into_orbits,
     _RankSplit,
-    class_counts,
     conjugacy_classes,
     fused_counts,
-    singular_element_count,
 )
 from regula.constructors import alternating, cyclic, projective_group, symmetric
 from regula.corpus import corpus_groups, normal_pairs
 from regula.exprs import group_from_text
 from regula.numtheory import prime_factors
+from regula.radicals import core, fitting
 
 
 class TestConjugacyClasses:
@@ -198,23 +197,23 @@ class TestConjugationMaps:
 
 class TestClassCounts:
     def test_a5(self):
-        assert class_counts(alternating(5), 2).k_regular == 4
-        assert class_counts(alternating(5), 5).k_regular == 3
+        assert conjugacy_classes(alternating(5)).counts(2).k_regular == 4
+        assert conjugacy_classes(alternating(5)).counts(5).k_regular == 3
 
     def test_psl27_p7(self):
-        counts = class_counts(projective_group("psl2", 7), 7)
+        counts = conjugacy_classes(projective_group("psl2", 7)).counts(7)
         assert (counts.k_regular, counts.k_singular) == (4, 2)
 
     def test_total_is_sum(self):
         for G in (symmetric(5), alternating(6)):
             for p in (2, 3, 5):
-                c = class_counts(G, p)
+                c = conjugacy_classes(G).counts(p)
                 assert c.k_total == c.k_regular + c.k_singular
                 assert c.k_regular >= 1
 
     def test_prime_required(self):
         with pytest.raises(RegulaError):
-            class_counts(cyclic(6), 6)
+            conjugacy_classes(cyclic(6)).counts(6)
 
 
 class TestFusedCounts:
@@ -224,13 +223,13 @@ class TestFusedCounts:
 
     def test_self_fusion_is_class_counts(self):
         G = alternating(5)
-        assert fused_counts(G, G, 2) == class_counts(G, 2)
+        assert fused_counts(G, G, 2) == conjugacy_classes(G).counts(2)
 
     def test_fusion_monotone_pgammal29(self):
         big = projective_group("pgammal2", 9)
         soc = projective_group("psl2", 9)
         fused = fused_counts(big, soc, 2).k_regular
-        plain = class_counts(soc, 2).k_regular
+        plain = conjugacy_classes(soc).counts(2).k_regular
         assert fused < plain
 
     def test_requires_normal(self):
@@ -254,18 +253,18 @@ class TestFusedCounts:
 
 class TestSingularElements:
     def test_a5_p5(self):
-        assert singular_element_count(alternating(5), 5) == 24
+        assert conjugacy_classes(alternating(5)).singular_element_total(5) == 24
 
     def test_c6_p7(self):
-        assert singular_element_count(cyclic(6), 7) == 0
+        assert conjugacy_classes(cyclic(6)).singular_element_total(7) == 0
 
     def test_psl27_p7(self):
-        assert singular_element_count(projective_group("psl2", 7), 7) == 48
+        assert conjugacy_classes(projective_group("psl2", 7)).singular_element_total(7) == 48
 
     def test_matches_direct_enumeration(self):
         for G, p in ((symmetric(5), 2), (alternating(5), 3)):
             direct = sum(1 for t in oracles.elements_of(G) if oracles.order_of(t) % p == 0)
-            assert singular_element_count(G, p) == direct
+            assert conjugacy_classes(G).singular_element_total(p) == direct
 
 
 class TestSerialization:
@@ -282,3 +281,66 @@ class TestSerialization:
         G2 = PermGroup(list(symmetric(5).generators))
         b = json.dumps(conjugacy_classes(G2).to_json_dict("S(5)"), sort_keys=True)
         assert a == b
+
+
+def relabelled(G, sigma, rng):
+    """A fresh group on G's points, each point x renamed sigma[x] (G
+    conjugated by sigma), generated by g1, g1*g2, g3, ... in shuffled order."""
+    gens = list(G.generators)
+    if len(gens) > 1:
+        gens[1] = gens[0] * gens[1]
+    rng.shuffle(gens)
+    return PermGroup([sigma.inverse() * g * sigma for g in gens], degree=G.degree)
+
+
+def assert_relabelling_invariant(G, H, sigma):
+    """H = relabelled(G, sigma, ...) has G's order, class-size, element-order
+    and centralizer-order multisets, k_p' at every p dividing |G|, derived
+    length and |F(G)|, and each of its p-cores, p'-cores and solvable
+    radical is G's conjugated by sigma."""
+    assert H.order == G.order
+    tg, th = conjugacy_classes(G), conjugacy_classes(H)
+    for field in ("class_size", "element_order", "centralizer_order"):
+        assert (sorted(getattr(c, field) for c in th.classes)
+                == sorted(getattr(c, field) for c in tg.classes)), field
+    primes = prime_factors(G.order)
+    assert [th.counts(p) for p in primes] == [tg.counts(p) for p in primes]
+    assert H.derived_length() == G.derived_length()
+    assert fitting(H).order == fitting(G).order
+    cores = [(kind, p) for p in primes for kind in ("p-core", "p-prime-core")]
+    for kind, p in cores + [("solvable-radical", None)]:
+        N, M = core(G, kind, p), core(H, kind, p)
+        assert M.order == N.order and all(sigma.inverse() * g * sigma in M
+                                          for g in N.generators), (kind, p)
+
+
+class TestRelabelling:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        """expression -> (G, sigma, G relabelled by sigma), seed 1."""
+        rng = random.Random(1)
+        out = {}
+        for expr, G in corpus_groups():
+            points = list(range(G.degree))
+            rng.shuffle(points)
+            sigma = Permutation(points)
+            out[expr] = (G, sigma, relabelled(G, sigma, rng))
+        return out
+
+    def test_corpus_groups(self, corpus):
+        assert len(corpus) == 55
+        for expr, (G, sigma, H) in corpus.items():
+            try:
+                assert_relabelling_invariant(G, H, sigma)
+            except AssertionError as exc:
+                raise AssertionError(f"{expr}: {exc}") from None
+
+    def test_normal_pairs(self, corpus):
+        rng = random.Random(1)
+        pairs = normal_pairs()
+        assert len(pairs) == 22
+        for gexpr, label, G, N in pairs:
+            _, sigma, H = corpus[gexpr]
+            M = relabelled(N, sigma, rng)
+            for p in prime_factors(G.order):
+                assert fused_counts(H, M, p) == fused_counts(G, N, p), (gexpr, label, p)

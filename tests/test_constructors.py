@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from regula import CapExceeded, PermGroup, Permutation, RegulaError, constructors
-from regula.classes import class_counts, conjugacy_classes
+from regula.classes import conjugacy_classes
 from regula.constructors import (
     _frobenius_line_perm,
     _mobius_perm,
@@ -59,7 +59,7 @@ class TestProducts:
         from regula.perm_core import PermGroup
         G = direct_product(symmetric(4), PermGroup([], degree=1))
         assert G.order == 24
-        assert class_counts(G, 2) == class_counts(symmetric(4), 2)
+        assert conjugacy_classes(G).counts(2) == conjugacy_classes(symmetric(4)).counts(2)
 
     def test_class_count_multiplies(self):
         for A, B in ((symmetric(3), cyclic(4)), (alternating(4), symmetric(3)),
@@ -69,11 +69,11 @@ class TestProducts:
 
     def test_a5_squared_regular_classes(self):
         G = direct_product(alternating(5), alternating(5))
-        assert class_counts(G, 2).k_regular == 16  # 4 * 4 pairs of odd classes
+        assert conjugacy_classes(G).counts(2).k_regular == 16  # 4 * 4 pairs of odd classes
 
     def test_s5_times_agl15(self):
         G = direct_product(symmetric(5), affine_semilinear(5, False))
-        assert class_counts(G, 2).k_regular == 6
+        assert conjugacy_classes(G).counts(2).k_regular == 6
 
 
 class TestWreath:
@@ -114,12 +114,12 @@ class TestAffine:
     def test_agl15(self):
         G = affine_semilinear(5, False)
         assert G.order == 20
-        assert class_counts(G, 2).k_regular == 2
+        assert conjugacy_classes(G).counts(2).k_regular == 2
 
     def test_agl1_17(self):
         G = affine_semilinear(17, False)
         assert G.order == 272
-        assert class_counts(G, 2).k_regular == 2
+        assert conjugacy_classes(G).counts(2).k_regular == 2
 
     def test_agammal14_is_s4(self):
         G = affine_semilinear(4, True)
@@ -145,12 +145,12 @@ class TestGlqFamily:
     def test_l1_q3(self):
         G = glq_family(1, 3)
         assert G.order == 72
-        assert class_counts(G, 2).k_regular == 3
+        assert conjugacy_classes(G).counts(2).k_regular == 3
 
     def test_l1_q5(self):
         G = glq_family(1, 5)
         assert G.order == 800
-        assert class_counts(G, 2).k_regular == 3
+        assert conjugacy_classes(G).counts(2).k_regular == 3
 
     def test_l2_q3_order(self):
         assert glq_family(2, 3).order == 10368
@@ -159,10 +159,10 @@ class TestGlqFamily:
         # the odd-order elements are the 81 translations; their classes
         # are the orbits of the monomial group on the vectors
         G = glq_family(2, 3)
-        counts = class_counts(G, 2)
-        odd = [c for c in conjugacy_classes(G).classes if c.element_order % 2 == 1]
+        table = conjugacy_classes(G)
+        odd = [c for c in table.classes if c.element_order % 2 == 1]
         assert sum(c.class_size for c in odd) == 81
-        assert counts.k_regular == len(odd) == 6
+        assert table.counts(2).k_regular == len(odd) == 6
 
     def test_even_q_rejected(self):
         with pytest.raises(RegulaError):
@@ -200,10 +200,10 @@ class TestProjective:
             conjugacy_classes(alternating(5)).class_size_multiset()
 
     def test_psl24_unique_even_class(self):
-        assert class_counts(projective_group("psl2", 4), 2).k_singular == 1
+        assert conjugacy_classes(projective_group("psl2", 4)).counts(2).k_singular == 1
 
     def test_pgammal28_regular_count(self):
-        assert class_counts(projective_group("pgammal2", 8), 3).k_regular == 3
+        assert conjugacy_classes(projective_group("pgammal2", 8)).counts(3).k_regular == 3
 
     def test_psl33(self):
         G = psl3(3)
@@ -259,7 +259,7 @@ class TestA6Extensions:
         assert G.order == 720
         assert G.contains_subgroup(projective_group("psl2", 9))
         assert projective_group("pgammal2", 9).contains_subgroup(G)
-        assert class_counts(G, 2).k_regular == 3
+        assert conjugacy_classes(G).counts(2).k_regular == 3
         assert len({conjugacy_classes(H).class_size_multiset()
                     for H in (G, symmetric(6), projective_group("pgl2", 9))}) == 3
 

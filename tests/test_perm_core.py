@@ -330,7 +330,7 @@ class TestMembershipEnumeration:
     def test_elements_cap(self, monkeypatch):
         monkeypatch.setattr(perm_core, "ELEMENT_CAP", 1000)
         with pytest.raises(CapExceeded):
-            list(symmetric(8).elements())
+            symmetric(8).elements()    # at the call, before any element is asked for
         assert len(list(symmetric(6).elements())) == 720
 
     def test_elements_cap_message(self, monkeypatch):

@@ -121,7 +121,7 @@ class TestSuites:
         assert by_id["prop.boundedness-statements"][2:] == ["", ""]
 
     def test_report_bytes_pinned(self, reports):
-        # a refactor must keep every report byte for byte
+        # a refactor must keep every report byte for byte, as JSON and as CSV
         want = {
             "theorem-b": "c3ea1d072beb0b295dfb3d4d8101ba7c19d59a8588e434aa4f8757ccaa56583f",
             "ninomiya-3": "17a7b74fe0d23a05c1ff0cb44daee9637f666a1342792a6a6dfd886abf9f7ccd",
@@ -132,6 +132,18 @@ class TestSuites:
             "properties": "5eee13ebf27ff6fb8ffe29d5a68fe47f753def323735d6d048b4da729e41800a",
         }
         got = {name: hashlib.sha256(rep.to_json().encode("utf-8")).hexdigest()
+               for name, rep in reports.items()}
+        assert got == want
+        want = {
+            "theorem-b": "d0c8d3a9686b0679a61aa93adb057a92897a56280afe2dd99f349e320a30d4fb",
+            "ninomiya-3": "80bda5c7c062cacea2d669593f6db71a9141e1c8ef58cfe4cb04167f9d885df5",
+            "five-classes": "611d9ef02c045cee26a6b0185373993a7e2760d0648635f3f23289ed6711a9b9",
+            "families": "4a424c03db86cfe6cc31a44d5dd78bb1444c7f1d1daea8b1bc33cdb01c99cb61",
+            "bounds": "f1223c5c020d998d92887f0c7951f22413016b7eea8068b86a11ba3710cba790",
+            "numtheory": "31b11a9b675e962951d028174de8e2b1203aba7c81b371b10045ed67e9e2bf8e",
+            "properties": "a87d90899c9817505e5e2125b82ab0a8a858d87e740f9918d246bbef57d897f0",
+        }
+        got = {name: hashlib.sha256(rep.to_csv().encode("utf-8")).hexdigest()
                for name, rep in reports.items()}
         assert got == want
 
