@@ -34,7 +34,8 @@ drops them when it is done, so they add at most degree*A entries at a
 time, no more than the table itself.  The walk of a class keeps two
 frontiers of ranks, the last one and the one it builds.  Only the class
 representatives are built in full; each is walked once, for its order
-and sort key, and becomes a ``Permutation`` unchecked.
+and its cycle string, which is its sort key and the ``text`` its row
+keeps, and becomes a ``Permutation`` unchecked.
 """
 
 from __future__ import annotations
@@ -50,13 +51,14 @@ from .perm_core import (PermGroup, Permutation, _chain_elements, _cycle_text, _c
                         _mult, _wrap, check_element_cap)
 
 
-ClassInfo = namedtuple("ClassInfo", "representative element_order class_size centralizer_order")
+ClassInfo = namedtuple("ClassInfo",
+                       "representative element_order class_size centralizer_order text")
 ClassCounts = namedtuple("ClassCounts", "p k_total k_regular k_singular")
 
 
 class ClassTable(namedtuple("ClassTable", "group_order classes")):
     """|G| and its ``ClassInfo`` rows, sorted by element order, class size
-    and representative cycle string."""
+    and representative cycle string, which a row keeps as its ``text``."""
 
     __slots__ = ()
 
@@ -92,7 +94,7 @@ class ClassTable(namedtuple("ClassTable", "group_order classes")):
             "order": self.group_order,
             "classes": [
                 {
-                    "representative": c.representative.cycle_string(),
+                    "representative": c.text,
                     "element_order": c.element_order,
                     "class_size": c.class_size,
                     "centralizer_order": c.centralizer_order,
@@ -236,17 +238,20 @@ def conjugacy_classes(G: PermGroup) -> ClassTable:
 
 
 def _class_table(G: PermGroup) -> ClassTable:
+    labels = tuple(map(str, range(1, G.degree + 1)))
     rows = []
     for rep, size in _partition_into_orbits(G):
         if G.order % size != 0:
             raise RegulaError("class size does not divide the group order")
         cycles = _cycles_of(rep)
-        rows.append((lcm(*map(len, cycles)), size, _cycle_text(cycles, G.degree), rep))
+        rows.append((lcm(*map(len, cycles)), size, _cycle_text(cycles, labels), rep))
     if sum(row[1] for row in rows) != G.order:
         raise RegulaError("class equation failed")
     rows.sort()  # by (order, size, cycle string); distinct classes, distinct strings
-    return ClassTable(group_order=G.order, classes=tuple(
-        ClassInfo(_wrap(rep), order, size, G.order // size) for order, size, _, rep in rows))
+    for i, (order, size, text, rep) in enumerate(rows):
+        # in place, so each bare representative is freed as its Permutation copy is made
+        rows[i] = ClassInfo(_wrap(rep), order, size, G.order // size, text)
+    return ClassTable(group_order=G.order, classes=tuple(rows))
 
 
 def fused_counts(G: PermGroup, N: PermGroup, p: int) -> ClassCounts:

@@ -64,7 +64,7 @@ def _cmd_classes(args) -> int:
         print(f"{args.expr}: order {G.order}, {table.k_total} classes")
         for c in table.classes:
             print(f"  order {c.element_order:>4}  size {c.class_size:>8}  "
-                  f"centralizer {c.centralizer_order:>8}  {c.representative}")
+                  f"centralizer {c.centralizer_order:>8}  {c.text}")
         if args.p is not None:
             print(f"  p = {args.p}: regular {counts.k_regular}, singular {counts.k_singular}")
     return 0

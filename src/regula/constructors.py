@@ -22,9 +22,10 @@ import re
 from itertools import product
 from math import gcd
 
+from . import perm_core
 from .errors import CapExceeded, GroupDataError, RegulaError, UnknownGroupName
 from .ffield import add, field_of_size, frobenius, inv, make_field, mul
-from .perm_core import DEGREE_CAP, PermGroup, Permutation
+from .perm_core import PermGroup, Permutation
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -32,8 +33,8 @@ BASE_N_CAP = 12          # factorial growth; S12 is already 479M (order only)
 
 
 def cyclic(n: int) -> PermGroup:
-    if n < 1 or n > DEGREE_CAP:
-        raise CapExceeded(f"cyclic degree {n} outside [1, {DEGREE_CAP}]")
+    if n < 1 or n > perm_core.DEGREE_CAP:
+        raise CapExceeded(f"cyclic degree {n} outside [1, {perm_core.DEGREE_CAP}]")
     return PermGroup([Permutation.from_cycles(n, [list(range(n))])])
 
 
@@ -65,8 +66,8 @@ def alternating(n: int) -> PermGroup:
 
 def dihedral(n: int) -> PermGroup:
     """Symmetries of the regular n-gon, order 2n (n >= 3 natural action)."""
-    if n < 1 or n > DEGREE_CAP:
-        raise CapExceeded(f"dihedral parameter {n} outside [1, {DEGREE_CAP}]")
+    if n < 1 or n > perm_core.DEGREE_CAP:
+        raise CapExceeded(f"dihedral parameter {n} outside [1, {perm_core.DEGREE_CAP}]")
     if n == 1:
         return cyclic(2)
     if n == 2:
@@ -86,8 +87,8 @@ def _shift(perm: Permutation, offset: int, total: int) -> list:
 def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
     """G x H acting on the disjoint union of the two domains."""
     total = G.degree + H.degree
-    if total > DEGREE_CAP:
-        raise CapExceeded(f"product degree {total} exceeds {DEGREE_CAP}")
+    if total > perm_core.DEGREE_CAP:
+        raise CapExceeded(f"product degree {total} exceeds {perm_core.DEGREE_CAP}")
     gens = [_shift(g, 0, total) for g in G.generators]
     gens += [_shift(h, G.degree, total) for h in H.generators]
     P = PermGroup(gens, degree=total)
@@ -104,8 +105,8 @@ def wreath(G: PermGroup, P: PermGroup) -> PermGroup:
     """
     d, m = G.degree, P.degree
     total = d * m
-    if total > DEGREE_CAP:
-        raise CapExceeded(f"wreath degree {total} exceeds {DEGREE_CAP}")
+    if total > perm_core.DEGREE_CAP:
+        raise CapExceeded(f"wreath degree {total} exceeds {perm_core.DEGREE_CAP}")
     expected = G.order ** m * P.order
     if expected > 10 ** 12:
         raise CapExceeded(f"wreath order {expected} is beyond desk scale")
@@ -145,7 +146,7 @@ def sylow2_sym2l(l: int) -> PermGroup:
 def affine_semilinear(q: int, include_galois: bool) -> PermGroup:
     """x -> a*sigma(x) + b on GF(q); sigma ranges over the Galois group
     when ``include_galois`` is set, else sigma = identity."""
-    if q > DEGREE_CAP:
+    if q > perm_core.DEGREE_CAP:
         raise CapExceeded(f"field size {q} is beyond desk scale")
     F = field_of_size(q)
     _, k, exp, _ = F
@@ -171,8 +172,8 @@ def glq_family(l: int, q: int) -> PermGroup:
     P = sylow2_sym2l(l)         # caps l at 3, so 2^l stays small
     m = 2 ** l
     npoints = q ** m
-    if npoints > DEGREE_CAP:
-        raise CapExceeded(f"{npoints} points exceeds the degree cap {DEGREE_CAP}")
+    if npoints > perm_core.DEGREE_CAP:
+        raise CapExceeded(f"{npoints} points exceeds the degree cap {perm_core.DEGREE_CAP}")
     F = field_of_size(q)
     if q % 2 == 0:
         raise RegulaError(f"q = {q} must be odd")
@@ -346,8 +347,8 @@ def load_generator_file(path: str, expect_name: str | None = None) -> PermGroup:
                                  f"value {text!r}") from None
 
     degree = integer("degree", header["degree"])
-    if degree < 1 or degree > DEGREE_CAP:
-        raise GroupDataError(f"{path}: header degree {degree} outside [1, {DEGREE_CAP}]")
+    if degree < 1 or degree > perm_core.DEGREE_CAP:
+        raise GroupDataError(f"{path}: header degree {degree} outside [1, {perm_core.DEGREE_CAP}]")
     expected_order = integer("order", header["order"])
     expected_sizes = tuple(integer("class_sizes", s) for s in header["class_sizes"].split(","))
     try:

@@ -21,8 +21,8 @@ compares and hashes by its head and args.  It is not a tuple, since a
 keyed argument is the one tuple among its args.  Parsed expressions
 round-trip through ``str`` and evaluate to PermGroup instances.
 ``evaluate`` keeps the one memo of named groups, keyed by the text and
-the element cap: the constructors it calls build a new group each time,
-and data derived from a group is memoised on it.
+both caps: the constructors it calls build a new group each time, and
+data derived from a group is memoised on it.
 """
 
 from __future__ import annotations
@@ -203,9 +203,9 @@ _memo: dict = {}
 
 
 def evaluate(expr: GroupExpr):
-    """Evaluate an expression tree to a PermGroup, memoised under the cap
+    """Evaluate an expression tree to a PermGroup, memoised under both caps
     at the call: a group built under a larger cap is built, and refused, again."""
-    key = str(expr), perm_core.ELEMENT_CAP
+    key = str(expr), perm_core.ELEMENT_CAP, perm_core.DEGREE_CAP
     if key in _memo:
         return _memo[key]
     G = _evaluate(expr)

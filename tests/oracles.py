@@ -52,6 +52,23 @@ def order_of(t):
     return o
 
 
+def cycle_text(t):
+    """t in 1-based disjoint cycle notation, each cycle written from its
+    least point, in the order of those points; "()" for the identity."""
+    seen = set()
+    cycles = []
+    for i in range(len(t)):
+        if t[i] == i or i in seen:
+            continue
+        cyc, j = [], i
+        while j not in seen:
+            seen.add(j)
+            cyc.append(str(j + 1))
+            j = t[j]
+        cycles.append("(" + ",".join(cyc) + ")")
+    return "".join(cycles) or "()"
+
+
 def prime_divisors(n):
     """The primes dividing n, ascending, by trial division."""
     primes, p = [], 2

@@ -1,8 +1,9 @@
 """Derived data is memoised in one place per key: ``exprs.evaluate`` for
 named groups and ``PermGroup._cached`` for data derived from a group.
-A functools cache would be a second memo that outlives both.  Only data
-that is read again is memoised: the class table, the cores and the
-derived series, not closures or the Fitting subgroup."""
+A functools cache, or a module value rebound under ``global``, would be
+a second memo that outlives both.  Only data that is read again is
+memoised: the class table, the cores and the derived series, not
+closures or the Fitting subgroup."""
 
 import ast
 
@@ -37,6 +38,24 @@ class TestOneMemo:
     def test_no_functools_caches(self):
         for name, tree in package_trees():
             assert functools_caches(tree) == [], name
+
+
+def global_statements(tree):
+    """(line, names) of every ``global`` statement in the tree."""
+    return [(node.lineno, node.names) for node in ast.walk(tree) if isinstance(node, ast.Global)]
+
+
+class TestNoModuleState:
+    def test_detects_global_statements(self):
+        tree = ast.parse("_T = ()\n"
+                         "def f(n):\n"
+                         "    global _T, _U\n"
+                         "    _T = tuple(range(n))\n")
+        assert global_statements(tree) == [(3, ["_T", "_U"])]
+
+    def test_no_global_statements(self):
+        for name, tree in package_trees():
+            assert global_statements(tree) == [], name
 
 
 class TestMemoKeys:

@@ -463,6 +463,13 @@ class TestChainExtension:
         assert oracles.json_digest(docs) == \
             "1ba0d5e321f176c92bc0af14fd5a833a3a768d465d1e5bcdba55ff5bf29430e9"
 
+    def test_class_text_against_oracle(self):
+        # the text a row keeps is its representative's cycle string, checked
+        # by a formatter that shares nothing with the package
+        for expr, G in corpus_and_mixed():
+            for c in conjugacy_classes(G).classes:
+                assert c.text == oracles.cycle_text(c.representative.images), expr
+
     def test_mixed_class_tables_pinned(self):
         # the products conjugate by merged pairs; their tables stay as they were
         docs = ([expr, [[c.element_order, c.class_size, c.representative.cycle_string()]

@@ -263,6 +263,17 @@ class TestCli:
         assert main(["classes", expr, "--json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("args, digest", [
+        (["AGL1(257)", "--p", "2"], "a7b59ec33910f6626842607bd8d710650a345651ec346d41b58a7b6465870b0d"),
+        (["M12.2"], "b9fb87bc0f1bf4b039075693424dc5b2b996857094a366761761539671311ad3"),
+        (["x(C(30), C(30))"], "a3d7067329c9d47c93c2d5ca750ff0b80fca01ed5d8cdc7c4f54d1cfd1220bfe"),
+    ])
+    def test_text_table_pinned(self, capsys, args, digest):
+        # the plain writer: header, one line per class and the counts line
+        from regula.cli import main
+        assert main(["classes", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
     def test_numtheory_landau(self):
         out = self.run("numtheory", "landau", "--r", "2", "--a", "24", "--p", "3")
         assert json.loads(out.stdout)["value"] == "1864135/72"
