@@ -6,7 +6,11 @@ its validated image tuple and compares and hashes as one, and a
 ``PermGroup`` carrying a verified base and strong generating set.
 The chain is built with a deterministic Schreier-Sims: base points are
 the first moved points, orbits are explored in FIFO order, and every
-Schreier generator is sifted, so orders and membership tests are exact.
+Schreier pair is tested, so orders and membership tests are exact.
+A new strong generator rebuilds only the BFS trees of the orbits it
+joins; a transversal entry is made when first read, and a pair that is
+a tree edge, or that passes a test by base images and one product per
+level, forms no Schreier generator (see ``_schreier_sims``).
 A group built from generators (every named group) gets its chain from
 scratch, so its transversals, and with them the enumeration order, do
 not depend on how the group was reached.  A subgroup is made from its
@@ -14,7 +18,7 @@ generators, as a normal closure or as a commutator subgroup.  Normal
 closures, commutator subgroups and cores grow through one step,
 ``PermGroup._grown_by``: it adds only non-members, one at a time, each
 by extending a copy of the verified chain, keeping its transversal
-entries and sifting only the Schreier pairs it has not checked.  The
+entries and testing only the Schreier pairs it has not checked.  The
 levels below the first base point are a chain of that point's
 stabilizer.
 
@@ -245,6 +249,17 @@ def _wrap(t):
 
 
 class _Level:
+    """One level of a stabilizer chain: its base point, the strong generators
+    fixing every shallower base point with their inverses, the transversal
+    of the point's orbit (orbit point -> (u, u^-1), u[point] = orbit point,
+    in the order the orbit was reached) and, for each orbit point, how many
+    leading generators its Schreier pairs have passed.
+
+    While ``_schreier_sims`` runs, an orbit point's transversal value may be
+    None: the build keeps each level's BFS tree beside it, and ``entry``
+    makes the point's (u, u^-1) from the tree on first read.  A finished
+    chain holds every entry and no tree."""
+
     __slots__ = ("point", "ident", "gens", "gen_invs", "transversal", "checked")
 
     def __init__(self, point, ident):
@@ -252,7 +267,7 @@ class _Level:
         self.ident = ident
         self.gens = []            # strong generators fixing all shallower base points
         self.gen_invs = []        # their inverses, in the same order
-        self.transversal = {point: (ident, ident)}  # orbit pt -> (u, uinv), u[point] = pt
+        self.transversal = {point: (ident, ident)}  # orbit pt -> (u, uinv), or None until made
         self.checked = {}         # orbit pt -> how many leading gens its Schreier pairs passed
 
     def copy(self):
@@ -263,16 +278,20 @@ class _Level:
         new.checked = dict(self.checked)
         return new
 
-    def add_gen(self, h, hinv, keep):
+    def add_gen(self, h, hinv, keep, tree):
         """Append the strong generator h, with its inverse hinv, and close
-        the orbit under it.
+        the orbit under it.  No product is taken: each new orbit point c
+        gets the transversal value None and the tree record tree[c] = (a, k),
+        the point it was reached from and the index of the generator taking
+        a to c.
 
-        With ``keep`` every transversal entry and checked pair stays: the
-        orbit grows from old points under h and from new points under all
-        generators.  Without it the orbit is rebuilt from the base point
-        and every pair is unchecked again.  A new entry u * g is stored
-        with its inverse g^-1 * u^-1.
+        With ``keep`` every transversal entry, tree record and checked pair
+        stays: the orbit grows from old points under h and from new points
+        under all generators.  Without it the orbit and its tree are rebuilt
+        from the base point and every pair is unchecked again, so entries
+        made since the last rebuild are dropped.
         """
+        k = len(self.gens)
         self.gens.append(h)
         self.gen_invs.append(hinv)
         trans = self.transversal
@@ -281,23 +300,43 @@ class _Level:
             for a in list(trans):
                 c = h[a]
                 if c not in trans:
-                    u, uinv = trans[a]
-                    trans[c] = (_mult(u, h), _mult(hinv, uinv))
+                    trans[c] = None
+                    tree[c] = (a, k)
                     queue.append(c)
         else:
             trans = self.transversal = {self.point: (self.ident, self.ident)}
+            tree.clear()
             self.checked = {}
             queue = [self.point]
         i = 0
         while i < len(queue):
             a = queue[i]
             i += 1
-            u, uinv = trans[a]
-            for g, ginv in zip(self.gens, self.gen_invs):
+            for k, g in enumerate(self.gens):
                 c = g[a]
                 if c not in trans:
-                    trans[c] = (_mult(u, g), _mult(ginv, uinv))
+                    trans[c] = None
+                    tree[c] = (a, k)
                     queue.append(c)
+
+    def entry(self, c, tree):
+        """The (u, u^-1) of point c, None when c is outside the orbit.  An
+        entry is made on first read: from the entry of its tree parent a,
+        made first, and the generator g of its tree edge, it is u_a * g with
+        the inverse g^-1 * u_a^-1."""
+        trans = self.transversal
+        e = trans.get(c)
+        if e is None and c in trans:
+            path = []
+            while e is None:
+                path.append(c)
+                c = tree[c][0]
+                e = trans[c]
+            for c in reversed(path):
+                u, uinv = e
+                k = tree[c][1]
+                e = trans[c] = (_mult(u, self.gens[k]), _mult(self.gen_invs[k], uinv))
+        return e
 
 
 def _first_moved(t):
@@ -307,14 +346,19 @@ def _first_moved(t):
     return None
 
 
-def _strip(levels, g, start=0):
-    """Sift g through ``levels[start:]``: the residue and the level where it stopped."""
+def _strip(levels, g, start=0, trees=None):
+    """Sift g through ``levels[start:]``: the residue and the level where it
+    stopped.  A level whose base point g fixes takes no product.  Inside
+    ``_schreier_sims`` ``trees`` holds each level's BFS tree, and an entry
+    not yet made is made as the sift reads it."""
     i = start
     for lvl in levels[start:]:
-        entry = lvl.transversal.get(g[lvl.point])
-        if entry is None:
-            break
-        g = _mult(g, entry[1])
+        x = g[lvl.point]
+        if x != lvl.point:
+            entry = lvl.transversal.get(x) if trees is None else lvl.entry(x, trees[i])
+            if entry is None:
+                break
+            g = _mult(g, entry[1])
         i += 1
     return g, i
 
@@ -322,49 +366,83 @@ def _strip(levels, g, start=0):
 def _schreier_sims(degree, gen_tuples, chain=None):
     """Deterministic Schreier-Sims. Returns the verified list of levels.
 
-    From scratch, each new strong generator rebuilds the orbits it joins.
-    Given the verified levels ``chain`` of a subgroup, it extends copies
-    of them by ``gen_tuples`` instead: transversal entries are kept, so a
-    Schreier pair that once sifted to the identity stays verified, and
-    only the pairs not yet checked are sifted.
+    From scratch, each new strong generator rebuilds the BFS trees of the
+    orbits it joins, and a transversal entry is made only when a sift, a
+    Schreier pair or the finished chain reads it, so an entry that a later
+    rebuild replaces first is never made.  Given the verified levels
+    ``chain`` of a subgroup, it extends copies of them by ``gen_tuples``
+    instead: transversal entries are kept, so a Schreier pair that once
+    sifted to the identity stays verified, and only the pairs not yet
+    checked are tested.
+
+    A pair (beta, s) at level i, c = beta^s, is skipped with no product
+    when it is a tree edge, since then u_beta * s is u_c.  Any other pair
+    sifts sg = u_beta * s * u_c^-1 through the levels below by base images
+    alone, picking their entries e_1, ..., e_m, and passes when
+    u_beta * s == e_m * ... * e_1 * u_c: one product per level that moves
+    its base point.  Only a pair that fails forms sg and strips it, so its
+    residue becomes the next strong generator.  Every entry is made before
+    the levels are returned, and the trees are dropped.
     """
     ident = tuple(range(degree))
     keep = chain is not None
     levels = [lvl.copy() for lvl in chain] if keep else []
+    trees = [{} for _ in levels]  # per level: orbit pt -> (parent pt, generator index)
 
     def add_strong_gen(h, upto):
         # h fixes base[0..upto-1]; it belongs to every level <= upto
         if upto == len(levels):
             levels.append(_Level(_first_moved(h), ident))
+            trees.append({})
         hinv = _inv(h)
         for j in range(upto + 1):
-            levels[j].add_gen(h, hinv, keep)
+            levels[j].add_gen(h, hinv, keep, trees[j])
 
     for g in gen_tuples:
-        h, lev = _strip(levels, g)
+        h, lev = _strip(levels, g, 0, trees)
         if h != ident:
             add_strong_gen(h, lev)
 
-    # Bottom-up verification: sift every unchecked Schreier generator.
+    # Bottom-up verification: test every unchecked Schreier pair.
     i = len(levels) - 1
     while i >= 0:
         lvl = levels[i]
         gens = lvl.gens
+        tree = trees[i]
+        below = list(zip(levels[i + 1:], trees[i + 1:]))
         failed_at = None
         for beta in sorted(lvl.transversal):
             k = lvl.checked.get(beta, 0)
-            u = lvl.transversal[beta][0]
-            h = ident
+            ubeta = None
             while k < len(gens):
                 s = gens[k]
-                sg = _mult(_mult(u, s), lvl.transversal[s[beta]][1])
-                if sg != ident:
-                    h, lev = _strip(levels, sg, i + 1)
-                    if h != ident:
-                        break
+                c = s[beta]
+                if tree.get(c) != (beta, k):
+                    if ubeta is None:
+                        ubeta = lvl.entry(beta, tree)[0]
+                    us = _mult(ubeta, s)
+                    uc, ucinv = lvl.entry(c, tree)
+                    picked = []  # e_1, ..., e_m, each level's entry for sg's base image
+                    for low, low_tree in below:
+                        y = ucinv[us[low.point]]
+                        for _, einv in picked:
+                            y = einv[y]
+                        if y != low.point:
+                            e = low.entry(y, low_tree)
+                            if e is None:
+                                break
+                            picked.append(e)
+                    else:
+                        for e, _ in picked:
+                            uc = _mult(e, uc)
+                        if uc == us:
+                            k += 1
+                            continue
+                    h, lev = _strip(levels, _mult(us, ucinv), i + 1, trees)
+                    break
                 k += 1
             lvl.checked[beta] = k
-            if h != ident:
+            if k < len(gens):  # the pair (beta, gens[k]) failed
                 add_strong_gen(h, lev)
                 failed_at = lev
                 break
@@ -372,6 +450,10 @@ def _schreier_sims(degree, gen_tuples, chain=None):
             i = failed_at
         else:
             i -= 1
+    for lvl, tree in zip(levels, trees):
+        for c, e in lvl.transversal.items():
+            if e is None:
+                lvl.entry(c, tree)
     return levels
 
 

@@ -6,7 +6,9 @@ tuples with explicit set closure and imports nothing from ``regula``
 (``test_guards`` checks this), so a bug in the chain machinery cannot
 hide: the same quantity is recomputed a second way and compared.  A
 group is read only through its ``generators``, each with ``images``,
-and its ``degree``.
+and its ``degree``.  The one chain here is ``schreier_sims``, the eager
+construction that makes every transversal entry at once and sifts every
+Schreier pair: the package's chain must equal it in every detail.
 """
 
 import hashlib
@@ -250,6 +252,118 @@ def core_orders(G):
     return {key: len(_generated(members[key])[0]) if key in members else 1
             for key in keys + ["solvable-radical", "fitting"]}
 
+
+
+def _strip(levels, g, start=0):
+    """Sift g through ``levels[start:]``: the residue and the level where it stopped."""
+    i = start
+    for lvl in levels[start:]:
+        entry = lvl["transversal"].get(g[lvl["point"]])
+        if entry is None:
+            break
+        g = mult(g, entry[1])
+        i += 1
+    return g, i
+
+
+def _add_gen(lvl, h, hinv, keep):
+    # append h and close the orbit, building every (u, u^-1) at once
+    lvl["gens"].append(h)
+    lvl["gen_invs"].append(hinv)
+    trans = lvl["transversal"]
+    if keep:
+        queue = []
+        for a in list(trans):
+            c = h[a]
+            if c not in trans:
+                u, uinv = trans[a]
+                trans[c] = (mult(u, h), mult(hinv, uinv))
+                queue.append(c)
+    else:
+        ident = tuple(range(len(h)))
+        trans = lvl["transversal"] = {lvl["point"]: (ident, ident)}
+        lvl["checked"] = {}
+        queue = [lvl["point"]]
+    i = 0
+    while i < len(queue):
+        a = queue[i]
+        i += 1
+        u, uinv = trans[a]
+        for g, ginv in zip(lvl["gens"], lvl["gen_invs"]):
+            c = g[a]
+            if c not in trans:
+                trans[c] = (mult(u, g), mult(ginv, uinv))
+                queue.append(c)
+
+
+def schreier_sims(degree, gen_tuples, chain=None):
+    """The deterministic Schreier-Sims with eager transversals, the
+    reference for the package's chain: each level is a dict of its base
+    point, its strong generators and their inverses, its transversal
+    (orbit point -> (u, u^-1), in insertion order) and its checked counts.
+    From scratch each new strong generator rebuilds every (u, u^-1) of
+    the orbits it joins; given the levels ``chain`` it extends copies of
+    them, keeping their entries and checked counts.  Every Schreier pair
+    not yet checked is formed as a product and sifted."""
+    ident = tuple(range(degree))
+    keep = chain is not None
+    levels = [{"point": lvl["point"], "gens": list(lvl["gens"]), "gen_invs": list(lvl["gen_invs"]),
+               "transversal": dict(lvl["transversal"]), "checked": dict(lvl["checked"])}
+              for lvl in chain or []]
+
+    def add_strong_gen(h, upto):
+        if upto == len(levels):
+            point = next(x for x in range(degree) if h[x] != x)
+            levels.append({"point": point, "gens": [], "gen_invs": [],
+                           "transversal": {point: (ident, ident)}, "checked": {}})
+        hinv = inv(h)
+        for j in range(upto + 1):
+            _add_gen(levels[j], h, hinv, keep)
+
+    for g in gen_tuples:
+        h, lev = _strip(levels, g)
+        if h != ident:
+            add_strong_gen(h, lev)
+    i = len(levels) - 1
+    while i >= 0:
+        lvl = levels[i]
+        gens = lvl["gens"]
+        failed_at = None
+        for beta in sorted(lvl["transversal"]):
+            k = lvl["checked"].get(beta, 0)
+            u = lvl["transversal"][beta][0]
+            h = ident
+            while k < len(gens):
+                s = gens[k]
+                sg = mult(mult(u, s), lvl["transversal"][s[beta]][1])
+                if sg != ident:
+                    h, lev = _strip(levels, sg, i + 1)
+                    if h != ident:
+                        break
+                k += 1
+            lvl["checked"][beta] = k
+            if h != ident:
+                add_strong_gen(h, lev)
+                failed_at = lev
+                break
+        i = i - 1 if failed_at is None else failed_at
+    return levels
+
+
+def grown_by(degree, levels, tuples):
+    """``levels`` extended by each of ``tuples`` that does not sift to the
+    identity, one at a time and in order."""
+    for t in tuples:
+        if _strip(levels, t)[0] != tuple(range(degree)):
+            levels = schreier_sims(degree, [t], chain=levels)
+    return levels
+
+
+def chain_state(levels):
+    """Each level's whole state, insertion orders included: base point,
+    strong generators, their inverses, transversal items and checked items."""
+    return [(lvl["point"], list(lvl["gens"]), list(lvl["gen_invs"]),
+             list(lvl["transversal"].items()), list(lvl["checked"].items())) for lvl in levels]
 
 def json_digest(docs):
     """The sha256 hex digest of the docs' JSON texts, sorted keys, one

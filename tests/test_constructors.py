@@ -105,7 +105,7 @@ class TestWreath:
         assert sylow2_sym2l(2).order == 8
         assert sylow2_sym2l(3).order == 128
         W = sylow2_sym2l(2)
-        assert len(W._levels[0].transversal) == 4  # transitive on 4 points
+        assert W.fundamental_orbit_lengths()[0] == 4  # transitive on 4 points
         with pytest.raises(CapExceeded):
             sylow2_sym2l(4)
 

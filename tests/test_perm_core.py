@@ -14,8 +14,8 @@ from regula.classes import conjugacy_classes
 from regula.constructors import alternating, cyclic, dihedral, projective_group, symmetric
 from regula.corpus import corpus_groups
 from regula.exprs import group_from_text
-from regula.numtheory import is_p_power
-from regula.radicals import core
+from regula.numtheory import is_p_power, prime_factors
+from regula.radicals import core, fitting
 
 
 def P(text, degree=None):
@@ -382,9 +382,10 @@ def chain_extensions(draw):
     return n, start, extra, probes, words
 
 
-def chain_snapshot(G):
-    return (G.base, G.order, [(lvl.point, list(lvl.gens), list(lvl.gen_invs),
-                               dict(lvl.transversal), dict(lvl.checked)) for lvl in G._levels])
+def chain_state(G):
+    """Each level's whole state in ``oracles.chain_state``'s form, insertion orders included."""
+    return [(lvl.point, list(lvl.gens), list(lvl.gen_invs),
+             list(lvl.transversal.items()), list(lvl.checked.items())) for lvl in G._levels]
 
 
 MIXED = ["x(C(12), S(5))", "x(D(6), S(5))", "x(S(4), S(5))", "x(x(S(3), S(3)), S(5))",
@@ -394,6 +395,20 @@ MIXED = ["x(C(12), S(5))", "x(D(6), S(5))", "x(S(4), S(5))", "x(x(S(3), S(3)), S
 def corpus_and_mixed():
     """The 55 corpus groups and the six structure-mixed products, by expression."""
     return corpus_groups() + [(expr, group_from_text(expr)) for expr in MIXED]
+
+
+def pinned_chains():
+    """(label, group) of 362 chains: each of ``corpus_and_mixed()``, its
+    commutator subgroup and, for |G| <= 20 000, its p-cores, its solvable
+    radical and its Fitting subgroup."""
+    for expr, G in corpus_and_mixed():
+        yield expr, G
+        yield f"{expr}'", G.commutator_subgroup()
+        if G.order <= 20_000:
+            for p in prime_factors(G.order):
+                yield f"O_{p}({expr})", core(G, "p-core", p)
+            yield f"R({expr})", core(G, "solvable-radical")
+            yield f"F({expr})", fitting(G)
 
 
 class TestChainExtension:
@@ -435,15 +450,43 @@ class TestChainExtension:
         assert all(ref.contains(t) and oracles.inv(t) == tinv for t, tinv in pairs)
         assert PermGroup([Permutation(t) for t, _ in pairs], degree=n).order == H.order
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(chain_extensions())
+    def test_matches_the_eager_reference(self, case):
+        # built from scratch, and extended one tuple at a time, the chain is
+        # the eager construction's, level for level and in every order
+        n, start, extra, _, _ = case
+        G = PermGroup([Permutation(t) for t in start + extra], degree=n)
+        assert chain_state(G) == oracles.chain_state(oracles.schreier_sims(n, start + extra))
+        H = PermGroup([Permutation(t) for t in start], degree=n)._grown_by(extra)
+        ref = oracles.grown_by(n, oracles.schreier_sims(n, start), extra)
+        assert chain_state(H) == oracles.chain_state(ref)
+
+    @pytest.mark.parametrize("expr, most", [("AGL1(257)", 2411), ("GLQ(l=2, q=3)", 1983),
+                                            ("M12.2", 1653)])
+    def test_build_product_count(self, monkeypatch, expr, most):
+        # an entry is made when first read and a tree edge takes no product;
+        # rebuilding every entry eagerly took 5142, 5408 and 2874 products
+        G = group_from_text(expr)
+        mult, calls = perm_core._mult, [0]
+
+        def counting(a, b):
+            calls[0] += 1
+            return mult(a, b)
+
+        monkeypatch.setattr(perm_core, "_mult", counting)
+        PermGroup(G.generators, degree=G.degree)
+        assert calls[0] <= most
+
     def test_leaves_the_start_group_alone(self):
         # cached groups share chains, so an extension must copy the levels
         A5 = alternating(5)
         closure = symmetric(5).normal_closure([P("(1,2,3)", 5)])
         for G, order in ((A5, 120), (closure, 120), (PermGroup([], degree=5), 2)):
-            before = chain_snapshot(G)
+            before = chain_state(G)
             H = G._grown_by([P("(1,2)", 5).images])
             assert H.order == order
-            assert chain_snapshot(G) == before
+            assert chain_state(G) == before
 
     def test_grown_by_adds_only_non_members(self):
         C5 = cyclic(5)
@@ -462,6 +505,15 @@ class TestChainExtension:
                 for expr, G in groups)
         assert oracles.json_digest(docs) == \
             "1ba0d5e321f176c92bc0af14fd5a833a3a768d465d1e5bcdba55ff5bf29430e9"
+
+    def test_full_chain_state_pinned(self):
+        # every level's strong generators and inverses in order, its
+        # transversal in insertion order (the order a kept extension walks)
+        # and its checked counts stay as the eager construction left them
+        docs = [[label, G.base, chain_state(G)] for label, G in pinned_chains()]
+        assert len(docs) == 362
+        assert oracles.json_digest(docs) == \
+            "54d418204c27a1bf60a38cb2ba33fd28ee0e80b6d86221a4fe59f5026c762cbd"
 
     def test_class_text_against_oracle(self):
         # the text a row keeps is its representative's cycle string, checked

@@ -112,7 +112,7 @@ def find_transitive_m11(M12):
     assert x is not None
     for g in M12.elements():
         H = PermGroup([x, g], degree=12)
-        if H.order == 7920 and len(H._levels[0].transversal) == 12:
+        if H.order == 7920 and H.fundamental_orbit_lengths()[0] == 12:
             return H
     raise AssertionError("no transitive subgroup of order 7920 found")
 
